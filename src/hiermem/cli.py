@@ -69,9 +69,7 @@ def cmd_cluster(args) -> int:
         w.writerow(["doc"] + [f"level{l}" for l in range(1, tree.depth + 1)])
         for i, row in enumerate(paths):
             w.writerow([i] + [int(x) for x in row])
-    counts = np.bincount(
-        [cl.flat_of_index(tuple(p), tree.k) for p in paths], minlength=tree.k**tree.depth
-    )
+    counts = np.bincount(cl.flats_of_paths(paths, tree.k), minlength=tree.k**tree.depth)
     print(f"tree: k={tree.k} depth={tree.depth} over {len(docs)} docs -> {tree_path}")
     print(f"doc index -> {index_path}; leaf counts min {counts.min()} max {counts.max()}")
     return 0
@@ -225,12 +223,7 @@ def cmd_inspect(args) -> int:
         print(f"  array {name}: {arr.dtype} {arr.shape}")
     print(f"  total elements: {total:,}")
     if magic == mb.BANK_MAGIC:
-        cfg = mb.MemoryConfig(
-            mem_type=meta["config"]["mem_type"], rs=tuple(meta["config"]["rs"]),
-            placement=meta["config"]["placement"],
-            masked_policy=meta["config"].get("masked_policy", "generic"),
-        )
-        acc = mb.bank_accounting(cfg, k=meta["k"], **meta["dims"])
+        acc = mb.bank_accounting(mb.MemoryConfig.from_meta(meta), k=meta["k"], **meta["dims"])
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
     return 0
 

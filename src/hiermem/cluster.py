@@ -7,9 +7,12 @@ per-cluster counters), re-balancing whenever a child's share of the pool
 exceeds ``balance_limit`` by moving a random half of the largest cluster
 into the smallest. Parents are frozen before their children train.
 
-Assignment is a greedy root-to-leaf descent: exactly k distance
-evaluations per level, p*k total, ties resolved toward the lowest index.
-Cluster indices are 1-based tuples (i_1, ..., i_p).
+Assignment (``assign_batch``) is a greedy root-to-leaf descent: k
+distance evaluations per level, p*k per vector, ties resolved toward the
+lowest index. A path is 1-based, (i_1, ..., i_p); its flat id is the
+0-based mixed-radix number sum_l (i_l - 1) * k^(p-l), so the children of a
+node are contiguous and the level-l ancestor of leaf f is f // k^(p-l).
+``flats_of_paths`` and ``paths_of_flats`` are the one codec between them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ import numpy as np
 from . import fileio
 
 TREE_MAGIC = "HMTREE"
-
-ClusterIndex = tuple[int, ...]
-
 
 class ClusterError(RuntimeError):
     pass
@@ -70,20 +70,18 @@ class ClusterTree:
         return self.levels[level - 1][parent_flat * self.k : (parent_flat + 1) * self.k]
 
 
-def flat_of_index(index: ClusterIndex, k: int) -> int:
-    """0-based mixed-radix position of a 1-based index tuple at its level."""
-    f = 0
-    for i in index:
-        f = f * k + (i - 1)
-    return f
+def flats_of_paths(paths, k: int) -> np.ndarray:
+    """0-based flat ids of (..., depth) 1-based paths, shape (...)."""
+    paths = np.asarray(paths, dtype=np.int64)
+    radix = np.int64(k) ** np.arange(paths.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return (paths - 1) @ radix
 
 
-def index_of_flat(flat: int, k: int, level: int) -> ClusterIndex:
-    digits = []
-    for _ in range(level):
-        digits.append(flat % k + 1)
-        flat //= k
-    return tuple(reversed(digits))
+def paths_of_flats(flats, k: int, depth: int) -> np.ndarray:
+    """Inverse of ``flats_of_paths``: (..., depth) 1-based paths."""
+    flats = np.asarray(flats, dtype=np.int64)
+    radix = np.int64(k) ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return flats[..., None] // radix % k + 1
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -218,31 +216,11 @@ def train_tree(vectors: np.ndarray, cfg: ClusterConfig) -> ClusterTree:
     return ClusterTree(config=cfg, dim=dim, levels=levels, meta=meta)
 
 
-def assign_with_stats(vec: np.ndarray, tree: ClusterTree) -> tuple[ClusterIndex, int]:
-    """Greedy descent; returns (index, number of distance evaluations)."""
-    x = normalize_rows(np.asarray(vec, dtype=np.float32).reshape(1, -1))
-    if x.shape[1] != tree.dim:
-        raise ClusterError(f"assign: vector dim {x.shape[1]} != tree dim {tree.dim}")
-    path = []
-    flat = 0
-    comparisons = 0
-    for level in range(1, tree.depth + 1):
-        centers = tree.node_children(level, flat)
-        d2 = _sq_dists(x.astype(np.float64), centers.astype(np.float64))[0]
-        comparisons += tree.k
-        j = int(np.argmin(d2))
-        path.append(j + 1)
-        flat = flat * tree.k + j
-    return tuple(path), comparisons
-
-
-def assign(vec: np.ndarray, tree: ClusterTree) -> ClusterIndex:
-    return assign_with_stats(vec, tree)[0]
-
-
 def assign_batch(vectors: np.ndarray, tree: ClusterTree) -> np.ndarray:
     """Greedy descent for many vectors; returns (n, depth) of 1-based ids."""
     x = normalize_rows(vectors)
+    if x.ndim != 2 or x.shape[1] != tree.dim:
+        raise ClusterError(f"assign: vectors of shape {x.shape}, expected (n, {tree.dim})")
     n = x.shape[0]
     flat = np.zeros(n, dtype=np.int64)
     out = np.zeros((n, tree.depth), dtype=np.int64)

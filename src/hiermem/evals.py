@@ -276,23 +276,22 @@ def _memory_rows(
     mask: mb.BlockMask | None,
     dtype,
 ) -> list[nc.Tensor] | None:
-    """Per-level (B, s_l) weight rows for a batch, or None for mode 'none'."""
+    """Per-level (B, s_l) weight rows for a batch, or None for mode 'none'.
+
+    Generic mode gathers one row per level, which the model broadcasts
+    over the batch.
+    """
     if mode == "none":
         return None
     if bank is None:
         raise EvalError(f"eval mode {mode!r} needs a memory bank")
-    B = paths.shape[0] if paths is not None else 1
-    rows_per_level = []
-    for l in range(1, bank.depth + 1):
-        rows = np.empty((B, bank.generic[l - 1].shape[0]), dtype=dtype)
-        for b in range(B):
-            if mode == "generic":
-                rows[b] = bank.generic[l - 1]
-            else:
-                f = mb.fetch(bank, tuple(int(x) for x in paths[b]), mask)
-                rows[b] = f.levels[l - 1]
-        rows_per_level.append(nc.Tensor(rows))
-    return rows_per_level
+    if mode == "generic":
+        fm = mb.fetch(bank, np.zeros(1, dtype=np.int64), generic_rows=np.ones(1, dtype=bool))
+    else:
+        if paths.shape[1] != bank.depth or ((paths < 1) | (paths > bank.k)).any():
+            raise mb.BankError(f"routed paths do not address a k={bank.k}, depth-{bank.depth} bank")
+        fm = mb.fetch(bank, cl.flats_of_paths(paths, bank.k), mask=mask)
+    return [nc.Tensor(rows.astype(dtype, copy=False)) for rows in fm.levels]
 
 
 def _attach(bank, model, rows):
@@ -326,7 +325,8 @@ def perplexity(
     order = sorted(range(len(texts)), key=lambda i: len(texts[i].encode("utf-8")))
     for i0 in range(0, len(order), batch_size):
         idx = order[i0 : i0 + batch_size]
-        toks = [tok.encode(texts[i])[:max_len] for i in idx]
+        full = [tok.encode(texts[i]) for i in idx]
+        toks = [t[:max_len] for t in full]
         S = max(len(t) for t in toks)
         inputs = np.full((len(idx), S), ByteTokenizer.EOT, dtype=np.int32)
         targets = np.full((len(idx), S), ByteTokenizer.EOT, dtype=np.int32)
@@ -334,9 +334,10 @@ def perplexity(
         for j, t in enumerate(toks):
             inputs[j, : len(t)] = t
             targets[j, : len(t) - 1] = t[1:]
-            # the position after the last byte predicts EOT; it exists
-            # because targets are EOT-filled
-            weights[j, : len(t)] = 1.0
+            # the last byte of a whole document predicts EOT (targets are
+            # EOT-filled); that of a truncated one would predict a byte
+            # beyond the context, so it carries no loss
+            weights[j, : len(t) if len(full[j]) <= max_len else len(t) - 1] = 1.0
         rows = _memory_rows(bank, paths[idx] if paths is not None else None, mode, mask, model.dtype)
         logits = mdl.forward(model, inputs, mems=_attach(bank, model, rows))
         ce = nc.cross_entropy(logits, targets, weights)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -73,31 +75,57 @@ def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def read_artifact(path, expect_magic: str | None = None):
-    """Returns (magic, meta, arrays) with arrays in file order."""
+    """Returns (magic, meta, arrays) with arrays in file order.
+
+    Every length field is checked against the bytes left in the file
+    before it is read, so a damaged file raises ``ArtifactError`` rather
+    than a struct, JSON or allocation error; bytes after the last array
+    are rejected too.
+    """
     with open(path, "rb") as f:
-        raw_magic = f.read(8)
-        if len(raw_magic) < 8:
-            raise ArtifactError(f"{path}: truncated header")
-        magic = raw_magic.decode("ascii", errors="replace").rstrip()
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ArtifactError(f"{path}: truncated {what}")
+            left -= n
+            return f.read(n)
+
+        def unpack(fmt: str, what: str) -> int:
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+        magic = take(8, "header").decode("ascii", errors="replace").rstrip()
         if expect_magic is not None and magic != expect_magic:
             raise ArtifactError(f"{path}: magic {magic!r}, expected {expect_magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = unpack("<I", "header")
         if version != FORMAT_VERSION:
             raise ArtifactError(f"{path}: unsupported format version {version}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(mlen).decode("utf-8"))
-        (n,) = struct.unpack("<I", f.read(4))
+        raw_meta = take(unpack("<Q", "header"), "metadata")
+        try:
+            meta = json.loads(raw_meta.decode("utf-8"))
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise ArtifactError(f"{path}: corrupt metadata ({e})") from None
+        if not isinstance(meta, dict):
+            raise ArtifactError(f"{path}: metadata is not a JSON object")
+        n = unpack("<I", "header")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (dlen,) = struct.unpack("<B", f.read(1))
-            dtype = np.dtype(f.read(dlen).decode("ascii"))
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ArtifactError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            raw_name = take(unpack("<H", "array header"), "array header")
+            raw_dtype = take(unpack("<B", "array header"), "array header")
+            try:
+                name = raw_name.decode("utf-8")
+                dtype = np.dtype(raw_dtype.decode("ascii"))
+            except (TypeError, ValueError) as e:
+                raise ArtifactError(f"{path}: corrupt array header ({e})") from None
+            if dtype.hasobject or dtype.itemsize == 0:
+                raise ArtifactError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+            shape = tuple(unpack("<Q", "array header") for _ in range(unpack("<B", "array header")))
+            buf = take(math.prod(shape) * dtype.itemsize, f"array {name!r}")
+            try:
+                arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            except ValueError as e:  # e.g. a zero-sized shape too large to index
+                raise ArtifactError(f"{path}: corrupt array {name!r} ({e})") from None
+        if left:
+            raise ArtifactError(f"{path}: {left} trailing bytes after the last array")
         return magic, meta, arrays

@@ -2,10 +2,13 @@
 
 One memory block exists per cluster tree node. A block at level l is a
 flat float32 vector of s_l parameters whose layout is a fixed sequence of
-per-layer slots (weight matrices for the chosen memory type). Fetching an
-index (i_1, ..., i_p) returns the root-to-leaf path of blocks. A single
+per-layer slots (weight matrices for the chosen memory type). ``fetch``
+takes a batch of 0-based leaf ids and gathers, per level, one row per
+sequence: the block of the leaf's ancestor at that level. A single
 "generic" block of size sum(s_l) rides along for out-of-distribution use
-and is trained on a sampled fraction of sequences.
+and is trained on a sampled fraction of sequences; ``fetch`` serves it to
+the rows marked generic and, per ``masked_policy``, to rows whose path
+enters a masked subtree.
 
 Block sizes per memory type, with r the width multiplier, d the model
 width, H = heads * head_dim, d_f the FFN width, and l the number of
@@ -28,6 +31,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from . import cluster as cl
 from . import fileio
 
 BANK_MAGIC = "HMBANK"
@@ -64,6 +68,13 @@ class MemoryConfig:
     @property
     def depth(self) -> int:
         return len(self.rs)
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> MemoryConfig:
+        """The config an artifact recorded under ``meta["config"]``."""
+        c = meta["config"]
+        return cls(mem_type=c["mem_type"], rs=tuple(c["rs"]), placement=c["placement"],
+                   masked_policy=c.get("masked_policy", "generic"))
 
 
 def layer_subset(placement: str, num_layers: int) -> list[int]:
@@ -195,17 +206,6 @@ class MemoryBank:
     def level_size(self, level: int) -> int:
         return self.levels[level - 1].shape[1]
 
-    def block(self, level: int, index: tuple) -> np.ndarray:
-        """Read-only view of one block's parameters."""
-        if len(index) != level:
-            raise BankError(f"index {index} is not a level-{level} path")
-        flat = 0
-        for i in index:
-            if not (1 <= i <= self.k):
-                raise BankError(f"index component {i} outside 1..{self.k} in {index}")
-            flat = flat * self.k + (i - 1)
-        return self.levels[level - 1][flat]
-
 
 class BlockMask:
     """A set of masked subtree roots, closed over descendants.
@@ -221,14 +221,17 @@ class BlockMask:
                 raise BankError("cannot mask the tree root (empty path)")
         self.roots = frozenset(roots)
 
-    def blocked_level(self, index: tuple) -> int | None:
-        """Smallest level at which ``index``'s path enters a masked subtree."""
-        hits = [len(r) for r in self.roots if index[: len(r)] == r]
-        return min(hits) if hits else None
-
-    def is_blocked(self, index: tuple, level: int) -> bool:
-        bl = self.blocked_level(index[:level])
-        return bl is not None and bl <= level
+    def blocked(self, ids, level: int, k: int) -> np.ndarray:
+        """Whether each 0-based block id at ``level`` lies in a masked subtree."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = np.zeros(ids.shape, dtype=bool)
+        for r in self.roots:
+            # out-of-range components would alias other nodes' flat ids
+            if not all(1 <= i <= k for i in r):
+                raise BankError(f"mask root {r} has a component outside 1..{k}")
+            if len(r) <= level:
+                out |= ids // k ** (level - len(r)) == cl.flats_of_paths(r, k)
+        return out
 
     def __bool__(self):
         return bool(self.roots)
@@ -236,11 +239,10 @@ class BlockMask:
 
 @dataclass
 class FetchedMemory:
-    """Root-to-leaf path of block parameter vectors (views, not copies)."""
+    """Per-level rows gathered for a batch of leaves (copies, not views)."""
 
-    index: tuple
-    levels: list[np.ndarray]            # one (s_l,) view per level
-    sources: list[tuple]                # ("cluster", path) | ("generic", l) | ("zero", l)
+    levels: list[np.ndarray]            # levels[l-1]: (B, s_l) float32
+    blocks: list[np.ndarray]            # blocks[l-1]: (B,) int64 block id, -1 where generic/zero
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -294,34 +296,30 @@ def init_bank(cfg: MemoryConfig, *, dim: int, heads: int, head_dim: int, ffn_dim
     return MemoryBank(cfg=cfg, k=k, dims=dims, levels=levels, generic=generic, meta={"seed": seed})
 
 
-def fetch(bank: MemoryBank, index: tuple, mask: BlockMask | None = None) -> FetchedMemory:
-    """Blocks along the path to ``index``; masked levels fall back to the
-    generic block (or zeros, per config policy)."""
-    if len(index) != bank.depth:
-        raise BankError(f"fetch index {index} must have depth {bank.depth}")
-    out = []
-    sources = []
-    for level in range(1, bank.depth + 1):
-        if mask is not None and mask.is_blocked(index, level):
-            if bank.cfg.masked_policy == "zero":
-                out.append(np.zeros_like(bank.generic[level - 1]))
-                sources.append(("zero", level))
-            else:
-                out.append(bank.generic[level - 1])
-                sources.append(("generic", level))
-        else:
-            out.append(bank.block(level, index[:level]))
-            sources.append(("cluster", tuple(index[:level])))
-    return FetchedMemory(index=tuple(index), levels=out, sources=sources)
+def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | None = None) -> FetchedMemory:
+    """Root-to-leaf blocks for each 0-based leaf id in ``leaf_flats``.
 
-
-def fetch_generic(bank: MemoryBank) -> FetchedMemory:
-    """The generic path: every level served by the shared generic block."""
-    return FetchedMemory(
-        index=(),
-        levels=[bank.generic[l] for l in range(bank.depth)],
-        sources=[("generic", l + 1) for l in range(bank.depth)],
-    )
+    Rows flagged in ``generic_rows`` get the generic block at every level.
+    Other rows whose path enters a subtree of ``mask`` get the generic
+    block, or zeros under ``masked_policy = "zero"``, from that level down.
+    """
+    leaf_flats = np.asarray(leaf_flats, dtype=np.int64)
+    n_leaves = bank.k ** bank.depth
+    if leaf_flats.ndim != 1:
+        raise BankError(f"fetch takes a 1-D batch of leaf ids, got shape {leaf_flats.shape}")
+    if leaf_flats.size and (leaf_flats.min() < 0 or leaf_flats.max() >= n_leaves):
+        raise BankError(f"leaf id outside [0, {n_leaves}) for k={bank.k}, depth {bank.depth}")
+    generic = np.zeros(leaf_flats.shape, dtype=bool) if generic_rows is None else np.asarray(generic_rows, bool)
+    levels, blocks = [], []
+    for l in range(1, bank.depth + 1):
+        ids = leaf_flats // bank.k ** (bank.depth - l)
+        rows = bank.levels[l - 1][ids]
+        masked = mask.blocked(ids, l, bank.k) & ~generic if mask else np.zeros_like(generic)
+        rows[masked] = 0.0 if bank.cfg.masked_policy == "zero" else bank.generic[l - 1]
+        rows[generic] = bank.generic[l - 1]
+        levels.append(rows)
+        blocks.append(np.where(generic | masked, -1, ids))
+    return FetchedMemory(levels=levels, blocks=blocks)
 
 
 def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
@@ -343,12 +341,7 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
 
 def load_bank(path) -> MemoryBank:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=BANK_MAGIC)
-    cfg = MemoryConfig(
-        mem_type=meta["config"]["mem_type"],
-        rs=tuple(meta["config"]["rs"]),
-        placement=meta["config"]["placement"],
-        masked_policy=meta["config"].get("masked_policy", "generic"),
-    )
+    cfg = MemoryConfig.from_meta(meta)
     depth = cfg.depth
     return MemoryBank(
         cfg=cfg,
@@ -358,64 +351,3 @@ def load_bank(path) -> MemoryBank:
         generic=[arrays[f"generic.l{l}"] for l in range(1, depth + 1)],
         meta=meta.get("bank_meta", {}),
     )
-
-
-def save_bank_shards(bank: MemoryBank, directory) -> list:
-    """One shard file per level-1 subtree (bank.l1-<i>.shard).
-
-    Every shard carries a copy of the generic block; merge verifies they
-    agree. Shard i holds level-1 row i and, for each deeper level l, the
-    contiguous row range of subtree i (k^(l-1) rows).
-    """
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(bank.k):
-        arrays = {"level1": bank.levels[0][i : i + 1]}
-        for l in range(2, bank.depth + 1):
-            span = bank.k ** (l - 1)
-            arrays[f"level{l}"] = bank.levels[l - 1][i * span : (i + 1) * span]
-        for l in range(1, bank.depth + 1):
-            arrays[f"generic.l{l}"] = bank.generic[l - 1]
-        meta = {
-            "config": asdict(bank.cfg),
-            "k": bank.k,
-            "dims": bank.dims,
-            "bank_meta": bank.meta,
-            "shard": i,
-        }
-        p = directory / f"bank.l1-{i + 1}.shard"
-        fileio.write_artifact(p, BANK_MAGIC, meta, arrays)
-        paths.append(p)
-    return paths
-
-
-def merge_bank_shards(paths) -> MemoryBank:
-    """Reassemble a bank from its per-subtree shards (inverse of the split)."""
-    shards = []
-    for p in paths:
-        _, meta, arrays = fileio.read_artifact(p, expect_magic=BANK_MAGIC)
-        shards.append((meta, arrays))
-    shards.sort(key=lambda s: s[0]["shard"])
-    meta0 = shards[0][0]
-    cfg = MemoryConfig(
-        mem_type=meta0["config"]["mem_type"],
-        rs=tuple(meta0["config"]["rs"]),
-        placement=meta0["config"]["placement"],
-        masked_policy=meta0["config"].get("masked_policy", "generic"),
-    )
-    k = meta0["k"]
-    if len(shards) != k or [m["shard"] for m, _ in shards] != list(range(k)):
-        raise BankError(f"expected shards 0..{k - 1}, got {[m['shard'] for m, _ in shards]}")
-    depth = cfg.depth
-    levels = []
-    for l in range(1, depth + 1):
-        levels.append(np.concatenate([arrays[f"level{l}"] for _, arrays in shards], axis=0))
-    generic = [shards[0][1][f"generic.l{l}"] for l in range(1, depth + 1)]
-    for m, arrays in shards[1:]:
-        for l in range(1, depth + 1):
-            if not np.array_equal(arrays[f"generic.l{l}"], generic[l - 1]):
-                raise BankError(f"shard {m['shard']}: generic block disagrees at level {l}")
-    return MemoryBank(cfg=cfg, k=k, dims=meta0["dims"], levels=levels, generic=generic, meta=meta0.get("bank_meta", {}))

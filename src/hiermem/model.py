@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fileio
 from . import numcore as nc
-from .membank import LORA_ALPHA, MemoryConfig, level_slots, layer_subset
+from .membank import LORA_ALPHA, MemoryConfig, _trunc_normal, level_slots, layer_subset
 
 MODEL_MAGIC = "HMMODEL"
 
@@ -69,16 +69,6 @@ def count_params(cfg: AnchorConfig) -> int:
     per_layer = 4 * cfg.dim * H + 2 * H + 3 * cfg.dim * cfg.ffn_dim + 2 * cfg.dim
     emb = cfg.vocab_size * cfg.dim * (1 if cfg.tied_head else 2)
     return emb + cfg.num_layers * per_layer + cfg.dim
-
-
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    out = rng.normal(0.0, std, size=shape)
-    for _ in range(64):
-        bad = np.abs(out) > 2 * std
-        if not bad.any():
-            break
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-    return np.clip(out, -2 * std, 2 * std)
 
 
 class TransformerModel:
@@ -168,17 +158,11 @@ class AttachedMemories:
         return self._by_layer.get(layer_1based, [])
 
 
-_MASK_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def causal_mask(S: int, dtype=np.float32) -> np.ndarray:
-    key = (S, np.dtype(dtype).str)
-    m = _MASK_CACHE.get(key)
-    if m is None:
-        m = np.where(np.tril(np.ones((S, S), dtype=bool)), 0.0, nc.NEG_INF).astype(dtype)
-        m = m.reshape(1, 1, S, S)
-        _MASK_CACHE[key] = m
-    return m
+    # built per call: a cache keyed by length would keep one S x S mask
+    # for every length a caller ever used
+    m = np.where(np.tril(np.ones((S, S), dtype=bool)), 0.0, nc.NEG_INF).astype(dtype)
+    return m.reshape(1, 1, S, S)
 
 
 def forward(

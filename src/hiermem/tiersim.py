@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cluster as cl
+
 MODES = ("parallel", "serial")
 
 DEFAULT_BYTES_PER_PARAM = 2
@@ -127,15 +129,7 @@ def sample_zipf_paths(n: int, k: int, depth: int, exponent: float, seed: int = 0
     w = 1.0 / (ranks + 1.0) ** exponent
     w /= w.sum()
     flats = rng.choice(leaves, size=n, p=w)
-    out = []
-    for f in flats:
-        digits = []
-        x = int(f)
-        for _ in range(depth):
-            digits.append(x % k + 1)
-            x //= k
-        out.append(tuple(reversed(digits)))
-    return out
+    return [tuple(int(i) for i in p) for p in cl.paths_of_flats(flats, k, depth)]
 
 
 def parse_tier_spec(path) -> TierPlacement:

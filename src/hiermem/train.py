@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cluster as cl
 from . import fileio
 from . import membank as mb
 from . import model as mdl
@@ -109,9 +110,7 @@ def pack_corpus(
 
     out: list[PackedSequence] = []
     for leaf, doc_ids in by_leaf.items():
-        flat = 0
-        for c in leaf:
-            flat = flat * k + (c - 1)
+        flat = int(cl.flats_of_paths(leaf, k))
         prefix = tokenizer.prefix_id(flat)
 
         buf = np.full(seq_len, tokenizer.EOT, dtype=np.int32)
@@ -279,10 +278,6 @@ def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: in
     p -= lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + wd * p)
 
 
-def _ancestor_flats(leaf_flats: np.ndarray, k: int, depth: int, level: int) -> np.ndarray:
-    return leaf_flats // (k ** (depth - level))
-
-
 def train_step(
     model: mdl.TransformerModel,
     bank: mb.MemoryBank | None,
@@ -298,17 +293,11 @@ def train_step(
 
     generic_rows = np.zeros(B, dtype=bool)
     level_tensors: list[nc.Tensor] = []
-    anc_flats_per_level: list[np.ndarray] = []
     if bank is not None:
         gp = cfg.generic_prob if cfg.generic_prob is not None else 1.0 / (bank.k + 1)
         generic_rows = state.rng.random(B) < gp
-        for l in range(1, bank.depth + 1):
-            anc = _ancestor_flats(batch["leaf_flats"], bank.k, bank.depth, l)
-            rows = bank.levels[l - 1][anc].astype(model.dtype)
-            if generic_rows.any():
-                rows[generic_rows] = bank.generic[l - 1].astype(model.dtype)
-            level_tensors.append(nc.Tensor(rows, requires_grad=True))
-            anc_flats_per_level.append(anc)
+        fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
+        level_tensors = [nc.Tensor(rows.astype(model.dtype, copy=False), requires_grad=True) for rows in fm.levels]
 
     with nc.Tape() as tape:
         mems = None
@@ -356,13 +345,13 @@ def train_step(
     block_updates: list[tuple[int, np.ndarray, np.ndarray]] = []  # (level, ids, grads)
     generic_updates: list[tuple[int, np.ndarray]] = []
     if bank is not None:
-        fetched = ~generic_rows
         for l in range(1, bank.depth + 1):
             g = level_tensors[l - 1].grad
             if g is None:
                 continue
+            fetched = fm.blocks[l - 1] >= 0
             if fetched.any():
-                ids, inv = np.unique(anc_flats_per_level[l - 1][fetched], return_inverse=True)
+                ids, inv = np.unique(fm.blocks[l - 1][fetched], return_inverse=True)
                 gsum = np.zeros((ids.shape[0], g.shape[1]), dtype=np.float32)
                 np.add.at(gsum, inv, g[fetched].astype(np.float32))
                 block_updates.append((l, ids, gsum))

@@ -113,6 +113,15 @@ def test_missing_artifact_exits_1(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
+    raw = open(trained["tree"], "rb").read()
+    p = tmp_path / "damaged.bin"
+    for data in (raw[:10], raw[:20], raw[:30], raw + b"junk"):
+        p.write_bytes(data)
+        assert cli.main(["inspect", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cluster_writes_tree_and_index(ws, trained, capsys):
     outc = ws / "outc"
     assert (outc / "tree.bin").exists()
@@ -189,6 +198,12 @@ def test_block_command(ws, trained, tmp_path, capsys):
                    "--config", trained["ini"], "--out", str(out)])
     assert rc == 2
     assert "bad subtree" in capsys.readouterr().err
+    # k = 2: root 1.3 would alias the flat id of 2.1
+    rc = cli.main(["block", str(trained["model"]), trained["facts"], "1.3",
+                   "--bank", str(trained["bank"]), "--tree", trained["tree"],
+                   "--config", trained["ini"], "--out", str(out)])
+    assert rc == 1
+    assert "outside 1..2" in capsys.readouterr().err
 
 
 def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import cluster as cl
 from hiermem import fileio
@@ -19,7 +21,7 @@ def test_four_blobs_match_lloyds_oracle():
     cfg = cl.ClusterConfig(k=4, depth=1, em_steps=10, batch_per_step=40,
                            balance_limit=0.5, seed=1)
     tree = cl.train_tree(pts, cfg)
-    got = np.array([cl.assign(p, tree)[0] for p in pts]) - 1
+    got = cl.assign_batch(pts, tree)[:, 0] - 1
     ref, _ = rc.oracle_kmeans(pts, 4, seed=0).value
     # same partition up to label permutation
     mapping = {}
@@ -41,31 +43,20 @@ def test_balance_fractions_within_limit():
         assert st["max_fraction"] <= 0.375 + 1e-9, (name, st["max_fraction"])
 
 
-def test_assign_uses_exactly_p_times_k_comparisons():
-    pts = blobs()
-    for k, depth in ((2, 3), (4, 2), (3, 1)):
-        cfg = cl.ClusterConfig(k=k, depth=depth, em_steps=4, batch_per_step=40,
-                               balance_limit=max(1.5 / k, 0.51), seed=0)
-        tree = cl.train_tree(pts, cfg)
-        _, comps = cl.assign_with_stats(pts[0], tree)
-        assert comps == depth * k
-
-
 def test_nested_consistency_and_flat_roundtrip():
     pts = blobs(n_per=40, seed=3)
     cfg = cl.ClusterConfig(k=3, depth=3, em_steps=6, batch_per_step=160,
                            balance_limit=0.6, seed=2)
     tree = cl.train_tree(pts, cfg)
     paths = cl.assign_batch(pts, tree)
-    for p in paths:
-        p = tuple(int(x) for x in p)
-        for l in range(1, len(p)):
-            # child index determines the parent index
-            flat_child = cl.flat_of_index(p[: l + 1], 3)
-            flat_parent = cl.flat_of_index(p[:l], 3)
-            assert flat_child // 3 == flat_parent
-        flat = cl.flat_of_index(p, 3)
-        assert cl.index_of_flat(flat, 3, len(p)) == p
+    for l in range(1, paths.shape[1]):
+        # child index determines the parent index
+        flat_child = cl.flats_of_paths(paths[:, : l + 1], 3)
+        flat_parent = cl.flats_of_paths(paths[:, :l], 3)
+        assert (flat_child // 3 == flat_parent).all()
+    flats = cl.flats_of_paths(paths, 3)
+    assert (flats // 3 ** 2 == paths[:, 0] - 1).all()  # level-1 ancestor of a leaf
+    assert np.array_equal(cl.paths_of_flats(flats, 3, paths.shape[1]), paths)
 
 
 def test_k1_trivial_tree():
@@ -74,8 +65,8 @@ def test_k1_trivial_tree():
                            balance_limit=1.0, seed=0)
     tree = cl.train_tree(pts, cfg)
     assert (cl.assign_batch(pts, tree) == 1).all()
-    idx, comps = cl.assign_with_stats(pts[0], tree)
-    assert idx == (1, 1) and comps == 2
+    with pytest.raises(cl.ClusterError):
+        cl.assign_batch(np.ones((3, 5), dtype=np.float32), tree)  # tree dim is 2
 
 
 def test_argmin_tie_breaks_to_lowest_index():
@@ -83,7 +74,7 @@ def test_argmin_tie_breaks_to_lowest_index():
                            balance_limit=1.0, seed=0)
     tree = cl.train_tree(blobs(n_per=4), cfg)
     tree.levels[0][:] = np.float32(0.25)  # identical children: distance ties
-    assert cl.assign(np.ones(2, dtype=np.float32), tree) == (1,)
+    assert cl.assign_batch(np.ones((1, 2), dtype=np.float32), tree).tolist() == [[1]]
 
 
 def test_greedy_agrees_with_exhaustive_leaf_oracle_mostly():
@@ -92,10 +83,9 @@ def test_greedy_agrees_with_exhaustive_leaf_oracle_mostly():
                            balance_limit=0.75, seed=1)
     tree = cl.train_tree(pts, cfg)
     agree = 0
-    for p in pts:
-        greedy = cl.flat_of_index(cl.assign(p, tree), tree.k)
-        best = rc.oracle_nearest_leaf(p, tree.levels[-1]).value
-        agree += greedy == best
+    greedy = cl.flats_of_paths(cl.assign_batch(pts, tree), tree.k)
+    for p, g in zip(pts, greedy):
+        agree += g == rc.oracle_nearest_leaf(p, tree.levels[-1]).value
     assert agree >= int(0.9 * len(pts))  # greedy is not globally optimal
 
 
@@ -140,3 +130,15 @@ def test_config_bounds():
     with pytest.raises(ValueError):
         cl.ClusterConfig(k=4, balance_limit=1.5)
     cl.ClusterConfig(k=4, balance_limit=0.25)  # 1/k inclusive
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 16), depth=st.integers(1, 4), data=st.data())
+def test_codec_roundtrips(k, depth, data):
+    paths = np.array(data.draw(st.lists(st.lists(st.integers(1, k), min_size=depth, max_size=depth),
+                                        min_size=1, max_size=8)))
+    flats = cl.flats_of_paths(paths, k)
+    assert ((0 <= flats) & (flats < k ** depth)).all()
+    assert np.array_equal(cl.paths_of_flats(flats, k, depth), paths)
+    every = np.arange(k ** depth)
+    assert np.array_equal(cl.flats_of_paths(cl.paths_of_flats(every, k, depth), k), every)

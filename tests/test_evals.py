@@ -8,6 +8,7 @@ from hiermem import embed as em
 from hiermem import evals as ev
 from hiermem import membank as mb
 from hiermem import model as mdl
+from hiermem import numcore as nc
 from hiermem.train import ByteTokenizer
 
 SPEC = ev.SyntheticCorpusSpec(topics=3, entities_per_topic=4, zipf_exponent=1.0,
@@ -153,11 +154,30 @@ def test_perplexity_modes(setup):
     for m, o in outs.items():
         assert o["mode"] == m
         assert np.isfinite(o["nll"]) and o["perplexity"] > 1.0
-        assert o["tokens"] == sum(min(len(t.encode()), 192) for t in texts)
+        # a document cut at the context scores one position fewer: its
+        # last kept byte has no next byte in view
+        assert o["tokens"] == sum(n if n <= 192 else 191 for n in (len(t.encode()) for t in texts))
     with pytest.raises(ev.EvalError):
         ev.perplexity(model, bank, tree, ECFG, tok, texts, mode="warp")
     with pytest.raises(ev.EvalError):
         ev.perplexity(model, None, None, None, tok, texts, mode="generic")
+
+
+def test_perplexity_truncated_document_scores_no_eot(setup):
+    *_, bank, tok = setup
+    acfg = mdl.AnchorConfig(num_layers=2, dim=16, num_heads=2, head_dim=8, ffn_dim=32,
+                            vocab_size=262, tied_head=True, context_length=16)
+    model = mdl.init_model(acfg, seed=3)
+    text = "the quick brown fox jumps over the lazy."
+    assert len(text) == 40
+    out = ev.perplexity(model, None, None, None, tok, [text], mode="none")
+    assert out["tokens"] == 15
+    ids = tok.encode(text)
+    logits = mdl.forward(model, ids[None, :16])
+    weights = np.ones((1, 16), dtype=np.float32)
+    weights[0, 15] = 0.0  # its next byte, "f", lies beyond the context
+    ce = nc.cross_entropy(logits, ids[None, 1:17], weights)
+    assert out["nll"] == pytest.approx(float(ce.data), rel=1e-6)
 
 
 # --- fact recall ---

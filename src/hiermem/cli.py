@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -64,11 +63,8 @@ def cmd_cluster(args) -> int:
     cl.save_tree(tree, tree_path, extra_meta=_provenance(rc, corpus=args.corpus))
     paths = cl.assign_batch(vecs, tree)
     index_path = out / "doc_index.csv"
-    with open(index_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["doc"] + [f"level{l}" for l in range(1, tree.depth + 1)])
-        for i, row in enumerate(paths):
-            w.writerow([i] + [int(x) for x in row])
+    fileio.write_csv(index_path, ["doc"] + [f"level{l}" for l in range(1, tree.depth + 1)],
+                     ([i, *row] for i, row in enumerate(paths.tolist())))
     counts = np.bincount(cl.flats_of_paths(paths, tree.k), minlength=tree.k**tree.depth)
     print(f"tree: k={tree.k} depth={tree.depth} over {len(docs)} docs -> {tree_path}")
     print(f"doc index -> {index_path}; leaf counts min {counts.min()} max {counts.max()}")
@@ -179,7 +175,8 @@ def cmd_simulate(args) -> int:
     sess = ts.session_latency(sizes, placement, queries)
     rows.append({"kind": "session", "mode": "parallel", "total_s": sess["total"],
                  "per_level_s": sess["reloads_per_level"]})
-    ts.latency_csv(rows, out / "latency.csv")
+    cols = ("kind", "mode", "per_level_s", "total_s")
+    fileio.write_csv(out / "latency.csv", cols, ([r[c] for c in cols] for r in rows))
     for r in rows:
         print(f"{r['kind']:8s} {r['mode']:8s} total {r['total_s']:.6g} s")
     print(f"latency table -> {out}/latency.csv")

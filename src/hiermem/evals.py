@@ -26,6 +26,7 @@ import numpy as np
 
 from . import cluster as cl
 from . import embed as em
+from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import numcore as nc
@@ -69,10 +70,6 @@ class Document:
     text: str
     topic: int
     entity: int | None = None   # global entity id for fact docs
-
-    @property
-    def is_fact(self) -> bool:
-        return self.entity is not None
 
 
 @dataclass
@@ -383,9 +380,6 @@ class RecallReport:
     routing_accuracy: float | None
     traces: list = field(default_factory=list)
 
-    def bucket_accuracy(self, b: int) -> float:
-        return self.buckets[b]["accuracy"]
-
 
 def fact_prompt(f: Fact) -> str:
     return f"{f.name} {f.attribute} is"
@@ -467,116 +461,15 @@ def fact_recall(
 
 
 # ---------------------------------------------------------------------------
-# blocking sweep
-# ---------------------------------------------------------------------------
-
-def blocking_sweep(
-    model: mdl.TransformerModel,
-    bank: mb.MemoryBank,
-    tree: cl.ClusterTree,
-    ecfg: em.EmbedderConfig,
-    tok: ByteTokenizer,
-    facts: list[Fact],
-    blocked_counts: list[int],
-    max_new: int = 8,
-    batch_size: int = 64,
-) -> list[dict]:
-    """Recall as level-1 subtrees get masked, most-queried subtrees first.
-
-    Per count n: blocks the n level-1 subtrees receiving the most query
-    traffic, then splits fetched-mode accuracy into affected (the query's
-    path enters a blocked subtree) and unaffected queries.
-    """
-    prompts = [fact_prompt(f) for f in facts]
-    paths = route_texts(prompts, tree, ecfg)
-    traffic = np.bincount(paths[:, 0] - 1, minlength=tree.k)
-    rank = np.argsort(-traffic, kind="stable") + 1  # 1-based level-1 ids
-    out = []
-    for n in blocked_counts:
-        if not (0 <= n <= tree.k):
-            raise EvalError(f"cannot block {n} of {tree.k} level-1 subtrees")
-        roots = [(int(r),) for r in rank[:n]]
-        mask = mb.BlockMask(roots) if roots else None
-        rep = fact_recall(
-            model, bank, tree, ecfg, tok, facts,
-            mode="fetched", mask=mask, max_new=max_new, batch_size=batch_size,
-        )
-        blocked_set = {r[0] for r in roots}
-        aff = [t["correct"] for t in rep.traces if t["routed"][0] in blocked_set]
-        una = [t["correct"] for t in rep.traces if t["routed"][0] not in blocked_set]
-        out.append(
-            {
-                "blocked": n,
-                "blocked_roots": sorted(blocked_set),
-                "overall": rep.overall,
-                "affected_count": len(aff),
-                "affected_accuracy": float(np.mean(aff)) if aff else float("nan"),
-                "unaffected_accuracy": float(np.mean(una)) if una else float("nan"),
-                "report": rep,
-            }
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vanilla RAG baseline
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RagStore:
-    texts: list[str]
-    embeddings: np.ndarray   # (n, c) L2-normalized
-    paths: np.ndarray        # (n, depth) 1-based
-
-
-def build_rag_store(texts: list[str], tree: cl.ClusterTree, ecfg: em.EmbedderConfig) -> RagStore:
-    emb = em.embed_batch(texts, ecfg)
-    emb = cl.normalize_rows(emb)
-    return RagStore(texts=texts, embeddings=emb, paths=cl.assign_batch(emb, tree))
-
-
-def rag_retrieve(query: str, store: RagStore, tree: cl.ClusterTree, ecfg: em.EmbedderConfig,
-                 level: int | None = None) -> int:
-    """Nearest stored document within the query's cluster at ``level``
-    (default min(3, depth)), walking up the tree if the cell is empty."""
-    lvl = min(3, tree.depth) if level is None else level
-    q = cl.normalize_rows(em.embed_text(query, ecfg).reshape(1, -1))
-    qpath = cl.assign_batch(q, tree)[0]
-    while True:
-        if lvl <= 0:
-            cand = np.arange(len(store.texts))
-            break
-        cand = np.flatnonzero((store.paths[:, :lvl] == qpath[:lvl]).all(axis=1))
-        if len(cand):
-            break
-        lvl -= 1
-    d2 = np.sum((store.embeddings[cand] - q) ** 2, axis=1)
-    return int(cand[int(np.argmin(d2))])
-
-
-def rag_baseline(query: str, store: RagStore, tree: cl.ClusterTree, ecfg: em.EmbedderConfig,
-                 generate_fn, level: int | None = None) -> dict:
-    """Prepend the retrieved document to the query, then let the caller's
-    ``generate_fn(full_prompt) -> str`` continue it (0-shot)."""
-    ridx = rag_retrieve(query, store, tree, ecfg, level)
-    full = store.texts[ridx] + "\n" + query
-    continuation = generate_fn(full)
-    return {"retrieved": ridx, "prompt": full, "continuation": continuation,
-            "predicted": extract_int(continuation)}
-
-
-# ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
 
 def write_recall_report(rep: RecallReport, csv_path, jsonl_path=None) -> None:
-    lines = ["bucket,count,correct,accuracy"]
-    for b in rep.buckets:
-        lines.append(f"{b['bucket']},{b['count']},{b['correct']},{b['accuracy']:.6f}")
-    lines.append(f"overall,{len(rep.traces)},{int(sum(t['correct'] for t in rep.traces))},{rep.overall:.6f}")
+    rows = [[b["bucket"], b["count"], b["correct"], b["accuracy"]] for b in rep.buckets]
+    rows.append(["overall", len(rep.traces), int(sum(t["correct"] for t in rep.traces)), rep.overall])
     if rep.routing_accuracy is not None:
-        lines.append(f"routing,,,{rep.routing_accuracy:.6f}")
-    Path(csv_path).write_text("\n".join(lines) + "\n")
+        rows.append(["routing", None, None, rep.routing_accuracy])
+    fileio.write_csv(csv_path, ("bucket", "count", "correct", "accuracy"), rows)
     if jsonl_path is not None:
         with open(jsonl_path, "w") as f:
             for t in rep.traces:

@@ -11,7 +11,8 @@ Layout (all integers little-endian):
 
 Identical inputs produce identical bytes (no timestamps, no compression),
 so sha256 digests of artifacts are stable across runs — that property is
-what the resume and determinism checks lean on.
+what the resume and determinism checks lean on. ``write_csv`` is the one
+writer of the package's CSV reports.
 """
 
 from __future__ import annotations
@@ -47,6 +48,28 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else f"{v:.10g}"
+    if isinstance(v, (list, tuple)):
+        return "|".join(_csv_cell(x) for x in v)
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a small table as CSV, the one format for every ``.csv`` output.
+
+    Floats are written ``%.10g``, NaN and None as an empty cell, and lists
+    joined by ``|``; lines end in LF. No cell is quoted, so cells must not
+    hold commas or newlines.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

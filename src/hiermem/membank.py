@@ -203,9 +203,6 @@ class MemoryBank:
     def depth(self) -> int:
         return self.cfg.depth
 
-    def level_size(self, level: int) -> int:
-        return self.levels[level - 1].shape[1]
-
 
 class BlockMask:
     """A set of masked subtree roots, closed over descendants.
@@ -309,6 +306,9 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
         raise BankError(f"fetch takes a 1-D batch of leaf ids, got shape {leaf_flats.shape}")
     if leaf_flats.size and (leaf_flats.min() < 0 or leaf_flats.max() >= n_leaves):
         raise BankError(f"leaf id outside [0, {n_leaves}) for k={bank.k}, depth {bank.depth}")
+    deep = [r for r in mask.roots if len(r) > bank.depth] if mask else []
+    if deep:
+        raise BankError(f"mask root {min(deep)} is deeper than the depth-{bank.depth} bank")
     generic = np.zeros(leaf_flats.shape, dtype=bool) if generic_rows is None else np.asarray(generic_rows, bool)
     levels, blocks = [], []
     for l in range(1, bank.depth + 1):

@@ -22,7 +22,6 @@ different block), hence the batched (B, ., .) matmuls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -165,6 +164,11 @@ def causal_mask(S: int, dtype=np.float32) -> np.ndarray:
     return m.reshape(1, 1, S, S)
 
 
+def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str, sc: float) -> nc.Tensor:
+    """x + sc * (inp @ A @ B) with the low-rank pair ``site + "a"``, ``site + "b"``."""
+    return nc.add(x, nc.scale(nc.matmul(nc.matmul(inp, sl[site + "a"]), sl[site + "b"]), sc))
+
+
 def forward(
     model: TransformerModel,
     tokens: np.ndarray,
@@ -199,10 +203,10 @@ def forward(
         for lv, sl in enumerate(layer_mems):
             sc = mems.scales[lv]
             if "qa" in sl:
-                q = nc.add(q, nc.scale(nc.matmul(nc.matmul(h, sl["qa"]), sl["qb"]), sc))
-                k = nc.add(k, nc.scale(nc.matmul(nc.matmul(h, sl["ka"]), sl["kb"]), sc))
+                q = _lora(q, h, sl, "q", sc)
+                k = _lora(k, h, sl, "k", sc)
             if "va" in sl:
-                v = nc.add(v, nc.scale(nc.matmul(nc.matmul(h, sl["va"]), sl["vb"]), sc))
+                v = _lora(v, h, sl, "v", sc)
 
         q4 = nc.rms_norm(nc.reshape(q, (B, S, heads, dh)), nc.reshape(p[pre + "q_norm.gain"], (heads, dh)), cfg.norm_eps)
         k4 = nc.rms_norm(nc.reshape(k, (B, S, heads, dh)), nc.reshape(p[pre + "k_norm.gain"], (heads, dh)), cfg.norm_eps)
@@ -217,8 +221,9 @@ def forward(
                 r = mems.cfg.rs[lv]
                 if r == 0:
                     continue  # attention over zero learned keys is undefined
-                mk = nc.transpose(nc.reshape(sl["mk"], (B, r, heads, dh)), (0, 2, 1, 3))
-                mv = nc.transpose(nc.reshape(sl["mv"], (B, r, heads, dh)), (0, 2, 1, 3))
+                # -1, not B: a generic row is one row that broadcasts over the batch
+                mk = nc.transpose(nc.reshape(sl["mk"], (-1, r, heads, dh)), (0, 2, 1, 3))
+                mv = nc.transpose(nc.reshape(sl["mv"], (-1, r, heads, dh)), (0, 2, 1, 3))
                 # learned keys carry no positional encoding and no causal
                 # mask; queries are the normed, un-rotated ones
                 att = nc.add(att, nc.attention(qh, mk, mv, None))
@@ -226,7 +231,7 @@ def forward(
         out = nc.matmul(am, p[pre + "wo"])
         for lv, sl in enumerate(layer_mems):
             if "oa" in sl:
-                out = nc.add(out, nc.scale(nc.matmul(nc.matmul(am, sl["oa"]), sl["ob"]), mems.scales[lv]))
+                out = _lora(out, am, sl, "o", mems.scales[lv])
         x = nc.add(x, out)
 
         h2 = nc.rms_norm(x, p[pre + "ffn_norm.gain"], cfg.norm_eps)
@@ -235,13 +240,13 @@ def forward(
         for lv, sl in enumerate(layer_mems):
             sc = mems.scales[lv]
             if "f1a" in sl:
-                pre_g = nc.add(pre_g, nc.scale(nc.matmul(nc.matmul(h2, sl["f1a"]), sl["f1b"]), sc))
-                pre_u = nc.add(pre_u, nc.scale(nc.matmul(nc.matmul(h2, sl["f2a"]), sl["f2b"]), sc))
+                pre_g = _lora(pre_g, h2, sl, "f1", sc)
+                pre_u = _lora(pre_u, h2, sl, "f2", sc)
         inner = nc.mul(nc.silu(pre_g), pre_u)
         down = nc.matmul(inner, p[pre + "w3"])
         for lv, sl in enumerate(layer_mems):
             if "f3a" in sl:
-                down = nc.add(down, nc.scale(nc.matmul(nc.matmul(inner, sl["f3a"]), sl["f3b"]), mems.scales[lv]))
+                down = _lora(down, inner, sl, "f3", mems.scales[lv])
             if "m1" in sl:
                 mg = nc.silu(nc.matmul(h2, sl["m1"]))
                 mu = nc.matmul(h2, sl["m2"])

@@ -20,7 +20,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 # Additive attention masks use true -inf; exp(-inf) == 0.0 exactly, and the
-# backward of softmax keeps those slots at an exact zero.
+# backward of the attention softmax keeps those slots at an exact zero.
 NEG_INF = -np.inf
 
 
@@ -68,27 +68,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # Small amount of sugar; everything else goes through module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def parameter(data, dtype=None) -> Tensor:
-    """A trainable leaf tensor."""
-    return Tensor(np.array(data, copy=True), requires_grad=True, dtype=dtype)
 
 
 class _Node:
@@ -255,21 +236,6 @@ def silu(x: Tensor) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis (numerically shifted by the row max)."""
-    m = np.max(x.data, axis=-1, keepdims=True)
-    # Fully masked rows would give m == -inf; the model never builds one.
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g):
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _record(out, [x], bwd)
-
-
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """x / rms(x) * gain with rms over the last axis.
 
@@ -312,27 +278,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record(out, [table], bwd)
 
 
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    datas = [p.data for p in parts]
-    base = datas[0].shape
-    ax = axis % len(base)
-    for d in datas[1:]:
-        if len(d.shape) != len(base) or any(
-            d.shape[i] != base[i] for i in range(len(base)) if i != ax
-        ):
-            raise ShapeError(f"concat: shapes {[p.shape for p in parts]} differ off axis {axis}")
-    out = Tensor(np.concatenate(datas, axis=axis))
-    sizes = [d.shape[ax] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=ax) for i in range(len(parts))
-        )
-
-    return _record(out, list(parts), bwd)
-
-
 def split(x: Tensor, sizes: list[int], axis: int = -1) -> list[Tensor]:
     ax = axis % x.data.ndim
     if sum(sizes) != x.data.shape[ax]:
@@ -371,15 +316,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
     def bwd(g):
         return (g.transpose(inv),)
-
-    return _record(out, [x], bwd)
-
-
-def sumall(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum()))
-
-    def bwd(g):
-        return (np.full(x.data.shape, g, dtype=x.data.dtype),)
 
     return _record(out, [x], bwd)
 

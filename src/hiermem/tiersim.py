@@ -169,21 +169,3 @@ def parse_tier_spec(path) -> TierPlacement:
     bpp = pl.getint("bytes_per_param", fallback=DEFAULT_BYTES_PER_PARAM)
     return TierPlacement(tiers=tuple(ordered), bytes_per_param=bpp)
 
-
-def latency_csv(rows: list[dict], path) -> None:
-    """Write session/load reports as a small CSV (deterministic bytes)."""
-    from pathlib import Path
-
-    cols = sorted({k for r in rows for k in r})
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_cell(r.get(c, "")) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    if isinstance(v, (list, tuple)):
-        return "|".join(_cell(x) for x in v)
-    return str(v)

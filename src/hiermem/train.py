@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -471,16 +471,6 @@ def load_state(path, model: mdl.TransformerModel, bank: mb.MemoryBank | None) ->
 # run loop
 # ---------------------------------------------------------------------------
 
-def write_metrics_csv(state: TrainState, path) -> None:
-    lines = [",".join(METRIC_COLUMNS)]
-    for row in state.metrics:
-        cells = []
-        for x in row:
-            cells.append("" if (isinstance(x, float) and math.isnan(x)) else f"{x:.10g}")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> Path:
     d = Path(run_dir) / f"ckpt_{tag}"
     d.mkdir(parents=True, exist_ok=True)
@@ -491,7 +481,7 @@ def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> P
     if bank is not None:
         mb.save_bank(bank, d / "bank.bin", extra_meta=meta)
     save_state(state, d / "trainstate.bin")
-    write_metrics_csv(state, d / "metrics.csv")
+    fileio.write_csv(d / "metrics.csv", METRIC_COLUMNS, state.metrics)
     return d
 
 
@@ -512,10 +502,6 @@ def train_run(
     """
     if not sequences:
         raise TrainError("no packed sequences to train on")
-    if cfg.regime == "memory":
-        model.set_trainable(False)
-    else:
-        model.set_trainable(True)
     state = resume_state if resume_state is not None else TrainState(cfg, model, bank)
     n = len(sequences)
     while state.step < cfg.total_steps:

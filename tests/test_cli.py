@@ -1,5 +1,4 @@
 import hashlib
-import shutil
 
 import pytest
 
@@ -204,6 +203,12 @@ def test_block_command(ws, trained, tmp_path, capsys):
                    "--config", trained["ini"], "--out", str(out)])
     assert rc == 1
     assert "outside 1..2" in capsys.readouterr().err
+    # the tree has depth 2: a level-3 root names no block
+    rc = cli.main(["block", str(trained["model"]), trained["facts"], "1.1.1",
+                   "--bank", str(trained["bank"]), "--tree", trained["tree"],
+                   "--config", trained["ini"], "--out", str(out)])
+    assert rc == 1
+    assert "deeper" in capsys.readouterr().err
 
 
 def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):

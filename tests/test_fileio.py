@@ -48,3 +48,20 @@ def test_corrupt_metadata_and_array_headers_raise_artifact_error(tmp_path):
     p.write_bytes(bad)
     with pytest.raises(fileio.ArtifactError):
         fileio.read_artifact(p)
+
+
+def test_write_csv_cells(tmp_path):
+    out = tmp_path / "t.csv"
+    fileio.write_csv(out, ["mode", "per_level", "total"], [
+        ["serial", [0.1, 0.15], 0.25],
+        ["parallel", None, 0.15],
+        ["none", [3, np.int64(4)], float("nan")],
+        ["round", 2, np.float64(1 / 3)],
+    ])
+    assert out.read_bytes() == (
+        b"mode,per_level,total\n"
+        b"serial,0.1|0.15,0.25\n"
+        b"parallel,,0.15\n"
+        b"none,3|4,\n"
+        b"round,2,0.3333333333\n"
+    )

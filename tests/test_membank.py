@@ -45,8 +45,9 @@ def test_placement_subsets():
 
 def test_bank_shapes_and_block_lookup():
     bank = small_bank()
-    assert bank.levels[0].shape == (3, bank.level_size(1))
-    assert bank.levels[1].shape == (9, bank.level_size(2))
+    sizes = mb.bank_accounting(bank.cfg, k=3, **DIMS)["level_sizes"]
+    assert bank.levels[0].shape == (3, sizes[0])
+    assert bank.levels[1].shape == (9, sizes[1])
     leaf = (2 - 1) * 3 + (3 - 1)  # path (2, 3)
     fm = mb.fetch(bank, [leaf])
     assert [b.tolist() for b in fm.blocks] == [[1], [leaf]]
@@ -90,6 +91,13 @@ def test_mask_roots_outside_branching_factor_rejected():
             mb.fetch(bank, [0], mask=mb.BlockMask([root]))
 
 
+def test_mask_roots_deeper_than_bank_rejected():
+    bank = small_bank()
+    # a depth-3 root names no block of a depth-2 bank, so it would mask nothing
+    with pytest.raises(mb.BankError, match="deeper"):
+        mb.fetch(bank, [0], mask=mb.BlockMask([(1, 1, 1)]))
+
+
 def test_generic_fetch():
     bank = small_bank()
     fm = mb.fetch(bank, [0, 8], generic_rows=[True, False])
@@ -129,7 +137,7 @@ def per_row_fetch(bank, leaf_flats, generic_rows, mask):
                 for c in prefix:
                     flat = flat * bank.k + c - 1
                 rows.append(bank.levels[l - 1][flat])
-        out.append(np.array(rows, dtype=np.float32).reshape(len(rows), bank.level_size(l)))
+        out.append(np.array(rows, dtype=np.float32).reshape(len(rows), bank.levels[l - 1].shape[1]))
     return out
 
 

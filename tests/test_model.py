@@ -65,6 +65,22 @@ def test_graceful_attach_all_memory_types():
         assert np.abs(out - base).max() <= 1e-6, mem_type
 
 
+def test_one_generic_row_broadcasts_over_the_batch():
+    # eval's generic mode attaches one row per level for a whole batch
+    rng = np.random.default_rng(6)
+    model = mdl.init_model(TOY, seed=5)
+    toks = rng.integers(0, TOY.vocab_size, size=(4, 7)).astype(np.int32)
+    for mem_type in mb.MEMORY_TYPES:
+        bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 2)),
+                            dim=TOY.dim, heads=TOY.num_heads, head_dim=TOY.head_dim,
+                            ffn_dim=TOY.ffn_dim, num_layers=TOY.num_layers, k=2, seed=1)
+        for l in range(2):
+            bank.generic[l][:] = rng.normal(0, 0.3, size=bank.generic[l].shape)
+        one = mdl.forward(model, toks, mems=attach_rows(bank, model, 1, model.dtype)).data
+        rep = mdl.forward(model, toks, mems=attach_rows(bank, model, 4, model.dtype)).data
+        assert np.array_equal(one, rep), mem_type
+
+
 def test_nonzero_memories_change_logits():
     rng = np.random.default_rng(4)
     model = mdl.init_model(TOY, seed=5)

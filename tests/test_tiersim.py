@@ -137,15 +137,3 @@ def test_validation_errors():
     with pytest.raises(ts.TierError):
         ts.session_latency([1, 2], pl, queries=[(1,)])
 
-
-def test_latency_csv_cells(tmp_path):
-    rows = [
-        {"mode": "serial", "total": 0.25, "per_level": [0.1, 0.15]},
-        {"mode": "parallel", "total": 0.15},
-    ]
-    out = tmp_path / "lat.csv"
-    ts.latency_csv(rows, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "mode,per_level,total"
-    assert lines[1] == "serial,0.1|0.15,0.25"
-    assert lines[2] == "parallel,,0.15"

@@ -77,13 +77,12 @@ def cmd_train(args) -> int:
     docs = _read_corpus(args.corpus)
     tree = cl.load_tree(args.tree)
 
-    slots = rc.anchor.vocab_size - 1 - tr.ByteTokenizer().EOT
-    if tree.k**tree.depth > slots:
+    tok = tr.ByteTokenizer()
+    if rc.anchor.vocab_size <= tok.EOT:
         raise hc.ConfigError(
-            f"[anchor] vocab_size {rc.anchor.vocab_size} leaves {slots} prefix slots; "
-            f"the tree has {tree.k**tree.depth} leaves"
+            f"[anchor] vocab_size {rc.anchor.vocab_size} has no id for EOT ({tok.EOT}); "
+            f"it must be at least {tok.EOT + 1}"
         )
-    tok = tr.ByteTokenizer(prefix_slots=slots)
     vecs = em.embed_batch(docs, rc.embedder)
     paths = [tuple(p) for p in cl.assign_batch(vecs, tree)]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], paths, rc.train.seq_len, tok,
@@ -124,8 +123,7 @@ def _eval_bundle(args, rc, need_tree: bool):
             raise hc.ConfigError("fetched-mode evaluation needs --tree")
         tree = cl.load_tree(args.tree)
         ecfg = rc.embedder
-    slots = model.cfg.vocab_size - 1 - tr.ByteTokenizer().EOT
-    return model, bank, facts, tree, ecfg, tr.ByteTokenizer(prefix_slots=slots)
+    return model, bank, facts, tree, ecfg, tr.ByteTokenizer()
 
 
 def _print_report(rep: ev.RecallReport) -> None:

@@ -97,22 +97,6 @@ def layer_subset(placement: str, num_layers: int) -> list[int]:
     raise ValueError(f"unknown placement {placement!r}")
 
 
-def block_size(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_dim: int, placed_layers: int) -> int:
-    """Closed-form parameter count of one level's block."""
-    H = heads * head_dim
-    if mem_type == "ffn":
-        return 3 * r * placed_layers * dim
-    if mem_type == "lora_qk":
-        return 2 * r * placed_layers * (dim + H)
-    if mem_type == "lora_ov":
-        return 2 * r * placed_layers * (dim + H)
-    if mem_type == "lora_ffn":
-        return 3 * r * placed_layers * (dim + ffn_dim)
-    if mem_type == "kv":
-        return 2 * r * placed_layers * H
-    raise ValueError(f"unknown memory type {mem_type!r}")
-
-
 @dataclass(frozen=True)
 class Slot:
     layer: int          # 1-based layer the slot attaches to
@@ -175,9 +159,12 @@ def bank_accounting(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_
     c0 is the block size at r=1 (the granularity the width multipliers
     scale), identical across levels.
     """
-    placed = len(layer_subset(cfg.placement, num_layers))
-    sizes = [block_size(cfg.mem_type, r, dim, heads, head_dim, ffn_dim, placed) for r in cfg.rs]
-    c0 = block_size(cfg.mem_type, 1, dim, heads, head_dim, ffn_dim, placed)
+    layers = layer_subset(cfg.placement, num_layers)
+
+    def size(r: int) -> int:
+        return sum(s.size for s in level_slots(cfg.mem_type, r, dim, heads, head_dim, ffn_dim, layers))
+
+    sizes = [size(r) for r in cfg.rs]
     fetch = int(sum(sizes))
     bank = int(sum(s * k ** (l + 1) for l, s in enumerate(sizes)))
     return {
@@ -185,8 +172,8 @@ def bank_accounting(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_
         "fetch_params": fetch,
         "bank_params": bank,
         "generic_params": fetch,
-        "c0": c0,
-        "placed_layers": placed,
+        "c0": size(1),
+        "placed_layers": len(layers),
     }
 
 

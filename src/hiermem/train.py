@@ -1,19 +1,19 @@
 """Training: byte tokenizer, cluster-wise packing, sparse-update loop.
 
 Documents are byte-level token streams packed into fixed-length sequences
-per leaf cluster: position 0 carries a cluster-prefix token (routing
-metadata, stripped before the model sees the sequence), documents are
-joined by single EOT separators, the tail is right-padded with EOT, and
-attention never crosses document boundaries. Loss covers next-token
-prediction inside each document plus the EOT that closes it; nothing is
-predicted across an EOT and padding carries no loss.
+per leaf cluster; the leaf rides along as ``leaf_flat`` and never enters
+the token stream. Documents are joined by single EOT separators, the tail
+is right-padded with EOT, and attention never crosses document boundaries.
+Loss covers next-token prediction inside each document plus the EOT that
+closes it; nothing is predicted across an EOT and padding carries no loss.
 
 Each training step fetches the memory path for every sequence's leaf; a
 sequence flips to the shared generic block with probability 1/(k+1).
 AdamW updates touch the anchor (unless frozen) and exactly the fetched
-blocks — optimizer state for a block is allocated lazily on first touch
-and keeps its own step counter for bias correction, so untouched blocks
-are never read or written.
+blocks. Every trained array (an anchor parameter, a block, a level's
+generic block) has one optimizer state, made on its first update, with its
+own step counter for bias correction, so untouched blocks are never read
+or written.
 """
 
 from __future__ import annotations
@@ -45,20 +45,10 @@ class TrainError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ByteTokenizer:
-    """Raw bytes as tokens, plus EOT and a reserved range of cluster prefixes.
-
-    ids 0..255 are content bytes, 256 is EOT (separator and padding), and
-    257..257+prefix_slots-1 name leaf clusters (leaf id modulo the range).
-    """
+    """Raw bytes as tokens: ids 0..255 are content, 256 is EOT (separator
+    and padding)."""
 
     EOT = 256
-    BASE = 257
-
-    def __init__(self, prefix_slots: int = 16):
-        if prefix_slots < 1:
-            raise ValueError(f"prefix_slots must be >= 1, got {prefix_slots}")
-        self.prefix_slots = prefix_slots
-        self.vocab_size = self.BASE + prefix_slots
 
     def encode(self, text: str) -> np.ndarray:
         return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.int32)
@@ -68,13 +58,6 @@ class ByteTokenizer:
         content = ids[(ids >= 0) & (ids < 256)].astype(np.uint8)
         return content.tobytes().decode("utf-8", errors="replace")
 
-    def prefix_id(self, leaf_flat: int) -> int:
-        return self.BASE + leaf_flat % self.prefix_slots
-
-    @staticmethod
-    def is_content(ids: np.ndarray) -> np.ndarray:
-        return ids < 256
-
 
 # ---------------------------------------------------------------------------
 # packing
@@ -82,9 +65,8 @@ class ByteTokenizer:
 
 @dataclass
 class PackedSequence:
-    tokens: np.ndarray        # (L,) int32; tokens[0] is the cluster prefix
-    leaf: tuple               # 1-based leaf index
-    leaf_flat: int
+    tokens: np.ndarray        # (seq_len - 1,) int32 model inputs
+    leaf_flat: int            # 0-based leaf id
     spans: list               # [(start, end)) content spans in token coords
 
 
@@ -98,12 +80,14 @@ def pack_corpus(
 ) -> list[PackedSequence]:
     """Pack documents into per-cluster sequences, then shuffle globally.
 
-    Documents of one leaf stream into length ``seq_len`` sequences in
-    corpus order; a document longer than seq_len - 1 spills into the next
-    sequence of the same cluster.
+    Each sequence holds ``seq_len - 1`` input positions, so that the targets
+    (inputs shifted by one) fit in ``seq_len`` tokens. Documents of one leaf
+    stream into sequences in corpus order; a document longer than a sequence
+    spills into the next sequence of the same cluster.
     """
     if seq_len < 3:
         raise TrainError(f"seq_len must be at least 3, got {seq_len}")
+    L = seq_len - 1
     by_leaf: dict[tuple, list[int]] = {}
     for i, leaf in enumerate(doc_leaves):
         by_leaf.setdefault(tuple(leaf), []).append(i)
@@ -111,36 +95,33 @@ def pack_corpus(
     out: list[PackedSequence] = []
     for leaf, doc_ids in by_leaf.items():
         flat = int(cl.flats_of_paths(leaf, k))
-        prefix = tokenizer.prefix_id(flat)
 
-        buf = np.full(seq_len, tokenizer.EOT, dtype=np.int32)
-        buf[0] = prefix
-        pos = 1
+        buf = np.full(L, tokenizer.EOT, dtype=np.int32)
+        pos = 0
         spans: list[tuple[int, int]] = []
 
         def flush():
             nonlocal buf, pos, spans
-            if pos > 1:
-                out.append(PackedSequence(tokens=buf, leaf=leaf, leaf_flat=flat, spans=spans))
-            buf = np.full(seq_len, tokenizer.EOT, dtype=np.int32)
-            buf[0] = prefix
-            pos = 1
+            if pos > 0:
+                out.append(PackedSequence(tokens=buf, leaf_flat=flat, spans=spans))
+            buf = np.full(L, tokenizer.EOT, dtype=np.int32)
+            pos = 0
             spans = []
 
         for di in doc_ids:
             toks = doc_tokens[di]
             off = 0
             while off < len(toks):
-                if pos >= seq_len:
+                if pos >= L:
                     flush()
-                take = min(seq_len - pos, len(toks) - off)
+                take = min(L - pos, len(toks) - off)
                 buf[pos : pos + take] = toks[off : off + take]
                 spans.append((pos, pos + take))
                 pos += take
                 off += take
             # EOT separator after the document, if there is room; a doc
             # ending exactly at the boundary is separated by the boundary
-            if pos < seq_len:
+            if pos < L:
                 pos += 1  # the buffer is EOT-filled already
             else:
                 flush()
@@ -154,24 +135,21 @@ def pack_corpus(
 def build_batch(seqs: list[PackedSequence], dtype=np.float32) -> dict:
     """Model-ready arrays for a batch of packed sequences.
 
-    The prefix token is stripped: inputs are tokens[1:], targets shift by
-    one more, the weight mask selects content positions with a real next
-    token, and the additive attention mask blocks cross-document lookback.
+    Targets are the inputs shifted left by one and EOT-extended, the weight
+    mask selects content positions with a real next token, and the additive
+    attention mask blocks cross-document lookback.
     """
-    L = seqs[0].tokens.shape[0]
-    B = len(seqs)
-    S = L - 1
-    toks = np.stack([s.tokens for s in seqs])              # (B, L)
-    inputs = toks[:, 1:]
-    targets = np.concatenate([toks[:, 2:], np.full((B, 1), ByteTokenizer.EOT, dtype=np.int32)], axis=1)
+    inputs = np.stack([s.tokens for s in seqs])            # (B, S)
+    B, S = inputs.shape
+    targets = np.concatenate([inputs[:, 1:], np.full((B, 1), ByteTokenizer.EOT, dtype=np.int32)], axis=1)
     weights = np.zeros((B, S), dtype=dtype)
-    weights[:, : S - 1] = ByteTokenizer.is_content(toks[:, 1 : L - 1]).astype(dtype)
+    weights[:, : S - 1] = (inputs[:, : S - 1] < ByteTokenizer.EOT).astype(dtype)
 
     # span ids per input position; EOT/padding positions are isolated
     sid = -(np.arange(S, dtype=np.int64)[None, :] + 1) - np.arange(B, dtype=np.int64)[:, None] * (S + 1)
     for b, s in enumerate(seqs):
         for si, (a, e) in enumerate(s.spans):
-            sid[b, a - 1 : e - 1] = si
+            sid[b, a:e] = si
     same = sid[:, :, None] == sid[:, None, :]
     causal = np.tril(np.ones((S, S), dtype=bool))
     mask = np.where(same & causal, 0.0, nc.NEG_INF).astype(dtype).reshape(B, 1, S, S)
@@ -228,41 +206,28 @@ def cosine_lr(step: int, cfg: TrainConfig) -> float:
     return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (1.0 + math.cos(math.pi * t))
 
 
-class _BlockState:
-    __slots__ = ("m", "v", "steps")
-
-    def __init__(self, size: int):
-        self.m = np.zeros(size, dtype=np.float32)
-        self.v = np.zeros(size, dtype=np.float32)
-        self.steps = 0
+@dataclass
+class _AdamState:
+    m: np.ndarray
+    v: np.ndarray
+    steps: int = 0            # updates applied, for bias correction
 
 
 class TrainState:
     """Everything the run loop needs to continue bit-exactly after a resume."""
 
-    def __init__(self, cfg: TrainConfig, model: mdl.TransformerModel, bank: mb.MemoryBank | None):
+    def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
         self.step = 0
-        self.anchor_steps = 0
         self.aborted = 0
         self.tokens_seen = 0.0
         self.rng = np.random.default_rng([cfg.seed, 0x7A41])
         self.epoch_order = np.empty(0, dtype=np.int64)
         self.epoch_pos = 0
         self.metrics = []  # rows of METRIC_COLUMNS
-        self.opt_m: dict[str, np.ndarray] = {}
-        self.opt_v: dict[str, np.ndarray] = {}
-        if cfg.regime in ("cotrain", "scratch"):
-            for name, p in model.named_params():
-                self.opt_m[name] = np.zeros_like(p.data)
-                self.opt_v[name] = np.zeros_like(p.data)
-        # bank_state[level-1]: flat block id -> _BlockState
-        self.bank_state: list[dict[int, _BlockState]] = []
-        self.generic_state: list[_BlockState] = []
-        if bank is not None:
-            for l in range(bank.depth):
-                self.bank_state.append({})
-                self.generic_state.append(_BlockState(bank.generic[l].shape[0]))
+        # one entry per trained array, keyed anchor.<param>, l<level>.<block id>
+        # or l<level>.generic, made on the array's first update
+        self.opt: dict[str, _AdamState] = {}
 
 
 def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: int,
@@ -332,18 +297,15 @@ def train_step(
 
     nc.backward(tape, loss)
 
-    anchor_training = cfg.regime in ("cotrain", "scratch")
-    clip_list: list[np.ndarray] = []
-    anchor_grads: list[tuple[str, np.ndarray]] = []
-    if anchor_training:
+    # (state key, array, gradient, weight decay), in the order the clip sums
+    updates: list[tuple[str, np.ndarray, np.ndarray, float]] = []
+    if cfg.regime != "memory":
         for name, p in model.named_params():
             if p.grad is not None:
-                anchor_grads.append((name, p.grad))
-                clip_list.append(p.grad)
+                wd = cfg.anchor_wd if p.data.ndim >= 2 else 0.0  # no decay on gains
+                updates.append((f"anchor.{name}", p.data, p.grad, wd))
 
     # scatter per-sequence memory row gradients into per-block sums
-    block_updates: list[tuple[int, np.ndarray, np.ndarray]] = []  # (level, ids, grads)
-    generic_updates: list[tuple[int, np.ndarray]] = []
     if bank is not None:
         for l in range(1, bank.depth + 1):
             g = level_tensors[l - 1].grad
@@ -354,37 +316,20 @@ def train_step(
                 ids, inv = np.unique(fm.blocks[l - 1][fetched], return_inverse=True)
                 gsum = np.zeros((ids.shape[0], g.shape[1]), dtype=np.float32)
                 np.add.at(gsum, inv, g[fetched].astype(np.float32))
-                block_updates.append((l, ids, gsum))
-                clip_list.extend(gsum)
+                lvl = bank.levels[l - 1]
+                updates += [(f"l{l}.{i}", lvl[i], gsum[j], cfg.memory_wd) for j, i in enumerate(ids)]
             if generic_rows.any():
                 ggen = g[generic_rows].sum(axis=0).astype(np.float32)
-                generic_updates.append((l, ggen))
-                clip_list.append(ggen)
+                updates.append((f"l{l}.generic", bank.generic[l - 1], ggen, cfg.memory_wd))
 
-    gnorm = nc.clip_global_norm(clip_list, cfg.grad_clip)
-    metrics["grad_norm"] = gnorm
+    metrics["grad_norm"] = nc.clip_global_norm([u[2] for u in updates], cfg.grad_clip)
 
-    if anchor_training:
-        state.anchor_steps += 1
-        for name, g in anchor_grads:
-            p = model.params[name]
-            wd = cfg.anchor_wd if p.data.ndim >= 2 else 0.0  # no decay on gains
-            _adamw(p.data, g, state.opt_m[name], state.opt_v[name], state.anchor_steps, lr, wd, cfg)
-
-    if bank is not None:
-        for l, ids, gsum in block_updates:
-            lvl = bank.levels[l - 1]
-            states = state.bank_state[l - 1]
-            for j, flat in enumerate(ids):
-                st = states.get(int(flat))
-                if st is None:
-                    st = states[int(flat)] = _BlockState(lvl.shape[1])
-                st.steps += 1
-                _adamw(lvl[flat], gsum[j], st.m, st.v, st.steps, lr, cfg.memory_wd, cfg)
-        for l, ggen in generic_updates:
-            st = state.generic_state[l - 1]
-            st.steps += 1
-            _adamw(bank.generic[l - 1], ggen, st.m, st.v, st.steps, lr, cfg.memory_wd, cfg)
+    for key, p, g, wd in updates:
+        st = state.opt.get(key)
+        if st is None:
+            st = state.opt[key] = _AdamState(np.zeros_like(p), np.zeros_like(p))
+        st.steps += 1
+        _adamw(p, g, st.m, st.v, st.steps, lr, wd, cfg)
 
     # drop step gradients
     for _, p in model.named_params():
@@ -401,69 +346,37 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 def save_state(state: TrainState, path) -> None:
+    keys = sorted(state.opt)
     meta = {
         "config": asdict(state.cfg),
         "step": state.step,
-        "anchor_steps": state.anchor_steps,
         "aborted": state.aborted,
         "tokens_seen": state.tokens_seen,
         "epoch_pos": state.epoch_pos,
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
-        "generic_steps": [st.steps for st in state.generic_state],
-        "bank_levels": len(state.bank_state),
+        "opt_steps": {key: state.opt[key].steps for key in keys},
     }
     arrays: dict[str, np.ndarray] = {"sched.order": state.epoch_order.astype(np.int64)}
     arrays["metrics.rows"] = np.asarray(state.metrics, dtype=np.float64).reshape(-1, len(METRIC_COLUMNS))
-    for name in state.opt_m:
-        arrays[f"opt.m.{name}"] = state.opt_m[name]
-        arrays[f"opt.v.{name}"] = state.opt_v[name]
-    for l, states in enumerate(state.bank_state, start=1):
-        ids = np.array(sorted(states.keys()), dtype=np.int64)
-        arrays[f"bank.l{l}.ids"] = ids
-        if len(ids):
-            arrays[f"bank.l{l}.m"] = np.stack([states[int(i)].m for i in ids])
-            arrays[f"bank.l{l}.v"] = np.stack([states[int(i)].v for i in ids])
-            arrays[f"bank.l{l}.steps"] = np.array([states[int(i)].steps for i in ids], dtype=np.int64)
-    for l, st in enumerate(state.generic_state, start=1):
-        arrays[f"gen.l{l}.m"] = st.m
-        arrays[f"gen.l{l}.v"] = st.v
+    for key in keys:
+        arrays[f"opt.{key}.m"] = state.opt[key].m
+        arrays[f"opt.{key}.v"] = state.opt[key].v
     fileio.write_artifact(path, STATE_MAGIC, meta, arrays)
 
 
-def load_state(path, model: mdl.TransformerModel, bank: mb.MemoryBank | None) -> TrainState:
+def load_state(path) -> TrainState:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
-    raw = dict(meta["config"])
-    cfg = TrainConfig(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in raw.items()})
-    state = TrainState(cfg, model, bank)
+    state = TrainState(TrainConfig(**meta["config"]))
     state.step = meta["step"]
-    state.anchor_steps = meta["anchor_steps"]
     state.aborted = meta["aborted"]
     state.tokens_seen = meta["tokens_seen"]
     state.epoch_pos = meta["epoch_pos"]
     state.epoch_order = arrays["sched.order"]
     state.metrics = [list(r) for r in arrays["metrics.rows"]]
-    rng_state = meta["rng_state"]
     state.rng = np.random.default_rng()
-    state.rng.bit_generator.state = rng_state
-    for name in list(state.opt_m):
-        state.opt_m[name] = arrays[f"opt.m.{name}"]
-        state.opt_v[name] = arrays[f"opt.v.{name}"]
-    for l in range(1, len(state.bank_state) + 1):
-        ids = arrays.get(f"bank.l{l}.ids", np.empty(0, dtype=np.int64))
-        if len(ids):
-            ms = arrays[f"bank.l{l}.m"]
-            vs = arrays[f"bank.l{l}.v"]
-            steps = arrays[f"bank.l{l}.steps"]
-            for j, flat in enumerate(ids):
-                st = _BlockState(ms.shape[1])
-                st.m = ms[j].copy()
-                st.v = vs[j].copy()
-                st.steps = int(steps[j])
-                state.bank_state[l - 1][int(flat)] = st
-    for l, st in enumerate(state.generic_state, start=1):
-        st.m = arrays[f"gen.l{l}.m"].copy()
-        st.v = arrays[f"gen.l{l}.v"].copy()
-        st.steps = meta["generic_steps"][l - 1]
+    state.rng.bit_generator.state = meta["rng_state"]
+    state.opt = {key: _AdamState(arrays[f"opt.{key}.m"], arrays[f"opt.{key}.v"], steps)
+                 for key, steps in meta["opt_steps"].items()}
     return state
 
 
@@ -502,7 +415,7 @@ def train_run(
     """
     if not sequences:
         raise TrainError("no packed sequences to train on")
-    state = resume_state if resume_state is not None else TrainState(cfg, model, bank)
+    state = resume_state if resume_state is not None else TrainState(cfg)
     n = len(sequences)
     while state.step < cfg.total_steps:
         if state.epoch_pos + cfg.batch_size > len(state.epoch_order):

@@ -153,11 +153,23 @@ def test_train_checkpoints_exist(ws, trained):
 
 def test_train_rejects_small_vocab(ws, trained, tmp_path, capsys):
     ini = tmp_path / "tiny_vocab.ini"
-    ini.write_text(BASE_INI.replace("vocab_size = 262", "vocab_size = 259"))
+    ini.write_text(BASE_INI.replace("vocab_size = 262", "vocab_size = 256"))
     rc = cli.main(["train", str(ws / "corpus.txt"), trained["tree"],
                    "--config", str(ini), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "prefix slots" in capsys.readouterr().err
+    assert "EOT" in capsys.readouterr().err
+
+
+def test_train_accepts_more_leaves_than_vocab_spare_ids(ws, tmp_path):
+    # k=3, depth=2: 9 leaves against vocab_size 262, which leaves 5 ids past EOT
+    ini = tmp_path / "wide.ini"
+    ini.write_text(BASE_INI.replace("k = 2", "k = 3"))
+    corpus = str(ws / "corpus.txt")
+    out = tmp_path / "o"
+    assert cli.main(["cluster", corpus, "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["train", corpus, str(out / "tree.bin"), "--config", str(ini),
+                     "--out", str(out)]) == 0
+    assert (out / "ckpt_final" / "model.ckpt").exists()
 
 
 def test_eval_modes_and_reports(ws, trained, tmp_path, capsys):
@@ -256,8 +268,9 @@ def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):
     for tag in ("r1", "r2"):
         assert cli.main(["train", corpus, tree, "--config", ini,
                          "--out", str(tmp_path / f"t_{tag}")]) == 0
-    assert sha(tmp_path / "t_r1" / "ckpt_final" / "model.ckpt") == \
-           sha(tmp_path / "t_r2" / "ckpt_final" / "model.ckpt")
+    for name in ("model.ckpt", "trainstate.bin"):
+        assert sha(tmp_path / "t_r1" / "ckpt_final" / name) == \
+               sha(tmp_path / "t_r2" / "ckpt_final" / name)
 
 
 def test_out_env_fallback(ws, trained, tmp_path, monkeypatch):

@@ -35,7 +35,7 @@ def setup(corpus):
     bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=(2, 2)),
                         dim=16, heads=2, head_dim=8, ffn_dim=32,
                         num_layers=2, k=2, seed=4)
-    tok = ByteTokenizer(prefix_slots=4)
+    tok = ByteTokenizer()
     return docs, facts, tree, model, bank, tok
 
 

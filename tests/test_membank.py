@@ -14,19 +14,27 @@ def small_bank(mem_type="ffn", rs=(2, 4), k=3, **over):
 
 
 def test_block_size_formulas():
-    H = 4 * 8
-    assert mb.block_size("ffn", 2, 32, 4, 8, 64, 3) == 3 * 2 * 3 * 32
-    assert mb.block_size("lora_qk", 2, 32, 4, 8, 64, 3) == 2 * 2 * 3 * (32 + H)
-    assert mb.block_size("lora_ov", 2, 32, 4, 8, 64, 3) == 2 * 2 * 3 * (32 + H)
-    assert mb.block_size("lora_ffn", 2, 32, 4, 8, 64, 3) == 3 * 2 * 3 * (32 + 64)
-    assert mb.block_size("kv", 2, 32, 4, 8, 64, 3) == 2 * 2 * 3 * H
+    # the closed forms in the module docstring, at r=2 on 3 placed layers
+    d, H, d_f, r, l = 32, 4 * 8, 64, 2, 3
+    want = {
+        "ffn": 3 * r * l * d,
+        "lora_qk": 2 * r * l * (d + H),
+        "lora_ov": 2 * r * l * (d + H),
+        "lora_ffn": 3 * r * l * (d + d_f),
+        "kv": 2 * r * l * H,
+    }
+    dims = dict(DIMS, num_layers=3)
+    for mem_type, size in want.items():
+        acc = mb.bank_accounting(mb.MemoryConfig(mem_type=mem_type, rs=(r, 0)), k=2, **dims)
+        assert acc["level_sizes"] == [size, 0]
+        assert acc["c0"] == size // r
+        assert acc["placed_layers"] == l
 
 
 def test_accounting_fetch_and_bank_totals():
     cfg = mb.MemoryConfig(mem_type="ffn", rs=(2, 4))
     acc = mb.bank_accounting(cfg, k=3, **DIMS)
-    s1 = mb.block_size("ffn", 2, 32, 4, 8, 64, 4)
-    s2 = mb.block_size("ffn", 4, 32, 4, 8, 64, 4)
+    s1, s2 = 3 * 2 * 4 * 32, 3 * 4 * 4 * 32  # ffn: 3 * r * layers * dim
     assert acc["level_sizes"] == [s1, s2]
     assert acc["fetch_params"] == s1 + s2
     assert acc["bank_params"] == s1 * 3 + s2 * 9

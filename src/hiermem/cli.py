@@ -53,6 +53,14 @@ def _provenance(rc: hc.RunConfig, **inputs) -> dict:
     return meta
 
 
+def _check_bank_fits_tree(bank: mb.MemoryBank, tree: cl.ClusterTree) -> None:
+    # leaf ids are packed with the tree's k and decoded with the bank's
+    if (bank.k, bank.depth) != (tree.k, tree.depth):
+        raise hc.ConfigError(
+            f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}"
+        )
+
+
 def cmd_cluster(args) -> int:
     rc = _load(args)
     out = _outdir(rc)
@@ -102,10 +110,7 @@ def cmd_train(args) -> int:
                 head_dim=rc.anchor.head_dim, ffn_dim=rc.anchor.ffn_dim,
                 num_layers=rc.anchor.num_layers, k=tree.k, seed=rc.seed,
             )
-        if bank.depth != tree.depth:
-            raise hc.ConfigError(
-                f"[memory] rs has {bank.depth} levels but the tree depth is {tree.depth}"
-            )
+        _check_bank_fits_tree(bank, tree)
 
     meta = _provenance(rc, corpus=args.corpus, tree=args.tree)
     state = tr.train_run(model, bank, seqs, rc.train, out, extra_meta=meta)
@@ -123,6 +128,8 @@ def _eval_bundle(args, rc, need_tree: bool):
             raise hc.ConfigError("fetched-mode evaluation needs --tree")
         tree = cl.load_tree(args.tree)
         ecfg = rc.embedder
+        if bank is not None:
+            _check_bank_fits_tree(bank, tree)
     return model, bank, facts, tree, ecfg, tr.ByteTokenizer()
 
 

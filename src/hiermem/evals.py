@@ -363,13 +363,23 @@ def greedy_decode_batch(
     max_new: int,
     mems: mdl.AttachedMemories | None,
 ) -> np.ndarray:
-    """Naive greedy decode: re-run the full forward per generated token."""
+    """(B, max_new) greedy continuations of equal-length prompts (B, S0).
+
+    One forward runs the prompts into a key/value cache; each further
+    token is one one-position forward against it, so a batch computes
+    S0 + max_new - 1 positions per row rather than rerunning the prefix.
+    """
+    B, S0 = prompts_tokens.shape
+    out = np.empty((B, max_new), dtype=np.result_type(prompts_tokens.dtype, np.int32))
+    if max_new == 0:
+        return out
+    cache = mdl.KVCache(model.cfg, B, S0 + max_new - 1, model.dtype)
     toks = prompts_tokens
-    for _ in range(max_new):
-        logits = mdl.forward(model, toks, mems=mems)
-        nxt = np.argmax(logits.data[:, -1, :], axis=-1).astype(np.int32)
-        toks = np.concatenate([toks, nxt[:, None]], axis=1)
-    return toks[:, prompts_tokens.shape[1]:]
+    for t in range(max_new):
+        logits = mdl.forward(model, toks, mems=mems, cache=cache)
+        out[:, t] = np.argmax(logits.data[:, -1, :], axis=-1)
+        toks = out[:, t : t + 1]
+    return out
 
 
 @dataclass

@@ -73,11 +73,27 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write an artifact whole or not at all.
+
+    The bytes go to a temporary file beside ``path``, which then replaces
+    it, so a write that fails or is interrupted leaves the previous file as
+    it was. There is no fsync, so this does not guard against power loss.
+    """
     if len(magic) > 8:
         raise ValueError(f"magic {magic!r} longer than 8 bytes")
     mb = canonical_json(meta)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        _write_artifact_bytes(tmp, magic, mb, arrays)
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_artifact_bytes(p: Path, magic: str, mb: bytes, arrays: dict[str, np.ndarray]) -> None:
     with open(p, "wb") as f:
         f.write(magic.encode("ascii").ljust(8))
         f.write(struct.pack("<I", FORMAT_VERSION))

@@ -18,6 +18,14 @@ Every attachment's output-side weights start at zero, so a freshly
 initialized memory leaves logits bit-identical — attaching is graceful.
 Memory weights are per-sequence (each sequence in a batch may carry a
 different block), hence the batched (B, ., .) matmuls.
+
+Incremental decode passes a ``KVCache`` to ``forward``: the call's
+tokens take positions ``cache.length`` onward, each layer writes their
+rotated keys and values into the cache and attends over every cached
+position, and the cache's length then advances. Only self-attention keys
+are cached; ``kv`` memories' learned keys are attended afresh by each
+call's new queries. A cached forward is for inference: the cached keys
+and values carry no gradient.
 """
 
 from __future__ import annotations
@@ -157,11 +165,28 @@ class AttachedMemories:
         return self._by_layer.get(layer_1based, [])
 
 
-def causal_mask(S: int, dtype=np.float32) -> np.ndarray:
+class KVCache:
+    """Rotated self-attention keys and values of the positions run so far.
+
+    Per layer, ``keys`` and ``values`` are preallocated (B, heads,
+    capacity, head_dim) arrays; ``forward`` fills positions
+    ``[length, length + S)`` and then advances ``length`` by S.
+    """
+
+    def __init__(self, cfg: AnchorConfig, batch: int, capacity: int, dtype=np.float32):
+        shape = (batch, cfg.num_heads, capacity, cfg.head_dim)
+        self.keys = [np.zeros(shape, dtype=dtype) for _ in range(cfg.num_layers)]
+        self.values = [np.zeros(shape, dtype=dtype) for _ in range(cfg.num_layers)]
+        self.capacity = capacity
+        self.length = 0
+
+
+def causal_mask(S: int, dtype=np.float32, past: int = 0) -> np.ndarray:
+    """(1, 1, S, past + S) additive mask: query i sees keys up to past + i."""
     # built per call: a cache keyed by length would keep one S x S mask
     # for every length a caller ever used
-    m = np.where(np.tril(np.ones((S, S), dtype=bool)), 0.0, nc.NEG_INF).astype(dtype)
-    return m.reshape(1, 1, S, S)
+    m = np.where(np.tril(np.ones((S, past + S), dtype=bool), k=past), 0.0, nc.NEG_INF).astype(dtype)
+    return m.reshape(1, 1, S, past + S)
 
 
 def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str, sc: float) -> nc.Tensor:
@@ -175,21 +200,35 @@ def forward(
     doc_mask: np.ndarray | None = None,
     mems: AttachedMemories | None = None,
     positions: np.ndarray | None = None,
+    cache: KVCache | None = None,
 ) -> nc.Tensor:
-    """Logits (B, S, V) for a batch of token id sequences (B, S)."""
+    """Logits (B, S, V) for a batch of token id sequences (B, S).
+
+    With a ``cache``, the tokens continue the cached positions: they
+    attend over those and themselves, and their keys and values are
+    appended to the cache.
+    """
     cfg = model.cfg
     p = model.params
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ModelError(f"tokens must be (B, S), got {tokens.shape}")
     B, S = tokens.shape
-    if S > cfg.context_length:
-        raise ModelError(f"sequence length {S} exceeds context length {cfg.context_length}")
+    past = 0
+    if cache is not None:
+        if doc_mask is not None or positions is not None:
+            raise ModelError("a cached forward takes no doc_mask or positions")
+        past = cache.length
+        if past + S > cache.capacity:
+            raise ModelError(f"{S} tokens after {past} cached overrun the cache's {cache.capacity}")
+    end = past + S
+    if end > cfg.context_length:
+        raise ModelError(f"sequence length {end} exceeds context length {cfg.context_length}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ModelError(f"token id outside [0, {cfg.vocab_size})")
     heads, dh = cfg.num_heads, cfg.head_dim
-    mask = doc_mask if doc_mask is not None else causal_mask(S, model.dtype)
-    pos = positions if positions is not None else np.arange(S)
+    mask = doc_mask if doc_mask is not None else causal_mask(S, model.dtype, past)
+    pos = positions if positions is not None else np.arange(past, end)
 
     x = nc.embedding(p["tok_embeddings.weight"], tokens)
     for i in range(cfg.num_layers):
@@ -215,6 +254,11 @@ def forward(
         vh = nc.transpose(nc.reshape(v, (B, S, heads, dh)), (0, 2, 1, 3))
         qr = nc.rope(qh, pos, cfg.rope_base)
         kr = nc.rope(kh, pos, cfg.rope_base)
+        if cache is not None:
+            cache.keys[i][:, :, past:end] = kr.data
+            cache.values[i][:, :, past:end] = vh.data
+            kr = nc.Tensor(cache.keys[i][:, :, :end])
+            vh = nc.Tensor(cache.values[i][:, :, :end])
         att = nc.attention(qr, kr, vh, mask)
         for lv, sl in enumerate(layer_mems):
             if "mk" in sl:
@@ -253,6 +297,8 @@ def forward(
                 down = nc.add(down, nc.matmul(nc.mul(mg, mu), sl["m3"]))
         x = nc.add(x, down)
 
+    if cache is not None:
+        cache.length = end
     xf = nc.rms_norm(x, p["final_norm.gain"], cfg.norm_eps)
     head = p["tok_embeddings.weight"] if cfg.tied_head else p["head.weight"]
     return nc.matmul(xf, head, transpose_b=True)

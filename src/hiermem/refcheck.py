@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the slow, obvious way — full-batch
 Lloyd's iterations, brute-force nearest neighbour, central finite
-differences, straight-line per-position transformer evaluation — so that
-the fast implementations elsewhere in the package can be checked against
-code that shares none of their structure. Nothing in the package imports
-this module; only tests do.
+differences, straight-line per-position transformer evaluation, greedy
+decode by rerunning the whole sequence — so that the fast implementations
+elsewhere in the package can be checked against code that shares none of
+their structure. The decode oracle is the exception: it reuses the
+package's forward, which ``oracle_forward`` checks, and drops only the
+key/value cache. Nothing in the package imports this module; only tests do.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import model as mdl
 
 
 @dataclass
@@ -170,6 +174,19 @@ def oracle_forward(tokens: np.ndarray, weights: dict, cfg: dict) -> OracleResult
     else:
         logits = xf @ w["head.weight"].T
     return OracleResult(logits, "straight-line per-position float64 evaluation")
+
+
+def oracle_greedy_decode(model, prompts: np.ndarray, max_new: int, mems) -> OracleResult:
+    """Greedy decode that reruns the full, uncached forward for every token.
+
+    Returns OracleResult(value=(B, max_new) token ids).
+    """
+    toks = prompts
+    for _ in range(max_new):
+        logits = mdl.forward(model, toks, mems=mems)
+        nxt = np.argmax(logits.data[:, -1, :], axis=-1).astype(np.int32)
+        toks = np.concatenate([toks, nxt[:, None]], axis=1)
+    return OracleResult(toks[:, prompts.shape[1]:], "full forward rerun per new token, no cache")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from . import numcore as nc
 
 STATE_MAGIC = "HMSTATE"
 
-METRIC_COLUMNS = ("step", "lr", "loss", "loss_fetched", "loss_generic", "tokens_seen")
+# grad_norm is the pre-clip global norm; NaN (an empty CSV cell) on an aborted step
+METRIC_COLUMNS = ("step", "lr", "loss", "loss_fetched", "loss_generic", "tokens_seen", "grad_norm")
 
 
 class TrainError(RuntimeError):
@@ -286,6 +287,7 @@ def train_step(
         "loss_fetched": loss_fetched,
         "loss_generic": loss_generic,
         "tokens_seen": state.tokens_seen + ntok,
+        "grad_norm": float("nan"),
     }
     if not math.isfinite(loss_val):
         # abort the step: no parameter or optimizer movement, schedule advances
@@ -366,6 +368,8 @@ def save_state(state: TrainState, path) -> None:
 
 def load_state(path) -> TrainState:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
+    if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
+        raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
     state = TrainState(TrainConfig(**meta["config"]))
     state.step = meta["step"]
     state.aborted = meta["aborted"]

@@ -172,6 +172,25 @@ def test_train_accepts_more_leaves_than_vocab_spare_ids(ws, tmp_path):
     assert (out / "ckpt_final" / "model.ckpt").exists()
 
 
+def test_bank_k_must_match_tree_k(ws, trained, tmp_path, capsys):
+    # a k=3 bank on the k=2 tree would decode the tree's leaf ids as other blocks
+    bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=(2, 2)), dim=16, heads=2,
+                        head_dim=8, ffn_dim=32, num_layers=2, k=3, seed=0)
+    k3 = tmp_path / "k3.bin"
+    mb.save_bank(bank, k3)
+    mem_ini = ws / "run_mem.ini"
+    out = str(tmp_path / "o")
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(mem_ini),
+                     "--out", out, "--init", str(trained["model"]), "--bank", str(k3)]) == 2
+    assert "k=3" in capsys.readouterr().err
+    assert cli.main(["eval", str(trained["model"]), trained["facts"], "--bank", str(k3),
+                     "--tree", trained["tree"], "--config", trained["ini"], "--out", out]) == 2
+    assert "k=3" in capsys.readouterr().err
+    assert cli.main(["block", str(trained["model"]), trained["facts"], "1", "--bank", str(k3),
+                     "--tree", trained["tree"], "--config", trained["ini"], "--out", out]) == 2
+    assert "k=3" in capsys.readouterr().err
+
+
 def test_eval_modes_and_reports(ws, trained, tmp_path, capsys):
     out = tmp_path / "ev"
     rc = cli.main(["eval", str(trained["model"]), trained["facts"],

@@ -9,6 +9,7 @@ from hiermem import evals as ev
 from hiermem import membank as mb
 from hiermem import model as mdl
 from hiermem import numcore as nc
+from hiermem import refcheck as rc
 from hiermem.train import ByteTokenizer
 
 SPEC = ev.SyntheticCorpusSpec(topics=3, entities_per_topic=4, zipf_exponent=1.0,
@@ -232,6 +233,89 @@ def test_fact_recall_counts_rigged_decoder(setup, monkeypatch):
     assert all(t["predicted"] == t["value"] for t in rep.traces)
     with pytest.raises(ev.EvalError):
         ev.fact_recall(model, bank, tree, ECFG, tok, facts, mode="warp")
+
+
+# --- cached greedy decode ---
+
+DECODE_CFG = mdl.AnchorConfig(num_layers=2, dim=16, num_heads=2, head_dim=8, ffn_dim=32,
+                              vocab_size=37, tied_head=False, context_length=24)
+
+
+def decode_memories(model, mem_type, rs, B, rng):
+    """Random memories for B rows: every third row generic, the rest fetched blocks."""
+    cfg = model.cfg
+    bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=rs), dim=cfg.dim,
+                        heads=cfg.num_heads, head_dim=cfg.head_dim, ffn_dim=cfg.ffn_dim,
+                        num_layers=cfg.num_layers, k=2, seed=1)
+    for arr in bank.levels + bank.generic:
+        arr[:] = rng.normal(0, 0.3, size=arr.shape)
+    fm = mb.fetch(bank, rng.integers(0, 4, size=B), generic_rows=np.arange(B) % 3 == 0)
+    rows = [nc.Tensor(r.astype(model.dtype)) for r in fm.levels]
+    return mdl.AttachedMemories(bank.cfg, cfg, rows)
+
+
+@pytest.mark.parametrize("rs", [(2, 3), (0, 4)])
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_cached_decode_matches_full_rerun_in_float64(mem_type, rs):
+    rng = np.random.default_rng(7)
+    model = mdl.init_model(DECODE_CFG, seed=5, dtype=np.float64)
+    B, S0, max_new = 6, 5, 6
+    prompts = rng.integers(0, DECODE_CFG.vocab_size, size=(B, S0)).astype(np.int32)
+    mems = decode_memories(model, mem_type, rs, B, rng)
+    got = ev.greedy_decode_batch(model, prompts, max_new, mems)
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, max_new, mems).value)
+    # every cached call's logits against the full forward over the same prefix
+    seq = np.concatenate([prompts, got], axis=1)
+    cache = mdl.KVCache(DECODE_CFG, B, S0 + max_new - 1, model.dtype)
+    for end in range(S0, S0 + max_new):
+        start = cache.length
+        step = mdl.forward(model, seq[:, start:end], mems=mems, cache=cache).data
+        full = mdl.forward(model, seq[:, :end], mems=mems).data
+        assert np.abs(step - full[:, start:]).max() < 1e-12
+
+
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_cached_decode_tokens_match_full_rerun_in_float32(mem_type):
+    rng = np.random.default_rng(11)
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    prompts = rng.integers(0, DECODE_CFG.vocab_size, size=(16, 9)).astype(np.int32)
+    mems = decode_memories(model, mem_type, (2, 3), 16, rng)
+    got = ev.greedy_decode_batch(model, prompts, 8, mems)
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 8, mems).value)
+    plain = ev.greedy_decode_batch(model, prompts, 8, None)
+    assert np.array_equal(plain, rc.oracle_greedy_decode(model, prompts, 8, None).value)
+
+
+def test_decode_runs_the_prompt_once_then_one_position_per_token(monkeypatch):
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    prompts = np.ones((3, 5), dtype=np.int32)
+    sizes = []
+    forward = mdl.forward
+
+    def counting(model, tokens, *args, **kwargs):
+        sizes.append(np.asarray(tokens).size)
+        return forward(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", counting)
+    ev.greedy_decode_batch(model, prompts, 4, None)
+    assert len(sizes) == 4 and sum(sizes) == 3 * (5 + 4 - 1)
+    sizes.clear()
+    assert ev.greedy_decode_batch(model, prompts, 0, None).shape == (3, 0)
+    assert sizes == []
+
+
+def test_decode_lengths_and_context_limit():
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    prompts = np.arange(12, dtype=np.int32).reshape(3, 4)
+    one = ev.greedy_decode_batch(model, prompts, 1, None)
+    assert one.shape == (3, 1)
+    assert np.array_equal(one, rc.oracle_greedy_decode(model, prompts, 1, None).value)
+    # the last new token is never fed back, so S0 + max_new - 1 positions must fit
+    S0 = DECODE_CFG.context_length - 2
+    long = np.ones((2, S0), dtype=np.int32)
+    assert ev.greedy_decode_batch(model, long, 3, None).shape == (2, 3)
+    with pytest.raises(mdl.ModelError):
+        ev.greedy_decode_batch(model, long, 4, None)
 
 
 def test_write_recall_report(tmp_path):

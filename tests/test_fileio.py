@@ -65,3 +65,27 @@ def test_write_csv_cells(tmp_path):
         b"none,3|4,\n"
         b"round,2,0.3333333333\n"
     )
+
+
+class _FailsMidArray:
+    """Array stand-in whose header fields write but whose data raises."""
+
+    dtype = np.dtype("<f4")
+    ndim = 1
+    shape = (4,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("device lost mid-array")
+
+
+def test_failed_write_leaves_previous_artifact_and_no_temp_file(tmp_path):
+    p = tmp_path / "a.bin"
+    fileio.write_artifact(p, "TEST", {"v": 1}, {"x": np.arange(3.0)})
+    before = p.read_bytes()
+    with pytest.raises(OSError, match="mid-array"):
+        fileio.write_artifact(p, "TEST", {"v": 2}, {"x": np.arange(5.0), "y": _FailsMidArray()})
+    assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["a.bin"]
+    fileio.write_artifact(p, "TEST", {"v": 2}, {"x": np.arange(5.0)})
+    assert fileio.read_artifact(p)[1] == {"v": 2}
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["a.bin"]

@@ -159,3 +159,35 @@ def test_forward_rejects_bad_tokens():
         mdl.forward(model, np.array([[TOY.vocab_size]]))
     with pytest.raises(mdl.ModelError):
         mdl.forward(model, np.zeros((1, TOY.context_length + 1), dtype=np.int32))
+
+
+def test_cached_forward_rejects_mask_positions_and_overrun():
+    model = mdl.init_model(TOY, seed=0)
+    toks = np.zeros((2, 3), dtype=np.int32)
+    cache = mdl.KVCache(TOY, 2, 4, model.dtype)
+    with pytest.raises(mdl.ModelError):
+        mdl.forward(model, toks, doc_mask=mdl.causal_mask(3), cache=cache)
+    with pytest.raises(mdl.ModelError):
+        mdl.forward(model, toks, positions=np.arange(3), cache=cache)
+    mdl.forward(model, toks, cache=cache)
+    assert cache.length == 3
+    with pytest.raises(mdl.ModelError):
+        mdl.forward(model, toks[:, :2], cache=cache)  # 5 positions in a cache of 4
+    assert cache.length == 3
+    mdl.forward(model, toks[:, :1], cache=cache)
+    assert cache.length == 4
+
+
+def test_cached_length_past_context_is_rejected():
+    model = mdl.init_model(TOY, seed=0)
+    cache = mdl.KVCache(TOY, 1, TOY.context_length + 1, model.dtype)
+    mdl.forward(model, np.zeros((1, TOY.context_length), dtype=np.int32), cache=cache)
+    with pytest.raises(mdl.ModelError, match="exceeds context length"):
+        mdl.forward(model, np.zeros((1, 1), dtype=np.int32), cache=cache)
+
+
+def test_causal_mask_with_past_positions():
+    m = mdl.causal_mask(2, np.float64, past=3)
+    assert m.shape == (1, 1, 2, 5)
+    assert np.array_equal(np.isfinite(m[0, 0]), [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])
+    assert np.array_equal(mdl.causal_mask(4, past=0), mdl.causal_mask(4))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
 from hiermem import train as tr
@@ -265,9 +266,24 @@ def test_metrics_csv_and_checkpoint_files(tmp_path):
     assert (ckpt / "bank.bin").exists()
     assert (ckpt / "trainstate.bin").exists()
     lines = (ckpt / "metrics.csv").read_text().splitlines()
-    assert lines[0].startswith("step,")
+    assert lines[0] == ",".join(tr.METRIC_COLUMNS)
     assert len(lines) == 1 + 3
     assert state.step == 3
+    norm = tr.METRIC_COLUMNS.index("grad_norm")
+    assert all(np.isfinite(float(line.split(",")[norm])) for line in lines[1:])
+    # an aborted step computes no gradient: its grad_norm cell is empty
+    bank.levels[0][:] = np.inf
+    tr.train_step(model, bank, tr.build_batch(seqs[:4]), state, cfg)
+    assert state.aborted == 1
+    ckpt = tr.save_checkpoint(tmp_path, "aborted", model, bank, state)
+    last = (ckpt / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "4" and last[norm] == ""
+    # a state file from before the grad_norm column is refused, not misread
+    magic, meta, arrays = fileio.read_artifact(ckpt / "trainstate.bin")
+    arrays["metrics.rows"] = arrays["metrics.rows"][:, :norm]
+    fileio.write_artifact(tmp_path / "old.bin", magic, meta, arrays)
+    with pytest.raises(tr.TrainError, match="columns"):
+        tr.load_state(tmp_path / "old.bin")
 
 
 def test_config_validation():

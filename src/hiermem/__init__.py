@@ -10,7 +10,7 @@ Subpackages are intentionally flat modules:
 - model:    anchor transformer + memory attachments
 - train:    byte tokenizer, cluster-wise packing, sparse-update training
 - tiersim:  storage-tier latency model for memory fetches
-- evals:    synthetic long-tail corpus, perplexity / fact-recall evaluation
+- evals:    synthetic long-tail corpus, fact-recall evaluation
 - refcheck: independent oracles used only by the test suite
 - cli:      command-line entry points
 """

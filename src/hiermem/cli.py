@@ -213,6 +213,8 @@ def cmd_block(args) -> int:
 
 def cmd_inspect(args) -> int:
     magic, meta, arrays = fileio.read_artifact(args.artifact)
+    # a training state is shown only if it could be resumed
+    state = tr.load_state(args.artifact) if magic == tr.STATE_MAGIC else None
     print(f"{args.artifact}: {magic} v{fileio.FORMAT_VERSION}")
     for key in sorted(meta):
         val = meta[key]
@@ -227,6 +229,15 @@ def cmd_inspect(args) -> int:
     if magic == mb.BANK_MAGIC:
         acc = mb.bank_accounting(mb.MemoryConfig.from_meta(meta), k=meta["k"], **meta["dims"])
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
+    if state is not None:
+        print(f"  step {state.step}, aborted {state.aborted}")
+        updates: dict[int, list[int]] = {}
+        for key, st in state.opt.items():
+            owner, block = key.split(".", 1)  # anchor.<param>, l<level>.<block id or generic>
+            if owner != "anchor" and block != "generic":
+                updates.setdefault(int(owner[1:]), []).append(st.steps)
+        for level, n in sorted(updates.items()):
+            print(f"  level {level}: {len(n)} blocks trained, updates min {min(n)} max {max(n)}")
     return 0
 
 

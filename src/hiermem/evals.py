@@ -11,15 +11,14 @@ interleaves topics, so every topic owns entities from every frequency
 stratum. Recall is then measured per frequency quintile: prompt with
 "The <attribute> of <Entity> is", greedy-decode a few tokens, extract the
 first integer, compare to ground truth. Retrieval for a prompt uses only
-the prompt text; retrieval for perplexity uses the whole document.
+the prompt text.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -231,23 +230,6 @@ def assign_buckets(facts: list[Fact], n_buckets: int = 5) -> None:
             facts[int(i)].bucket = b
 
 
-def save_corpus(docs: list[Document], path) -> None:
-    lines = []
-    for d in docs:
-        if "\n" in d.text:
-            raise EvalError("corpus documents must be single-line")
-        lines.append(d.text)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_facts(facts: list[Fact], path) -> None:
-    rows = [asdict(f) for f in facts]
-    for r in rows:
-        if r["home_leaf"] is not None:
-            r["home_leaf"] = list(r["home_leaf"])
-    Path(path).write_text(json.dumps(rows, indent=0, sort_keys=True) + "\n")
-
-
 def load_facts(path) -> list[Fact]:
     rows = json.loads(Path(path).read_text())
     out = []
@@ -295,54 +277,6 @@ def _attach(bank, model, rows):
     if rows is None:
         return None
     return mdl.AttachedMemories(bank.cfg, model.cfg, rows)
-
-
-# ---------------------------------------------------------------------------
-# perplexity
-# ---------------------------------------------------------------------------
-
-def perplexity(
-    model: mdl.TransformerModel,
-    bank: mb.MemoryBank | None,
-    tree: cl.ClusterTree | None,
-    ecfg: em.EmbedderConfig | None,
-    tok: ByteTokenizer,
-    texts: list[str],
-    mode: str = "fetched",
-    mask: mb.BlockMask | None = None,
-    batch_size: int = 16,
-) -> dict:
-    """Corpus perplexity with full-document retrieval per document."""
-    if mode not in ("none", "generic", "fetched"):
-        raise EvalError(f"unknown eval mode {mode!r}")
-    paths = route_texts(texts, tree, ecfg) if mode == "fetched" else None
-    max_len = model.cfg.context_length
-    total_nll = 0.0
-    total_tok = 0
-    order = sorted(range(len(texts)), key=lambda i: len(texts[i].encode("utf-8")))
-    for i0 in range(0, len(order), batch_size):
-        idx = order[i0 : i0 + batch_size]
-        full = [tok.encode(texts[i]) for i in idx]
-        toks = [t[:max_len] for t in full]
-        S = max(len(t) for t in toks)
-        inputs = np.full((len(idx), S), ByteTokenizer.EOT, dtype=np.int32)
-        targets = np.full((len(idx), S), ByteTokenizer.EOT, dtype=np.int32)
-        weights = np.zeros((len(idx), S), dtype=model.dtype)
-        for j, t in enumerate(toks):
-            inputs[j, : len(t)] = t
-            targets[j, : len(t) - 1] = t[1:]
-            # the last byte of a whole document predicts EOT (targets are
-            # EOT-filled); that of a truncated one would predict a byte
-            # beyond the context, so it carries no loss
-            weights[j, : len(t) if len(full[j]) <= max_len else len(t) - 1] = 1.0
-        rows = _memory_rows(bank, paths[idx] if paths is not None else None, mode, mask, model.dtype)
-        logits = mdl.forward(model, inputs, mems=_attach(bank, model, rows))
-        ce = nc.cross_entropy(logits, targets, weights)
-        pw = ce._pointwise.reshape(weights.shape)
-        total_nll += float((pw * weights).sum())
-        total_tok += int(weights.sum())
-    nll = total_nll / max(total_tok, 1)
-    return {"mode": mode, "nll": nll, "perplexity": math.exp(nll), "tokens": total_tok}
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +415,4 @@ def write_recall_report(rep: RecallReport, csv_path, jsonl_path=None) -> None:
         rows.append(["routing", None, None, rep.routing_accuracy])
     fileio.write_csv(csv_path, ("bucket", "count", "correct", "accuracy"), rows)
     if jsonl_path is not None:
-        with open(jsonl_path, "w") as f:
-            for t in rep.traces:
-                f.write(json.dumps(t, sort_keys=True) + "\n")
+        fileio.write_lines(jsonl_path, (json.dumps(t, sort_keys=True) for t in rep.traces))

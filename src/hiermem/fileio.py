@@ -12,12 +12,15 @@ Layout (all integers little-endian):
 Identical inputs produce identical bytes (no timestamps, no compression),
 so sha256 digests of artifacts are stable across runs — that property is
 what the resume and determinism checks lean on. ``write_csv`` is the one
-writer of the package's CSV reports.
+writer of the package's CSV reports. Artifacts, CSVs and JSONL reports are
+all written to a temporary file that then replaces the target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -60,41 +63,50 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a small table as CSV, the one format for every ``.csv`` output.
-
-    Floats are written ``%.10g``, NaN and None as an empty cell, and lists
-    joined by ``|``; lines end in LF. No cell is quoted, so cells must not
-    hold commas or newlines.
-    """
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write an artifact whole or not at all.
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file whose bytes replace ``path`` when the block completes.
 
     The bytes go to a temporary file beside ``path``, which then replaces
     it, so a write that fails or is interrupted leaves the previous file as
     it was. There is no fsync, so this does not guard against power loss.
     """
-    if len(magic) > 8:
-        raise ValueError(f"magic {magic!r} longer than 8 bytes")
-    mb = canonical_json(meta)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
-        _write_artifact_bytes(tmp, magic, mb, arrays)
+        with open(tmp, "wb") as f:
+            yield f
         os.replace(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_artifact_bytes(p: Path, magic: str, mb: bytes, arrays: dict[str, np.ndarray]) -> None:
-    with open(p, "wb") as f:
+def write_lines(path, lines) -> None:
+    """Write text lines, each ended by LF, whole or not at all."""
+    with _replacing(path) as f:
+        for line in lines:
+            f.write(line.encode("utf-8") + b"\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a small table as CSV, the one format for every ``.csv`` output.
+
+    Floats are written ``%.10g``, NaN and None as an empty cell, and lists
+    joined by ``|``. No cell is quoted, so cells must not hold commas or
+    newlines.
+    """
+    lines = (",".join(_csv_cell(v) for v in row) for row in rows)
+    write_lines(path, itertools.chain([",".join(header)], lines))
+
+
+def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write an artifact whole or not at all."""
+    if len(magic) > 8:
+        raise ValueError(f"magic {magic!r} longer than 8 bytes")
+    mb = canonical_json(meta)
+    with _replacing(path) as f:
         f.write(magic.encode("ascii").ljust(8))
         f.write(struct.pack("<I", FORMAT_VERSION))
         f.write(struct.pack("<Q", len(mb)))
@@ -113,13 +125,26 @@ def _write_artifact_bytes(p: Path, magic: str, mb: bytes, arrays: dict[str, np.n
             f.write(np.ascontiguousarray(arr).tobytes())
 
 
+class _Fields(dict):
+    """Metadata keys or arrays read from ``path``; a missing key is an ``ArtifactError``."""
+
+    def __init__(self, pairs, path, what: str):
+        super().__init__(pairs)
+        self.path = path
+        self.what = what
+
+    def __missing__(self, key):
+        raise ArtifactError(f"{self.path}: no {self.what} {key!r}")
+
+
 def read_artifact(path, expect_magic: str | None = None):
     """Returns (magic, meta, arrays) with arrays in file order.
 
     Every length field is checked against the bytes left in the file
     before it is read, so a damaged file raises ``ArtifactError`` rather
     than a struct, JSON or allocation error; bytes after the last array
-    are rejected too.
+    are rejected too. Looking up a metadata key (at any depth) or an array
+    the file lacks raises ``ArtifactError`` as well.
     """
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
@@ -142,13 +167,14 @@ def read_artifact(path, expect_magic: str | None = None):
             raise ArtifactError(f"{path}: unsupported format version {version}")
         raw_meta = take(unpack("<Q", "header"), "metadata")
         try:
-            meta = json.loads(raw_meta.decode("utf-8"))
+            meta = json.loads(raw_meta.decode("utf-8"),
+                              object_pairs_hook=lambda pairs: _Fields(pairs, path, "metadata key"))
         except ValueError as e:  # bad UTF-8 or bad JSON
             raise ArtifactError(f"{path}: corrupt metadata ({e})") from None
         if not isinstance(meta, dict):
             raise ArtifactError(f"{path}: metadata is not a JSON object")
         n = unpack("<I", "header")
-        arrays: dict[str, np.ndarray] = {}
+        arrays: dict[str, np.ndarray] = _Fields((), path, "array")
         for _ in range(n):
             raw_name = take(unpack("<H", "array header"), "array header")
             raw_dtype = take(unpack("<B", "array header"), "array header")

@@ -70,12 +70,32 @@ class AnchorConfig:
         return self.num_heads * self.head_dim
 
 
-def count_params(cfg: AnchorConfig) -> int:
-    """Closed-form anchor parameter count (must equal the enumerated sum)."""
+def _anchor_layout(cfg: AnchorConfig) -> dict[str, tuple[int, ...]]:
+    """Every anchor parameter's name and shape, in init and file order.
+
+    2-D entries are weights, 1-D entries are RMS-norm gains.
+    """
     H = cfg.attn_width
-    per_layer = 4 * cfg.dim * H + 2 * H + 3 * cfg.dim * cfg.ffn_dim + 2 * cfg.dim
-    emb = cfg.vocab_size * cfg.dim * (1 if cfg.tied_head else 2)
-    return emb + cfg.num_layers * per_layer + cfg.dim
+    layout = {"tok_embeddings.weight": (cfg.vocab_size, cfg.dim)}
+    for i in range(cfg.num_layers):
+        pre = f"layers.{i}."
+        layout |= {
+            pre + "attn_norm.gain": (cfg.dim,),
+            pre + "wq": (cfg.dim, H),
+            pre + "wk": (cfg.dim, H),
+            pre + "wv": (cfg.dim, H),
+            pre + "q_norm.gain": (H,),
+            pre + "k_norm.gain": (H,),
+            pre + "wo": (H, cfg.dim),
+            pre + "ffn_norm.gain": (cfg.dim,),
+            pre + "w1": (cfg.dim, cfg.ffn_dim),
+            pre + "w2": (cfg.dim, cfg.ffn_dim),
+            pre + "w3": (cfg.ffn_dim, cfg.dim),
+        }
+    layout["final_norm.gain"] = (cfg.dim,)
+    if not cfg.tied_head:
+        layout["head.weight"] = (cfg.vocab_size, cfg.dim)
+    return layout
 
 
 class TransformerModel:
@@ -87,9 +107,6 @@ class TransformerModel:
     def named_params(self) -> list[tuple[str, nc.Tensor]]:
         return list(self.params.items())
 
-    def num_params(self) -> int:
-        return sum(int(t.data.size) for t in self.params.values())
-
     def set_trainable(self, trainable: bool) -> None:
         for t in self.params.values():
             t.requires_grad = trainable
@@ -97,33 +114,14 @@ class TransformerModel:
 
 def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> TransformerModel:
     rng = np.random.default_rng([seed, 0x40DE1])
-    H = cfg.attn_width
     dt = np.dtype(dtype)
-    p: dict[str, nc.Tensor] = {}
-
-    def w(shape):
-        return nc.Tensor(_trunc_normal(rng, shape).astype(dt), requires_grad=True)
-
-    def gain(n):
-        return nc.Tensor(np.ones(n, dtype=dt), requires_grad=True)
-
-    p["tok_embeddings.weight"] = w((cfg.vocab_size, cfg.dim))
-    for i in range(cfg.num_layers):
-        pre = f"layers.{i}."
-        p[pre + "attn_norm.gain"] = gain(cfg.dim)
-        p[pre + "wq"] = w((cfg.dim, H))
-        p[pre + "wk"] = w((cfg.dim, H))
-        p[pre + "wv"] = w((cfg.dim, H))
-        p[pre + "q_norm.gain"] = gain(H)
-        p[pre + "k_norm.gain"] = gain(H)
-        p[pre + "wo"] = w((H, cfg.dim))
-        p[pre + "ffn_norm.gain"] = gain(cfg.dim)
-        p[pre + "w1"] = w((cfg.dim, cfg.ffn_dim))
-        p[pre + "w2"] = w((cfg.dim, cfg.ffn_dim))
-        p[pre + "w3"] = w((cfg.ffn_dim, cfg.dim))
-    p["final_norm.gain"] = gain(cfg.dim)
-    if not cfg.tied_head:
-        p["head.weight"] = w((cfg.vocab_size, cfg.dim))
+    p = {
+        name: nc.Tensor(
+            _trunc_normal(rng, shape).astype(dt) if len(shape) == 2 else np.ones(shape, dtype=dt),
+            requires_grad=True,
+        )
+        for name, shape in _anchor_layout(cfg).items()
+    }
     return TransformerModel(cfg, p, dtype=dt)
 
 
@@ -301,7 +299,7 @@ def forward(
         cache.length = end
     xf = nc.rms_norm(x, p["final_norm.gain"], cfg.norm_eps)
     head = p["tok_embeddings.weight"] if cfg.tied_head else p["head.weight"]
-    return nc.matmul(xf, head, transpose_b=True)
+    return nc.matmul(xf, nc.transpose(head, (1, 0)))
 
 
 def save_model(model: TransformerModel, path, extra_meta: dict | None = None) -> None:
@@ -313,8 +311,18 @@ def save_model(model: TransformerModel, path, extra_meta: dict | None = None) ->
 
 
 def load_model(path) -> tuple[TransformerModel, dict]:
+    """The model a checkpoint holds, checked against its config's layout."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=MODEL_MAGIC)
     cfg = AnchorConfig(**{**meta["config"], "rope_base": float(meta["config"]["rope_base"])})
     dtype = np.dtype(meta["dtype"])
-    params = {name: nc.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+    layout = _anchor_layout(cfg)
+    extra = [name for name in arrays if name not in layout]
+    if extra:
+        raise ModelError(f"{path}: parameters {extra} are not in the config's layout")
+    params = {}
+    for name, shape in layout.items():
+        arr = arrays[name]  # a missing parameter is an ArtifactError
+        if arr.shape != shape:
+            raise ModelError(f"{path}: {name} is shaped {arr.shape}, the config needs {shape}")
+        params[name] = nc.Tensor(arr, requires_grad=True)
     return TransformerModel(cfg, params, dtype=dtype), meta

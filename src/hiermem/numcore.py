@@ -13,7 +13,6 @@ is how gradients are verified against central finite differences.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -81,46 +80,32 @@ class _Node:
         self.bwd = bwd
 
 
-_STATE = threading.local()
-
-
-def _tape_stack():
-    if not hasattr(_STATE, "stack"):
-        _STATE.stack = []
-    return _STATE.stack
+_ACTIVE: Tape | None = None
 
 
 class Tape:
-    """Explicit recording context.
-
-    Disjoint tapes are independent; the stack is thread-local so concurrent
-    backward passes on disjoint tapes are safe.
-    """
+    """Explicit recording context; at most one is active at a time."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a tape is already active; tapes do not nest")
+        _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        if popped is not self:
-            raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
+        global _ACTIVE
+        _ACTIVE = None
         return False
 
 
-def _active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 def _record(out: Tensor, inputs: list[Tensor], bwd) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad or t._rec for t in inputs):
+    if _ACTIVE is not None and any(t.requires_grad or t._rec for t in inputs):
         out._rec = True
-        tape.nodes.append(_Node(out, inputs, bwd))
+        _ACTIVE.nodes.append(_Node(out, inputs, bwd))
     return out
 
 
@@ -165,16 +150,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = Tensor(a.data + b.data)
     except ValueError:
@@ -192,7 +172,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = Tensor(a.data * b.data)
     except ValueError:
@@ -324,20 +303,16 @@ def transpose(x: Tensor, axes) -> Tensor:
 # matmul
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """np.matmul semantics, optionally with the last two axes of b swapped.
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """np.matmul semantics.
 
     Supports 2D@2D, batched 3D/4D stacks, and (…, k) @ (k, n) broadcasts —
     batched per-sequence memory weights use stacked b of shape (B, k, n).
     """
-    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
     try:
-        out = Tensor(np.matmul(a.data, bd))
+        out = Tensor(np.matmul(a.data, b.data))
     except ValueError:
-        raise ShapeError(
-            f"matmul: shapes {a.data.shape} @ {b.data.shape}"
-            + (" (transposed)" if transpose_b else "")
-        )
+        raise ShapeError(f"matmul: shapes {a.data.shape} @ {b.data.shape}")
     # captured now: a frozen operand (requires_grad off, not produced on a
     # tape) skips its gradient gemm entirely
     na = a.requires_grad or a._rec
@@ -346,12 +321,9 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     def bwd(g):
         ga = gb = None
         if na:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.data.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
         if nb:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if transpose_b:
-                gb = np.swapaxes(gb, -1, -2)
-            gb = _unbroadcast(gb, b.data.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return (ga, gb)
 
     return _record(out, [a, b], bwd)

@@ -2,8 +2,8 @@
 
 Each tree level's blocks live on one storage tier (bandwidth + fixed
 per-request latency). Loading level l costs fixed + bytes/bandwidth with
-bytes = params * bytes_per_param (2 by default, 16-bit storage). A fetch
-loads every level; levels load concurrently ("parallel": total is the
+bytes = params * bytes_per_param, the width of the bank's float32
+parameters. A fetch loads every level; levels load concurrently ("parallel": total is the
 slowest level) or back to back ("serial": total is the sum).
 
 Sessions exploit the hierarchy's compositionality: consecutive queries
@@ -21,8 +21,6 @@ import numpy as np
 from . import cluster as cl
 
 MODES = ("parallel", "serial")
-
-DEFAULT_BYTES_PER_PARAM = 2
 
 
 class TierError(ValueError):
@@ -45,13 +43,11 @@ class Tier:
 @dataclass(frozen=True)
 class TierPlacement:
     tiers: tuple[Tier, ...]           # tiers[l-1] serves level l
-    bytes_per_param: int = DEFAULT_BYTES_PER_PARAM
+    bytes_per_param = np.dtype(np.float32).itemsize  # not a field: banks store float32
 
     def __post_init__(self):
         if not self.tiers:
             raise TierError("placement needs at least one level")
-        if self.bytes_per_param < 1:
-            raise TierError(f"bytes_per_param must be >= 1, got {self.bytes_per_param}")
 
     @property
     def depth(self) -> int:
@@ -136,7 +132,7 @@ def parse_tier_spec(path) -> TierPlacement:
     """Read a placement from a key-value spec file.
 
     Sections [tier.<name>] define bandwidth/fixed_latency; [placement]
-    assigns level<N> = <tier name> and an optional bytes_per_param.
+    assigns level<N> = <tier name>. Any other key is an error.
     """
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -146,6 +142,7 @@ def parse_tier_spec(path) -> TierPlacement:
     for sec in cp.sections():
         if sec.startswith("tier."):
             name = sec[len("tier."):]
+            _check_keys(path, cp[sec], ("bandwidth", "fixed_latency"))
             try:
                 tiers[name] = Tier(
                     name=name,
@@ -158,6 +155,7 @@ def parse_tier_spec(path) -> TierPlacement:
         raise TierError(f"tier spec {path}: missing [placement] section")
     pl = cp["placement"]
     levels = sorted((key for key in pl if key.startswith("level")), key=lambda s: (len(s), s))
+    _check_keys(path, pl, levels)
     ordered = []
     for i, key in enumerate(levels, start=1):
         if key != f"level{i}":
@@ -166,6 +164,11 @@ def parse_tier_spec(path) -> TierPlacement:
         if tname not in tiers:
             raise TierError(f"tier spec {path}: level{i} references unknown tier {tname!r}")
         ordered.append(tiers[tname])
-    bpp = pl.getint("bytes_per_param", fallback=DEFAULT_BYTES_PER_PARAM)
-    return TierPlacement(tiers=tuple(ordered), bytes_per_param=bpp)
+    return TierPlacement(tiers=tuple(ordered))
+
+
+def _check_keys(path, section, known) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise TierError(f"tier spec {path}: section [{section.name}] has unknown keys {unknown}")
 

@@ -1,9 +1,12 @@
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
 from hiermem import cli
 from hiermem import evals as ev
+from hiermem import fileio
 from hiermem import membank as mb
 
 BASE_INI = """\
@@ -55,13 +58,13 @@ def ws(tmp_path_factory):
     spec = ev.SyntheticCorpusSpec(topics=2, entities_per_topic=4, zipf_exponent=1.0,
                                   total_fact_mentions=40, filler_docs_per_topic=8, seed=3)
     docs, facts = ev.gen_corpus(spec)
-    ev.save_corpus(docs, root / "corpus.txt")
-    ev.save_facts(facts, root / "facts.json")
+    (root / "corpus.txt").write_text("".join(d.text + "\n" for d in docs))
+    (root / "facts.json").write_text(json.dumps([asdict(f) for f in facts]))
     (root / "run.ini").write_text(BASE_INI)
     (root / "tiers.ini").write_text(
         "[tier.ram]\nbandwidth = 12e9\nfixed_latency = 100e-6\n"
         "[tier.ssd]\nbandwidth = 2e9\nfixed_latency = 1e-3\n"
-        "[placement]\nlevel1 = ram\nlevel2 = ssd\nbytes_per_param = 2\n"
+        "[placement]\nlevel1 = ram\nlevel2 = ssd\n"
     )
     return root
 
@@ -87,6 +90,7 @@ def trained(ws):
         "tree": tree,
         "model": outb / "ckpt_final" / "model.ckpt",
         "bank": outb / "ckpt_final" / "bank.bin",
+        "state": outb / "ckpt_final" / "trainstate.bin",
         "facts": str(ws / "facts.json"),
         "ini": ini,
     }
@@ -119,6 +123,37 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
         p.write_bytes(data)
         assert cli.main(["inspect", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def damaged(source, name, change):
+        magic, meta, arrays = fileio.read_artifact(source)
+        change(meta, arrays)
+        fileio.write_artifact(tmp_path / name, magic, meta, arrays)
+        return str(tmp_path / name)
+
+    def cut_wq(meta, arrays):
+        arrays["layers.0.wq"] = arrays["layers.0.wq"][:, :3]
+
+    def narrow_metrics(meta, arrays):
+        arrays["metrics.rows"] = arrays["metrics.rows"][:, :-1]
+
+    no_wq = damaged(trained["model"], "no_wq.ckpt", lambda meta, arrays: arrays.pop("layers.0.wq"))
+    cut = damaged(trained["model"], "cut_wq.ckpt", cut_wq)
+    no_level2 = damaged(trained["bank"], "no_level2.bin", lambda meta, arrays: arrays.pop("level2"))
+    no_k = damaged(trained["bank"], "no_k.bin", lambda meta, arrays: meta.pop("k"))
+    narrow = damaged(trained["state"], "narrow.bin", narrow_metrics)
+    common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
+    cases = [
+        (["eval", no_wq, trained["facts"], "--mode", "none", *common], "layers.0.wq"),
+        (["eval", cut, trained["facts"], "--mode", "none", *common], "layers.0.wq"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", no_level2,
+          "--tree", trained["tree"], *common], "level2"),
+        (["inspect", no_k], "'k'"),
+        (["inspect", narrow], "columns"),
+    ]
+    for argv, named in cases:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
 def test_cluster_writes_tree_and_index(ws, trained, capsys):
@@ -274,6 +309,14 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
                              dim=16, heads=2, head_dim=8, ffn_dim=32,
                              num_layers=2, k=2)
     assert f"fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}" in out
+
+    assert cli.main(["inspect", str(trained["state"])]) == 0
+    out = capsys.readouterr().out
+    assert "HMSTATE" in out and "step 5, aborted 0" in out
+    opt_steps = fileio.read_artifact(trained["state"])[1]["opt_steps"]
+    for level in (1, 2):
+        n = [v for key, v in opt_steps.items() if key.startswith(f"l{level}.") and key[3:] != "generic"]
+        assert f"level {level}: {len(n)} blocks trained, updates min {min(n)} max {max(n)}" in out
 
 
 def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):

@@ -89,3 +89,16 @@ def test_failed_write_leaves_previous_artifact_and_no_temp_file(tmp_path):
     fileio.write_artifact(p, "TEST", {"v": 2}, {"x": np.arange(5.0)})
     assert fileio.read_artifact(p)[1] == {"v": 2}
     assert sorted(q.name for q in tmp_path.iterdir()) == ["a.bin"]
+
+    c = tmp_path / "m.csv"
+    fileio.write_csv(c, ["step"], [[1], [2]])
+    before = c.read_bytes()
+
+    def rows():
+        yield [3]
+        raise OSError("device lost mid-table")
+
+    with pytest.raises(OSError, match="mid-table"):
+        fileio.write_csv(c, ["step"], rows())
+    assert c.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["a.bin", "m.csv"]

@@ -35,12 +35,16 @@ def test_forward_matches_straight_line_oracle_per_sequence():
         assert np.abs(logits.data[b] - ref).max() < 1e-12
 
 
-def test_count_params_matches_enumeration_tied_and_untied():
+def test_param_count_matches_closed_form_tied_and_untied():
     for tied in (False, True):
         cfg = mdl.AnchorConfig(num_layers=3, dim=24, num_heads=3, head_dim=8,
                                ffn_dim=48, vocab_size=101, tied_head=tied)
         model = mdl.init_model(cfg, seed=1)
-        assert mdl.count_params(cfg) == model.num_params()
+        H = cfg.attn_width
+        per_layer = 4 * cfg.dim * H + 2 * H + 3 * cfg.dim * cfg.ffn_dim + 2 * cfg.dim
+        emb = cfg.vocab_size * cfg.dim * (1 if tied else 2)
+        want = emb + cfg.num_layers * per_layer + cfg.dim
+        assert sum(p.data.size for _, p in model.named_params()) == want
     tied_names = {n for n, _ in mdl.init_model(
         mdl.AnchorConfig(num_layers=1, dim=8, num_heads=1, head_dim=8,
                          ffn_dim=16, vocab_size=11, tied_head=True), seed=0).named_params()}

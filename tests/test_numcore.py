@@ -44,7 +44,7 @@ def test_matmul_grads_both_orientations():
     b = rng.normal(size=(5, 2))
     fd_check(lambda ts: total(nc.matmul(ts[0], ts[1])), [a, b])
     bt = rng.normal(size=(2, 5))
-    fd_check(lambda ts: total(nc.matmul(ts[0], ts[1], transpose_b=True)), [a, bt])
+    fd_check(lambda ts: total(nc.matmul(ts[0], nc.transpose(ts[1], (1, 0)))), [a, bt])
 
 
 def test_silu_softmax_rmsnorm_grads():
@@ -116,6 +116,19 @@ def test_frozen_operand_skips_gradient():
     nc.backward(tape, loss)
     assert w.grad is None
     assert x.grad is not None
+
+
+def test_tapes_do_not_nest():
+    x = nc.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    with nc.Tape() as tape:
+        with pytest.raises(RuntimeError, match="already active"):
+            with nc.Tape():
+                pass
+        loss = total(nc.mul(x, x))  # the outer tape still records
+    nc.backward(tape, loss)
+    assert np.allclose(x.grad, 2 * x.data)
+    with nc.Tape():  # and it was released on exit
+        pass
 
 
 def test_zero_dim_float64_result_is_not_downcast():

@@ -14,17 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hiermem"
 
-# kept without a production caller, each for the reason given
-ALLOWED = {
-    "model.count_params": "closed-form count a test checks against the enumeration",
-    "model.TransformerModel.num_params": "the enumerated count count_params is checked against",
-    "evals.perplexity": "the paper's language-model metric, not yet a CLI command",
-    "train.load_state": "resume; the CLI has no --resume yet",
-    "evals.save_corpus": "writes the corpus file the CLI reads",
-    "evals.save_facts": "writes the fact table the CLI reads",
-}
-
-
 class _References(ast.NodeVisitor):
     """Names and attributes referenced, skipping a function's mentions of itself."""
 
@@ -89,6 +78,4 @@ def _unused() -> list[str]:
 
 
 def test_every_public_name_has_a_production_caller():
-    # equality, not inclusion: an allowlisted name that gains a caller or
-    # is deleted leaves the list
-    assert _unused() == sorted(ALLOWED)
+    assert _unused() == []

@@ -18,11 +18,11 @@ def test_level_latency_formula_and_empty_level():
 
 @pytest.mark.parametrize("mode", ts.MODES)
 def test_load_latency_matches_oracle(mode):
-    pl = ts.TierPlacement(tiers=(RAM, SSD, HDD), bytes_per_param=2)
+    pl = ts.TierPlacement(tiers=(RAM, SSD, HDD))
     sizes = [50_000, 0, 3_000_000]
     got = ts.load_latency(sizes, pl, mode=mode)
     ref = rc.oracle_latency(
-        [s * 2 for s in sizes],
+        [s * 4 for s in sizes],  # float32 banks
         [(t.bandwidth, t.fixed_latency) for t in pl.tiers],
         mode,
     )
@@ -93,13 +93,13 @@ def test_parse_tier_spec_roundtrip(tmp_path):
     spec.write_text(
         "[tier.ram]\nbandwidth = 12e9\nfixed_latency = 100e-6\n"
         "[tier.ssd]\nbandwidth = 2e9\nfixed_latency = 1e-3\n"
-        "[placement]\nlevel1 = ram\nlevel2 = ssd\nbytes_per_param = 4\n"
+        "[placement]\nlevel1 = ram\nlevel2 = ssd\n"
     )
     pl = ts.parse_tier_spec(spec)
     assert pl.depth == 2
     assert pl.tiers[0].name == "ram" and pl.tiers[1].name == "ssd"
     assert pl.tiers[1].fixed_latency == pytest.approx(1e-3)
-    assert pl.bytes_per_param == 4
+    assert pl.bytes_per_param == 4  # the width of a float32 bank
 
 
 def test_parse_tier_spec_errors(tmp_path):
@@ -118,6 +118,14 @@ def test_parse_tier_spec_errors(tmp_path):
     bad.write_text("[tier.ram]\nbandwidth = 0\nfixed_latency = 0\n[placement]\nlevel1 = ram\n")
     with pytest.raises(ts.TierError, match="bandwidth"):
         ts.parse_tier_spec(bad)
+    # a misspelt key is refused, not silently left at a default
+    bad.write_text("[tier.ram]\nbandwidth = 12e9\nfixed_latency = 0\n"
+                   "[placement]\nlevel1 = ram\nbytes_per_parm = 4\n")
+    with pytest.raises(ts.TierError, match="bytes_per_parm"):
+        ts.parse_tier_spec(bad)
+    bad.write_text("[tier.ram]\nbandwidth = 12e9\nfixed_latncy = 0\n[placement]\nlevel1 = ram\n")
+    with pytest.raises(ts.TierError, match="fixed_latncy"):
+        ts.parse_tier_spec(bad)
 
 
 def test_validation_errors():
@@ -127,8 +135,6 @@ def test_validation_errors():
         ts.Tier("x", bandwidth=1, fixed_latency=-1)
     with pytest.raises(ts.TierError):
         ts.TierPlacement(tiers=())
-    with pytest.raises(ts.TierError):
-        ts.TierPlacement(tiers=(RAM,), bytes_per_param=0)
     pl = ts.TierPlacement(tiers=(RAM, SSD))
     with pytest.raises(ts.TierError):
         ts.load_latency([1, 2, 3], pl)

@@ -47,9 +47,11 @@ def _read_corpus(path) -> list[str]:
 
 
 def _provenance(rc: hc.RunConfig, **inputs) -> dict:
+    # the file name, not the path: artifact bytes must not depend on where
+    # the inputs sit or where the command runs
     meta = {"config_digest": rc.digest}
     for name, p in inputs.items():
-        meta[f"input_{name}"] = {"path": str(p), "sha256": fileio.sha256_file(p)}
+        meta[f"input_{name}"] = {"name": Path(p).name, "sha256": fileio.sha256_file(p)}
     return meta
 
 
@@ -91,6 +93,17 @@ def cmd_train(args) -> int:
             f"[anchor] vocab_size {rc.anchor.vocab_size} has no id for EOT ({tok.EOT}); "
             f"it must be at least {tok.EOT + 1}"
         )
+    # the bank is checked against the tree before the corpus is embedded
+    bank = None
+    with_bank = rc.train.regime in ("memory", "cotrain")
+    if with_bank and args.bank:
+        bank = mb.load_bank(args.bank)
+        _check_bank_fits_tree(bank, tree)
+    elif with_bank and len(rc.memory.rs) != tree.depth:
+        raise hc.ConfigError(
+            f"[memory] rs has {len(rc.memory.rs)} levels but the tree has depth {tree.depth}"
+        )
+
     vecs = em.embed_batch(docs, rc.embedder)
     paths = [tuple(p) for p in cl.assign_batch(vecs, tree)]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], paths, rc.train.seq_len, tok,
@@ -100,17 +113,12 @@ def cmd_train(args) -> int:
         model, _ = mdl.load_model(args.init)
     else:
         model = mdl.init_model(rc.anchor, seed=rc.seed)
-    bank = None
-    if rc.train.regime in ("memory", "cotrain"):
-        if args.bank:
-            bank = mb.load_bank(args.bank)
-        else:
-            bank = mb.init_bank(
-                rc.memory, dim=rc.anchor.dim, heads=rc.anchor.num_heads,
-                head_dim=rc.anchor.head_dim, ffn_dim=rc.anchor.ffn_dim,
-                num_layers=rc.anchor.num_layers, k=tree.k, seed=rc.seed,
-            )
-        _check_bank_fits_tree(bank, tree)
+    if with_bank and bank is None:
+        bank = mb.init_bank(
+            rc.memory, dim=rc.anchor.dim, heads=rc.anchor.num_heads,
+            head_dim=rc.anchor.head_dim, ffn_dim=rc.anchor.ffn_dim,
+            num_layers=rc.anchor.num_layers, k=tree.k, seed=rc.seed,
+        )
 
     meta = _provenance(rc, corpus=args.corpus, tree=args.tree)
     state = tr.train_run(model, bank, seqs, rc.train, out, extra_meta=meta)
@@ -218,8 +226,8 @@ def cmd_inspect(args) -> int:
     print(f"{args.artifact}: {magic} v{fileio.FORMAT_VERSION}")
     for key in sorted(meta):
         val = meta[key]
-        if isinstance(val, dict) and set(val) == {"path", "sha256"}:
-            val = f"{val['path']} sha256:{val['sha256'][:16]}…"
+        if isinstance(val, dict) and set(val) == {"name", "sha256"}:
+            val = f"{val['name']} sha256:{val['sha256'][:16]}…"
         print(f"  {key}: {val}")
     total = 0
     for name, arr in arrays.items():
@@ -227,7 +235,8 @@ def cmd_inspect(args) -> int:
         print(f"  array {name}: {arr.dtype} {arr.shape}")
     print(f"  total elements: {total:,}")
     if magic == mb.BANK_MAGIC:
-        acc = mb.bank_accounting(mb.MemoryConfig.from_meta(meta), k=meta["k"], **meta["dims"])
+        mcfg = fileio.stored_config(mb.MemoryConfig, meta, args.artifact)
+        acc = mb.bank_accounting(mcfg, k=meta["k"], **meta["dims"])
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
     if state is not None:
         print(f"  step {state.step}, aborted {state.aborted}")

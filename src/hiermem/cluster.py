@@ -251,6 +251,6 @@ def save_tree(tree: ClusterTree, path, extra_meta: dict | None = None) -> None:
 
 def load_tree(path) -> ClusterTree:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=TREE_MAGIC)
-    cfg = ClusterConfig(**meta["config"])
+    cfg = fileio.stored_config(ClusterConfig, meta, path)
     levels = [arrays[f"level{l + 1}"] for l in range(cfg.depth)]
     return ClusterTree(config=cfg, dim=meta["dim"], levels=levels, meta=meta.get("tree_meta", {}))

@@ -230,12 +230,34 @@ def assign_buckets(facts: list[Fact], n_buckets: int = 5) -> None:
             facts[int(i)].bucket = b
 
 
+_FACT_FIELD_TYPES = {"entity": int, "name": str, "topic": int, "attribute": str,
+                     "value": int, "mentions": int, "bucket": int}
+
+
 def load_facts(path) -> list[Fact]:
-    rows = json.loads(Path(path).read_text())
+    """The fact table a JSON file holds: a list of objects with ``Fact``'s fields.
+
+    A file that is not such a list, a row missing a field or holding an
+    unknown one, or a field of the wrong type is an ``EvalError``.
+    """
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise EvalError(f"{path}: not a JSON fact table ({e})") from None
+    if not isinstance(rows, list):
+        raise EvalError(f"{path}: a fact table is a JSON list, not {type(rows).__name__}")
     out = []
-    for r in rows:
-        hl = r.pop("home_leaf", None)
-        out.append(Fact(**r, home_leaf=tuple(hl) if hl else None))
+    for i, r in enumerate(rows):
+        try:
+            hl = r.pop("home_leaf", None)
+            fact = Fact(**r, home_leaf=tuple(hl) if hl else None)
+        except (AttributeError, TypeError) as e:  # not an object, missing or unknown field
+            raise EvalError(f"{path}: fact {i} is not a fact row ({e})") from None
+        for name, typ in _FACT_FIELD_TYPES.items():
+            v = getattr(fact, name)
+            if not isinstance(v, typ) or isinstance(v, bool):
+                raise EvalError(f"{path}: fact {i} has {name} {v!r}, not {typ.__name__}")
+        out.append(fact)
     return out
 
 

@@ -194,3 +194,15 @@ def read_artifact(path, expect_magic: str | None = None):
         if left:
             raise ArtifactError(f"{path}: {left} trailing bytes after the last array")
         return magic, meta, arrays
+
+
+def stored_config(cls, meta: dict, path):
+    """The config dataclass ``cls`` an artifact recorded under ``meta["config"]``.
+
+    A field ``cls`` does not know, or a value its checks refuse, is an
+    ``ArtifactError`` naming the file.
+    """
+    try:
+        return cls(**meta["config"])
+    except (TypeError, ValueError) as e:
+        raise ArtifactError(f"{path}: stored config is not a valid {cls.__name__} ({e})") from None

@@ -55,6 +55,7 @@ class MemoryConfig:
     masked_policy: str = "generic"     # what a blocked fetch substitutes: generic | zero
 
     def __post_init__(self):
+        object.__setattr__(self, "rs", tuple(self.rs))  # a stored config holds a JSON list
         if self.mem_type not in MEMORY_TYPES:
             raise ValueError(f"unknown memory type {self.mem_type!r}, expected one of {MEMORY_TYPES}")
         if self.placement not in PLACEMENTS:
@@ -68,13 +69,6 @@ class MemoryConfig:
     @property
     def depth(self) -> int:
         return len(self.rs)
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> MemoryConfig:
-        """The config an artifact recorded under ``meta["config"]``."""
-        c = meta["config"]
-        return cls(mem_type=c["mem_type"], rs=tuple(c["rs"]), placement=c["placement"],
-                   masked_policy=c.get("masked_policy", "generic"))
 
 
 def layer_subset(placement: str, num_layers: int) -> list[int]:
@@ -328,7 +322,7 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
 
 def load_bank(path) -> MemoryBank:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=BANK_MAGIC)
-    cfg = MemoryConfig.from_meta(meta)
+    cfg = fileio.stored_config(MemoryConfig, meta, path)
     depth = cfg.depth
     return MemoryBank(
         cfg=cfg,

@@ -59,6 +59,7 @@ class AnchorConfig:
     norm_eps: float = 1e-5
 
     def __post_init__(self):
+        object.__setattr__(self, "rope_base", float(self.rope_base))
         if self.head_dim % 2:
             raise ValueError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         for f in ("num_layers", "dim", "num_heads", "head_dim", "ffn_dim", "vocab_size", "context_length"):
@@ -313,7 +314,7 @@ def save_model(model: TransformerModel, path, extra_meta: dict | None = None) ->
 def load_model(path) -> tuple[TransformerModel, dict]:
     """The model a checkpoint holds, checked against its config's layout."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=MODEL_MAGIC)
-    cfg = AnchorConfig(**{**meta["config"], "rope_base": float(meta["config"]["rope_base"])})
+    cfg = fileio.stored_config(AnchorConfig, meta, path)
     dtype = np.dtype(meta["dtype"])
     layout = _anchor_layout(cfg)
     extra = [name for name in arrays if name not in layout]

@@ -304,15 +304,26 @@ def transpose(x: Tensor, axes) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul semantics.
+    """np.matmul semantics, with one GEMM for every shared weight.
 
-    Supports 2D@2D, batched 3D/4D stacks, and (…, k) @ (k, n) broadcasts —
-    batched per-sequence memory weights use stacked b of shape (B, k, n).
+    A 2-D ``b`` of shape (k, n) is a weight shared by every row of ``a``
+    (…, k): the forward and both gradients run as one 2-D GEMM over
+    ``a`` flattened to (rows, k), where ``np.matmul`` would loop one small
+    product per leading index. A stacked ``b`` — per-sequence memory
+    weights (B, k, n) — uses ``np.matmul`` and its broadcasting.
     """
-    try:
-        out = Tensor(np.matmul(a.data, b.data))
-    except ValueError:
-        raise ShapeError(f"matmul: shapes {a.data.shape} @ {b.data.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    shared = b.data.ndim == 2
+    if shared:
+        if a.data.ndim == 0 or sa[-1] != sb[0]:
+            raise ShapeError(f"matmul: shapes {sa} @ {sb}")
+        a2 = a.data.reshape(-1, sb[0])
+        out = Tensor((a2 @ b.data).reshape(sa[:-1] + sb[1:]))
+    else:
+        try:
+            out = Tensor(np.matmul(a.data, b.data))
+        except ValueError:
+            raise ShapeError(f"matmul: shapes {sa} @ {sb}")
     # captured now: a frozen operand (requires_grad off, not produced on a
     # tape) skips its gradient gemm entirely
     na = a.requires_grad or a._rec
@@ -320,10 +331,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         ga = gb = None
+        if shared:
+            g2 = g.reshape(-1, sb[1])
+            if na:
+                ga = (g2 @ b.data.T).reshape(sa)
+            if nb:
+                gb = a2.T @ g2
+            return (ga, gb)
         if na:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), sa)
         if nb:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), sb)
         return (ga, gb)
 
     return _record(out, [a, b], bwd)

@@ -370,7 +370,7 @@ def load_state(path) -> TrainState:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
     if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
         raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
-    state = TrainState(TrainConfig(**meta["config"]))
+    state = TrainState(fileio.stored_config(TrainConfig, meta, path))
     state.step = meta["step"]
     state.aborted = meta["aborted"]
     state.tokens_seen = meta["tokens_seen"]

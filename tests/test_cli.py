@@ -5,6 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from hiermem import cli
+from hiermem import embed as em
 from hiermem import evals as ev
 from hiermem import fileio
 from hiermem import membank as mb
@@ -141,6 +142,20 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
     no_level2 = damaged(trained["bank"], "no_level2.bin", lambda meta, arrays: arrays.pop("level2"))
     no_k = damaged(trained["bank"], "no_k.bin", lambda meta, arrays: meta.pop("k"))
     narrow = damaged(trained["state"], "narrow.bin", narrow_metrics)
+
+    def config_set(key, value):
+        def change(meta, arrays):
+            meta["config"][key] = value
+        return change
+
+    warp_model = damaged(trained["model"], "warp.ckpt", config_set("warp", 1))
+    no_layers = damaged(trained["model"], "no_layers.ckpt", config_set("num_layers", 0))
+    word_base = damaged(trained["model"], "word_base.ckpt", config_set("rope_base", "big"))
+    warp_tree = damaged(trained["tree"], "warp_tree.bin", config_set("warp", 1))
+    flat_tree = damaged(trained["tree"], "flat_tree.bin", config_set("depth", 0))
+    warp_state = damaged(trained["state"], "warp_state.bin", config_set("warp", 1))
+    foo_bank = damaged(trained["bank"], "foo_bank.bin", config_set("mem_type", "foo"))
+    flat_rs = damaged(trained["bank"], "flat_rs.bin", config_set("rs", 2))
     common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
     cases = [
         (["eval", no_wq, trained["facts"], "--mode", "none", *common], "layers.0.wq"),
@@ -149,11 +164,37 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
           "--tree", trained["tree"], *common], "level2"),
         (["inspect", no_k], "'k'"),
         (["inspect", narrow], "columns"),
+        (["eval", warp_model, trained["facts"], "--mode", "none", *common], "warp"),
+        (["eval", no_layers, trained["facts"], "--mode", "none", *common], "num_layers"),
+        (["eval", word_base, trained["facts"], "--mode", "none", *common], "big"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+          "--tree", warp_tree, *common], "warp"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+          "--tree", flat_tree, *common], "depth"),
+        (["inspect", warp_state], "warp"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", foo_bank,
+          "--tree", trained["tree"], *common], "foo"),
+        (["inspect", flat_rs], "MemoryConfig"),
     ]
     for argv, named in cases:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("table, named", [
+    ({"entity": 1}, "list"),
+    ([{"entity": 1}], "missing"),
+    ([{"entity": 1, "name": "a", "topic": 0, "attribute": "b", "value": "7", "mentions": 1}],
+     "value"),
+])
+def test_malformed_fact_table_exits_1(trained, tmp_path, capsys, table, named):
+    facts = tmp_path / "facts.json"
+    facts.write_text(json.dumps(table))
+    assert cli.main(["eval", str(trained["model"]), str(facts), "--mode", "none",
+                     "--config", trained["ini"], "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
 def test_cluster_writes_tree_and_index(ws, trained, capsys):
@@ -205,6 +246,19 @@ def test_train_accepts_more_leaves_than_vocab_spare_ids(ws, tmp_path):
     assert cli.main(["train", corpus, str(out / "tree.bin"), "--config", str(ini),
                      "--out", str(out)]) == 0
     assert (out / "ckpt_final" / "model.ckpt").exists()
+
+
+def test_train_checks_level_count_before_embedding(ws, trained, tmp_path, capsys, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before the level count was checked")
+
+    monkeypatch.setattr(em, "embed_batch", no_embedding)
+    ini = tmp_path / "three_levels.ini"
+    ini.write_text(BASE_INI.replace("regime = scratch", "regime = memory")
+                   .replace("rs = 2, 2", "rs = 2, 2, 2"))
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "rs has 3 levels but the tree has depth 2" in capsys.readouterr().err
 
 
 def test_bank_k_must_match_tree_k(ws, trained, tmp_path, capsys):
@@ -325,7 +379,7 @@ def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):
         assert cli.main(["cluster", corpus, "--config", ini,
                          "--out", str(tmp_path / f"c_{tag}")]) == 0
     assert sha(tmp_path / "c_r1" / "tree.bin") == sha(tmp_path / "c_r2" / "tree.bin")
-    # same inputs by the same paths -> byte-identical checkpoints
+    # same inputs -> byte-identical checkpoints
     tree = str(tmp_path / "c_r1" / "tree.bin")
     for tag in ("r1", "r2"):
         assert cli.main(["train", corpus, tree, "--config", ini,
@@ -333,6 +387,20 @@ def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):
     for name in ("model.ckpt", "trainstate.bin"):
         assert sha(tmp_path / "t_r1" / "ckpt_final" / name) == \
                sha(tmp_path / "t_r2" / "ckpt_final" / name)
+
+
+def test_artifacts_do_not_depend_on_the_working_directory(ws, tmp_path, monkeypatch):
+    digests = []
+    for tag in ("a", "b"):
+        d = tmp_path / tag / "inputs"
+        d.mkdir(parents=True)
+        (d / "corpus.txt").write_bytes((ws / "corpus.txt").read_bytes())
+        (d / "run.ini").write_text(BASE_INI)
+        monkeypatch.chdir(d)
+        assert cli.main(["cluster", str(d / "corpus.txt"), "--config", "run.ini",
+                         "--out", "out"]) == 0
+        digests.append(sha(d / "out" / "tree.bin"))
+    assert digests[0] == digests[1]
 
 
 def test_out_env_fallback(ws, trained, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermem import fileio
 from hiermem import membank as mb
 
 DIMS = dict(dim=32, heads=4, head_dim=8, ffn_dim=64, num_layers=4)
@@ -220,4 +221,5 @@ def test_config_from_artifact_meta(tmp_path):
     mb.save_bank(bank, tmp_path / "b.bin")
     assert mb.load_bank(tmp_path / "b.bin").cfg == bank.cfg
     legacy = {"config": {"mem_type": "kv", "rs": [1, 2], "placement": "mid"}}
-    assert mb.MemoryConfig.from_meta(legacy) == mb.MemoryConfig("kv", (1, 2), "mid", "generic")
+    assert fileio.stored_config(mb.MemoryConfig, legacy, "legacy.bin") == \
+        mb.MemoryConfig("kv", (1, 2), "mid", "generic")

@@ -47,6 +47,40 @@ def test_matmul_grads_both_orientations():
     fd_check(lambda ts: total(nc.matmul(ts[0], nc.transpose(ts[1], (1, 0)))), [a, bt])
 
 
+@pytest.mark.parametrize("a_shape", [(2, 3, 5), (2, 2, 3, 5)])
+def test_shared_weight_matmul_grads(a_shape):
+    # a 2-D b runs as one GEMM over every leading index of a
+    a = rng.normal(size=a_shape)
+    b = rng.normal(size=(5, 4))
+    w = nc.Tensor(rng.normal(size=a_shape[:-1] + (4,)))
+    fd_check(lambda ts: total(nc.mul(nc.matmul(ts[0], ts[1]), w)), [a, b])
+
+
+def test_shared_weight_matmul_on_a_transposed_view():
+    a = rng.normal(size=(3, 2, 5))
+    b = rng.normal(size=(5, 4))
+    w = nc.Tensor(rng.normal(size=(2, 3, 4)))
+    fd_check(lambda ts: total(nc.mul(nc.matmul(nc.transpose(ts[0], (1, 0, 2)), ts[1]), w)), [a, b])
+    out = nc.matmul(nc.transpose(nc.Tensor(a), (1, 0, 2)), nc.Tensor(b))
+    assert np.allclose(out.data, np.matmul(a.transpose(1, 0, 2), b))
+
+
+def test_shared_weight_matmul_float32_forward_and_weight_grad():
+    a = rng.normal(size=(64, 3, 128)).astype(np.float32)
+    b = rng.normal(size=(128, 96)).astype(np.float32)
+    g = rng.normal(size=(64, 3, 96)).astype(np.float32)
+    at, bt = nc.Tensor(a, requires_grad=True), nc.Tensor(b, requires_grad=True)
+    with nc.Tape() as tape:
+        out = nc.matmul(at, bt)
+        loss = total(nc.mul(out, nc.Tensor(g)))  # the gradient reaching out is exactly g
+    nc.backward(tape, loss)
+    ref = np.matmul(a, b)
+    assert out.data.dtype == np.float32
+    assert np.abs(out.data - ref).max() <= 1e-6 * np.abs(ref).max()
+    assert np.array_equal(bt.grad, a.reshape(-1, 128).T @ g.reshape(-1, 96))
+    assert at.grad.shape == a.shape
+
+
 def test_silu_softmax_rmsnorm_grads():
     x = rng.normal(size=(2, 6))
     g = rng.normal(size=(6,)) + 1.0
@@ -109,13 +143,14 @@ def test_concat_split_reshape_transpose_roundtrip_grads():
 
 
 def test_frozen_operand_skips_gradient():
-    w = nc.Tensor(rng.normal(size=(4, 4)))  # requires_grad False
-    x = nc.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    with nc.Tape() as tape:
-        loss = total(nc.matmul(x, w))
-    nc.backward(tape, loss)
-    assert w.grad is None
-    assert x.grad is not None
+    for x_shape in ((2, 4), (2, 3, 4)):
+        for frozen in ("x", "w"):
+            x = nc.Tensor(rng.normal(size=x_shape), requires_grad=frozen != "x")
+            w = nc.Tensor(rng.normal(size=(4, 4)), requires_grad=frozen != "w")
+            with nc.Tape() as tape:
+                loss = total(nc.matmul(x, w))
+            nc.backward(tape, loss)
+            assert (x.grad is None, w.grad is None) == (frozen == "x", frozen == "w")
 
 
 def test_tapes_do_not_nest():
@@ -154,6 +189,8 @@ def test_clip_global_norm_scales_in_place():
 def test_shape_errors_are_loud():
     with pytest.raises(nc.ShapeError):
         nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((4, 2))))
+    with pytest.raises(nc.ShapeError, match=r"\(2, 3, 5\) @ \(4, 2\)"):
+        nc.matmul(nc.Tensor(np.ones((2, 3, 5))), nc.Tensor(np.ones((4, 2))))
     with pytest.raises(nc.ShapeError):
         nc.cross_entropy(nc.Tensor(np.ones((2, 3))), np.array([0, 3]))
 

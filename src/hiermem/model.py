@@ -285,15 +285,14 @@ def forward(
             if "f1a" in sl:
                 pre_g = _lora(pre_g, h2, sl, "f1", sc)
                 pre_u = _lora(pre_u, h2, sl, "f2", sc)
-        inner = nc.mul(nc.silu(pre_g), pre_u)
+        inner = nc.swiglu(pre_g, pre_u)
         down = nc.matmul(inner, p[pre + "w3"])
         for lv, sl in enumerate(layer_mems):
             if "f3a" in sl:
                 down = _lora(down, inner, sl, "f3", mems.scales[lv])
             if "m1" in sl:
-                mg = nc.silu(nc.matmul(h2, sl["m1"]))
-                mu = nc.matmul(h2, sl["m2"])
-                down = nc.add(down, nc.matmul(nc.mul(mg, mu), sl["m3"]))
+                mg = nc.swiglu(nc.matmul(h2, sl["m1"]), nc.matmul(h2, sl["m2"]))
+                down = nc.add(down, nc.matmul(mg, sl["m3"]))
         x = nc.add(x, down)
 
     if cache is not None:

@@ -2,6 +2,10 @@
 
 Tensors wrap numpy arrays; differentiable ops record onto an explicit Tape
 and ``backward`` replays the tape in reverse execution order exactly once.
+``backward`` consumes the tape: it pops each node and clears the gradient
+of the node's non-leaf outputs before running it, so an activation or an
+intermediate gradient is freed as soon as no remaining node needs it.
+Only leaves (``requires_grad=True``) keep their ``.grad``.
 The op set is exactly what a decoder-only transformer with attachable
 memories needs — nothing more. With no tape active, ops are plain forward
 computations (inference mode).
@@ -72,6 +76,10 @@ class Tensor:
 
 
 class _Node:
+    """One recorded op. ``out`` is a Tensor, or a tuple of Tensors for an op
+    with several outputs, whose ``bwd`` then takes a list of their gradients
+    (None for an output that received none)."""
+
     __slots__ = ("out", "inputs", "bwd")
 
     def __init__(self, out, inputs, bwd):
@@ -88,6 +96,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.consumed = False
 
     def __enter__(self):
         global _ACTIVE
@@ -102,11 +111,20 @@ class Tape:
         return False
 
 
-def _record(out: Tensor, inputs: list[Tensor], bwd) -> Tensor:
+def _record(out, inputs: list[Tensor], bwd):
     if _ACTIVE is not None and any(t.requires_grad or t._rec for t in inputs):
-        out._rec = True
+        for t in out if isinstance(out, tuple) else (out,):
+            t._rec = True
         _ACTIVE.nodes.append(_Node(out, inputs, bwd))
     return out
+
+
+def _take_grad(t: Tensor):
+    """``t.grad``, cleared on ``t`` unless ``t`` is a leaf."""
+    g = t.grad
+    if not t.requires_grad:
+        t.grad = None
+    return g
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -117,23 +135,32 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse the tape once, accumulating gradients into ``.grad``.
+    """Reverse the tape once, accumulating gradients into leaves' ``.grad``.
 
     ``loss`` must be a scalar produced on this tape (or a leaf, in which
-    case there is nothing to do).
+    case there is nothing to do). The tape is consumed: afterwards it holds
+    no nodes, every non-leaf ``.grad`` is None, and a second call raises
+    ``GradError``.
     """
     if loss.data.size != 1:
         raise GradError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if tape.consumed:
+        raise GradError("backward: this tape was already consumed by an earlier backward")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        og = node.out.grad
-        if og is None:
-            continue
-        grads = node.bwd(og)
-        for t, g in zip(node.inputs, grads):
-            if g is None:
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node.out, tuple):
+            og = [_take_grad(t) for t in node.out]
+            if all(g is None for g in og):
                 continue
-            if t.requires_grad or t._rec:
+        else:
+            og = _take_grad(node.out)
+            if og is None:
+                continue
+        for t, g in zip(node.inputs, node.bwd(og)):
+            if g is not None and (t.requires_grad or t._rec):
                 _accumulate(t, g)
 
 
@@ -171,22 +198,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, [a, b], bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast")
-    na, nb = (a.requires_grad or a._rec), (b.requires_grad or b._rec)
-
-    def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if na else None,
-            _unbroadcast(g * a.data, b.data.shape) if nb else None,
-        )
-
-    return _record(out, [a, b], bwd)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c)
 
@@ -196,23 +207,36 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def silu(x: Tensor) -> Tensor:
-    # silu(x) = x * sigmoid(x); silu(0) == 0 exactly.
-    s = np.negative(x.data)
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, the gated unit of a SwiGLU feed-forward.
+
+    silu(a) = a * sigmoid(a) is not kept: the backward recomputes it from
+    the sigmoid, which it keeps.
+    """
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"swiglu: shapes {a.data.shape} and {b.data.shape} differ")
+    s = np.negative(a.data)
     np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    out = Tensor(x.data * s)
+    out = a.data * s
+    out *= b.data
+    na, nb = (a.requires_grad or a._rec), (b.requires_grad or b._rec)
 
     def bwd(g):
-        t = 1.0 - s
-        t *= x.data
-        t += 1.0
-        t *= s
-        t *= g
-        return (t,)
+        ga = gb = None
+        if nb:
+            gb = a.data * s
+            gb *= g
+        if na:
+            ga = 1.0 - s
+            ga *= a.data
+            ga += 1.0
+            ga *= s
+            ga *= g * b.data
+        return (ga, gb)
 
-    return _record(out, [x], bwd)
+    return _record(Tensor(out), [a, b], bwd)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -221,24 +245,31 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     ``gain`` may be any shape broadcastable against ``x`` (a plain (d,)
     vector, or (heads, head_dim) for per-head query/key norms).
     """
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
-    xhat = x.data * inv
-    out = Tensor(xhat * gain.data)
     n = x.data.shape[-1]
+    ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True)
+    ms /= n
+    inv = 1.0 / np.sqrt(ms + eps)
+    out = x.data * inv
+    out *= gain.data
     nx, ng = (x.requires_grad or x._rec), (gain.requires_grad or gain._rec)
 
     def bwd(g):
         dx = dgain = None
         if nx:
-            gy = g * gain.data
-            dot = np.sum(gy * x.data, axis=-1, keepdims=True)
-            dx = inv * gy - x.data * (inv ** 3 * dot / n)
+            # inv * gy - x * (inv**3 * sum(gy * x) / n), in gy and one scratch
+            dx = g * gain.data
+            t = dx * x.data
+            c = inv ** 3 * np.add.reduce(t, axis=-1, keepdims=True) / n
+            np.multiply(x.data, c, out=t)
+            dx *= inv
+            dx -= t
         if ng:
-            dgain = _unbroadcast(g * xhat, gain.data.shape)
+            xhat = x.data * inv
+            xhat *= g
+            dgain = _unbroadcast(xhat, gain.data.shape)
         return (dx, dgain)
 
-    return _record(out, [x, gain], bwd)
+    return _record(Tensor(out), [x, gain], bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -258,6 +289,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def split(x: Tensor, sizes: list[int], axis: int = -1) -> list[Tensor]:
+    """Views of consecutive ``sizes``-long slices of ``x`` along ``axis``,
+    recorded as one node whose backward concatenates the pieces' gradients."""
     ax = axis % x.data.ndim
     if sum(sizes) != x.data.shape[ax]:
         raise ShapeError(f"split: sizes {sizes} do not sum to axis {axis} of {x.data.shape}")
@@ -266,17 +299,15 @@ def split(x: Tensor, sizes: list[int], axis: int = -1) -> list[Tensor]:
     for i in range(len(sizes)):
         idx = [slice(None)] * x.data.ndim
         idx[ax] = slice(offsets[i], offsets[i + 1])
-        piece = Tensor(x.data[tuple(idx)])
+        outs.append(Tensor(x.data[tuple(idx)]))
+    shapes = [t.data.shape for t in outs]
 
-        def bwd(g, _i=i):
-            gx = np.zeros_like(x.data)
-            idx2 = [slice(None)] * x.data.ndim
-            idx2[ax] = slice(offsets[_i], offsets[_i + 1])
-            gx[tuple(idx2)] = g
-            return (gx,)
+    def bwd(gs):
+        # a piece that got no gradient contributes zeros
+        parts = [np.zeros(sh, dtype=x.data.dtype) if g is None else g for g, sh in zip(gs, shapes)]
+        return (np.concatenate(parts, axis=ax),)
 
-        outs.append(_record(piece, [x], bwd))
-    return outs
+    return list(_record(tuple(outs), [x], bwd))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

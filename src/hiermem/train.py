@@ -317,7 +317,9 @@ def train_step(
             if fetched.any():
                 ids, inv = np.unique(fm.blocks[l - 1][fetched], return_inverse=True)
                 gsum = np.zeros((ids.shape[0], g.shape[1]), dtype=np.float32)
-                np.add.at(gsum, inv, g[fetched].astype(np.float32))
+                # row by row in batch order: the sums np.add.at gives, without its per-element loop
+                for j, row in zip(inv, g[fetched].astype(np.float32, copy=False)):
+                    gsum[j] += row
                 lvl = bank.levels[l - 1]
                 updates += [(f"l{l}.{i}", lvl[i], gsum[j], cfg.memory_wd) for j, i in enumerate(ids)]
             if generic_rows.any():
@@ -388,6 +390,35 @@ def load_state(path) -> TrainState:
 # run loop
 # ---------------------------------------------------------------------------
 
+def _check_resume(state: TrainState, model: mdl.TransformerModel, bank: mb.MemoryBank | None) -> None:
+    """Refuse a state whose optimizer entries do not fit the arrays they update.
+
+    Every ``opt`` key must name an existing anchor parameter, bank block or
+    generic block whose shape equals its ``m`` and ``v`` shapes.
+    """
+    params = dict(model.named_params())
+    for key, st in state.opt.items():
+        target = None
+        head, _, rest = key.partition(".")
+        if head == "anchor":
+            if rest in params:
+                target = params[rest].data
+        elif bank is not None and head[:1] == "l" and head[1:].isdigit():
+            level = int(head[1:])
+            if 1 <= level <= bank.depth:
+                if rest == "generic":
+                    target = bank.generic[level - 1]
+                elif rest.isdigit() and int(rest) < bank.k ** level:
+                    target = bank.levels[level - 1][int(rest)]
+        if target is None:
+            raise TrainError(f"resume state: optimizer key {key!r} names no trained array")
+        if st.m.shape != target.shape or st.v.shape != target.shape:
+            raise TrainError(
+                f"resume state: optimizer key {key!r} holds shape {st.m.shape}/{st.v.shape}, "
+                f"its array is {target.shape}"
+            )
+
+
 def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> Path:
     d = Path(run_dir) / f"ckpt_{tag}"
     d.mkdir(parents=True, exist_ok=True)
@@ -419,7 +450,11 @@ def train_run(
     """
     if not sequences:
         raise TrainError("no packed sequences to train on")
-    state = resume_state if resume_state is not None else TrainState(cfg)
+    if resume_state is not None:
+        _check_resume(resume_state, model, bank)
+        state = resume_state
+    else:
+        state = TrainState(cfg)
     n = len(sequences)
     while state.step < cfg.total_steps:
         if state.epoch_pos + cfg.batch_size > len(state.epoch_order):

@@ -11,6 +11,7 @@ def fd_check(build, params, rel=1e-6, h=1e-5):
     with nc.Tape() as tape:
         loss = build(tensors)
     nc.backward(tape, loss)
+    assert tape.nodes == []
 
     def f(ps):
         ts = [nc.Tensor(p, dtype=np.float64) for p in ps]
@@ -30,13 +31,19 @@ def total(t):
     return nc.reshape(nc.matmul(nc.reshape(t, (1, n)), ones), ())
 
 
+def dot(t, w):
+    """Scalar sum of t * w for same-shaped t and w, from reshape and matmul."""
+    n = t.data.size
+    return nc.reshape(nc.matmul(nc.reshape(t, (1, n)), nc.reshape(w, (n, 1))), ())
+
+
 rng = np.random.default_rng(7)
 
 
 def test_add_mul_broadcast_grads():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
-    fd_check(lambda ts: total(nc.mul(nc.add(ts[0], ts[1]), ts[0])), [a, b])
+    fd_check(lambda ts: dot(nc.add(ts[0], ts[1]), ts[0]), [a, b])
 
 
 def test_matmul_grads_both_orientations():
@@ -53,14 +60,14 @@ def test_shared_weight_matmul_grads(a_shape):
     a = rng.normal(size=a_shape)
     b = rng.normal(size=(5, 4))
     w = nc.Tensor(rng.normal(size=a_shape[:-1] + (4,)))
-    fd_check(lambda ts: total(nc.mul(nc.matmul(ts[0], ts[1]), w)), [a, b])
+    fd_check(lambda ts: dot(nc.matmul(ts[0], ts[1]), w), [a, b])
 
 
 def test_shared_weight_matmul_on_a_transposed_view():
     a = rng.normal(size=(3, 2, 5))
     b = rng.normal(size=(5, 4))
     w = nc.Tensor(rng.normal(size=(2, 3, 4)))
-    fd_check(lambda ts: total(nc.mul(nc.matmul(nc.transpose(ts[0], (1, 0, 2)), ts[1]), w)), [a, b])
+    fd_check(lambda ts: dot(nc.matmul(nc.transpose(ts[0], (1, 0, 2)), ts[1]), w), [a, b])
     out = nc.matmul(nc.transpose(nc.Tensor(a), (1, 0, 2)), nc.Tensor(b))
     assert np.allclose(out.data, np.matmul(a.transpose(1, 0, 2), b))
 
@@ -72,7 +79,7 @@ def test_shared_weight_matmul_float32_forward_and_weight_grad():
     at, bt = nc.Tensor(a, requires_grad=True), nc.Tensor(b, requires_grad=True)
     with nc.Tape() as tape:
         out = nc.matmul(at, bt)
-        loss = total(nc.mul(out, nc.Tensor(g)))  # the gradient reaching out is exactly g
+        loss = dot(out, nc.Tensor(g))  # the gradient reaching out is exactly g
     nc.backward(tape, loss)
     ref = np.matmul(a, b)
     assert out.data.dtype == np.float32
@@ -84,8 +91,41 @@ def test_shared_weight_matmul_float32_forward_and_weight_grad():
 def test_silu_softmax_rmsnorm_grads():
     x = rng.normal(size=(2, 6))
     g = rng.normal(size=(6,)) + 1.0
-    fd_check(lambda ts: total(nc.silu(ts[0])), [x])
+    fd_check(lambda ts: total(nc.swiglu(ts[0], nc.Tensor(np.ones_like(x)))), [x])
     fd_check(lambda ts: total(nc.rms_norm(ts[0], ts[1])), [x, g])
+
+
+def test_swiglu_grads():
+    a = rng.normal(size=(2, 3, 5))
+    b = rng.normal(size=(2, 3, 5))
+    w = nc.Tensor(rng.normal(size=(2, 3, 5)))
+    fd_check(lambda ts: dot(nc.swiglu(ts[0], ts[1]), w), [a, b])
+
+
+def test_swiglu_float32_matches_silu_then_mul_bitwise():
+    a = rng.normal(size=(4, 7, 32)).astype(np.float32) * 3
+    b = rng.normal(size=(4, 7, 32)).astype(np.float32)
+    g = rng.normal(size=(4, 7, 32)).astype(np.float32)
+    at, bt = nc.Tensor(a, requires_grad=True), nc.Tensor(b, requires_grad=True)
+    with nc.Tape() as tape:
+        out = nc.swiglu(at, bt)
+        loss = dot(out, nc.Tensor(g))  # the gradient reaching out is exactly g
+    nc.backward(tape, loss)
+    # silu(a) = a * s with s = 1 / (1 + exp(-a)), then a product with b
+    s = np.negative(a)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    silu = a * s
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data, silu * b)
+    assert np.array_equal(bt.grad, g * silu)
+    assert np.array_equal(at.grad, ((((1.0 - s) * a) + 1.0) * s) * (g * b))
+
+
+def test_swiglu_shape_mismatch_is_loud():
+    with pytest.raises(nc.ShapeError, match=r"swiglu: shapes \(2, 3\) and \(3,\)"):
+        nc.swiglu(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(3)))
 
 
 def test_attention_grads_with_mask():
@@ -99,7 +139,7 @@ def test_attention_grads_with_mask():
 def test_rope_grads_and_norm_preservation():
     x = rng.normal(size=(1, 2, 5, 8))
     pos = np.arange(5)
-    fd_check(lambda ts: total(nc.mul(nc.rope(ts[0], pos, 100.0), ts[0])), [x])
+    fd_check(lambda ts: dot(nc.rope(ts[0], pos, 100.0), ts[0]), [x])
     # rotations preserve the norm of every pair
     out = nc.rope(nc.Tensor(x), pos, 100.0)
     assert np.allclose(np.linalg.norm(out.data, axis=-1), np.linalg.norm(x, axis=-1))
@@ -124,7 +164,7 @@ def test_embedding_scatter_grad():
     ids = np.array([[0, 2, 2], [5, 0, 1]])
     t = nc.Tensor(table, requires_grad=True)
     with nc.Tape() as tape:
-        loss = total(nc.mul(nc.embedding(t, ids), nc.Tensor(np.ones((2, 3, 3)))))
+        loss = dot(nc.embedding(t, ids), nc.Tensor(np.ones((2, 3, 3))))
     nc.backward(tape, loss)
     expect = np.zeros_like(table)
     np.add.at(expect, ids.reshape(-1), np.ones((6, 3)))
@@ -137,9 +177,53 @@ def test_concat_split_reshape_transpose_roundtrip_grads():
     def build(ts):
         p1, p2 = nc.split(ts[0], [3, 5], axis=-1)
         r = nc.reshape(nc.transpose(p2, (1, 0)), (10,))
-        return nc.add(total(nc.mul(p1, p1)), total(r))
+        return nc.add(dot(p1, p1), total(r))
 
     fd_check(build, [x])
+
+
+def test_backward_consumes_the_tape():
+    x = rng.normal(size=(2, 3, 8))
+    w = rng.normal(size=(8, 8))
+    gain = rng.normal(size=(4,)) + 1.0
+
+    def build(ts):
+        h = nc.matmul(ts[0], ts[1])
+        p1, p2 = nc.split(h, [4, 4], axis=-1)
+        return dot(nc.swiglu(nc.rms_norm(p1, ts[2]), p2), p1)
+
+    leaves = [nc.Tensor(p.copy(), requires_grad=True, dtype=np.float64) for p in (x, w, gain)]
+    with nc.Tape() as tape:
+        loss = build(leaves)
+    outs = [t for node in tape.nodes for t in (node.out if isinstance(node.out, tuple) else (node.out,))]
+    assert len(outs) > len(tape.nodes)  # split recorded one node for both pieces
+    nc.backward(tape, loss)
+    assert tape.nodes == []
+    assert all(t.grad is None for t in outs)
+    assert all(t.grad is not None for t in leaves)
+    with pytest.raises(nc.GradError, match="consumed"):
+        nc.backward(tape, loss)
+    fd_check(build, [x, w, gain])
+
+
+def test_split_piece_without_gradient_gets_zeros():
+    x = nc.Tensor(rng.normal(size=(2, 9)), requires_grad=True)
+    w1, w3 = rng.normal(size=(2, 2)), rng.normal(size=(2, 4))
+    with nc.Tape() as tape:
+        p1, p2, p3 = nc.split(x, [2, 3, 4], axis=1)
+        loss = nc.add(dot(p1, nc.Tensor(w1)), dot(p3, nc.Tensor(w3)))
+    nc.backward(tape, loss)
+    expect = np.zeros((2, 9))
+    expect[:, :2] = w1
+    expect[:, 5:] = w3
+    assert np.array_equal(x.grad, expect)
+    # no piece reached by the loss: the split contributes nothing
+    y = nc.Tensor(rng.normal(size=(2, 9)), requires_grad=True)
+    with nc.Tape() as tape:
+        nc.split(y, [4, 5], axis=1)
+        loss = dot(x, x)
+    nc.backward(tape, loss)
+    assert y.grad is None
 
 
 def test_frozen_operand_skips_gradient():
@@ -159,7 +243,7 @@ def test_tapes_do_not_nest():
         with pytest.raises(RuntimeError, match="already active"):
             with nc.Tape():
                 pass
-        loss = total(nc.mul(x, x))  # the outer tape still records
+        loss = dot(x, x)  # the outer tape still records
     nc.backward(tape, loss)
     assert np.allclose(x.grad, 2 * x.data)
     with nc.Tape():  # and it was released on exit
@@ -204,7 +288,7 @@ def test_composite_f64_pipeline_close_to_fd():
     def build(ts):
         h = nc.rms_norm(ts[0], ts[2])
         h = nc.matmul(h, ts[1])
-        h = nc.silu(h)
-        return total(nc.mul(h, h))
+        h = nc.swiglu(h, nc.Tensor(np.ones_like(h.data)))
+        return dot(h, h)
 
     fd_check(build, [x, w, gain], rel=1e-5)

@@ -258,6 +258,28 @@ def test_resume_is_bit_exact(tmp_path, regime):
         assert bank_digest(bank_a) == bank_digest(bank_c)
 
 
+def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=2, rs=(2, 2))
+    state = tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
+    assert any(key.startswith("l2.") for key in state.opt)
+    cfg4 = replace(cfg, total_steps=4)
+    # level 2 is rank 3 here: its blocks are longer than the state's m and v
+    model_b, bank_b, _, _ = toy_setup(steps=4, rs=(2, 3))
+    before = bank_digest(bank_b), model_digest(model_b)
+    with pytest.raises(tr.TrainError, match="'l2"):
+        tr.train_run(model_b, bank_b, seqs, cfg4, tmp_path / "b",
+                     resume_state=tr.load_state(tmp_path / "a" / "ckpt_final" / "trainstate.bin"),
+                     log=lambda m: None)
+    assert (bank_digest(bank_b), model_digest(model_b)) == before
+    # keys that name no array: an unknown parameter, a level past the
+    # bank's depth, a block id past k**level, and an unknown prefix
+    for key in ("anchor.warp", "l3.0", "l1.2", "l1.-1", "x1.0"):
+        bad = tr.load_state(tmp_path / "a" / "ckpt_final" / "trainstate.bin")
+        bad.opt[key] = next(iter(bad.opt.values()))
+        with pytest.raises(tr.TrainError, match=repr(key)):
+            tr.train_run(model, bank, seqs, cfg4, tmp_path / "c", resume_state=bad, log=lambda m: None)
+
+
 def test_metrics_csv_and_checkpoint_files(tmp_path):
     model, bank, seqs, cfg = toy_setup(steps=3)
     state = tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)

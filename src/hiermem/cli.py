@@ -3,6 +3,13 @@
 Every command resolves one RunConfig (file + flag overrides), writes its
 outputs under the config's out directory, and stamps the config digest
 into each artifact so `inspect` can show which settings produced what.
+Besides [run], each command reads only the sections that no input fixes:
+`cluster` [embedder] and [cluster] (tree.bin records the embedder);
+`train` [train], [anchor] without --init and [memory] without --bank;
+`eval` and `block` [eval]; `simulate` [anchor], [memory] and [cluster].
+`train` embeds with the tree's embedder and lays a new bank out for the
+model it trains. A tree that records no embedder, or a bank that does not
+fit the tree or the model, is refused.
 Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 """
 
@@ -55,12 +62,22 @@ def _provenance(rc: hc.RunConfig, **inputs) -> dict:
     return meta
 
 
-def _check_bank_fits_tree(bank: mb.MemoryBank, tree: cl.ClusterTree) -> None:
+def _load_tree(path) -> cl.ClusterTree:
+    tree = cl.load_tree(path)
+    if tree.embedder is None:
+        raise fileio.ArtifactError(f"{path}: the tree records no embedder; rebuild it with `hiermem cluster`")
+    return tree
+
+
+def _check_bank(bank: mb.MemoryBank, tree: cl.ClusterTree | None, model: mdl.TransformerModel) -> None:
     # leaf ids are packed with the tree's k and decoded with the bank's
-    if (bank.k, bank.depth) != (tree.k, tree.depth):
+    if tree is not None and (bank.k, bank.depth) != (tree.k, tree.depth):
         raise hc.ConfigError(
             f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}"
         )
+    # equal block sizes do not make equal slot layouts
+    if bank.dims != model.cfg.bank_dims:
+        raise hc.ConfigError(f"the bank is laid out for anchor {dict(bank.dims)} but the model is {model.cfg.bank_dims}")
 
 
 def cmd_cluster(args) -> int:
@@ -69,6 +86,7 @@ def cmd_cluster(args) -> int:
     docs = _read_corpus(args.corpus)
     vecs = em.embed_batch(docs, rc.embedder)
     tree = cl.train_tree(vecs, rc.cluster)
+    tree.embedder = rc.embedder
     tree_path = out / "tree.bin"
     cl.save_tree(tree, tree_path, extra_meta=_provenance(rc, corpus=args.corpus))
     paths = cl.assign_batch(vecs, tree)
@@ -85,40 +103,32 @@ def cmd_train(args) -> int:
     rc = _load(args)
     out = _outdir(rc)
     docs = _read_corpus(args.corpus)
-    tree = cl.load_tree(args.tree)
+    tree = _load_tree(args.tree)
+    model = mdl.load_model(args.init)[0] if args.init else mdl.init_model(rc.anchor, seed=rc.seed)
 
     tok = tr.ByteTokenizer()
-    if rc.anchor.vocab_size <= tok.EOT:
+    if model.cfg.vocab_size <= tok.EOT:
         raise hc.ConfigError(
-            f"[anchor] vocab_size {rc.anchor.vocab_size} has no id for EOT ({tok.EOT}); "
+            f"the model's vocab_size {model.cfg.vocab_size} has no id for EOT ({tok.EOT}); "
             f"it must be at least {tok.EOT + 1}"
         )
-    # the bank is checked against the tree before the corpus is embedded
+    # the bank is checked against the tree and the model before the corpus is embedded
     bank = None
     with_bank = rc.train.regime in ("memory", "cotrain")
     if with_bank and args.bank:
         bank = mb.load_bank(args.bank)
-        _check_bank_fits_tree(bank, tree)
-    elif with_bank and len(rc.memory.rs) != tree.depth:
-        raise hc.ConfigError(
-            f"[memory] rs has {len(rc.memory.rs)} levels but the tree has depth {tree.depth}"
-        )
+        _check_bank(bank, tree, model)
+    elif with_bank:
+        if len(rc.memory.rs) != tree.depth:
+            raise hc.ConfigError(
+                f"[memory] rs has {len(rc.memory.rs)} levels but the tree has depth {tree.depth}"
+            )
+        bank = mb.init_bank(rc.memory, **model.cfg.bank_dims, k=tree.k, seed=rc.seed)
 
-    vecs = em.embed_batch(docs, rc.embedder)
+    vecs = em.embed_batch(docs, tree.embedder)
     paths = [tuple(p) for p in cl.assign_batch(vecs, tree)]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], paths, rc.train.seq_len, tok,
                           tree.k, seed=rc.seed)
-
-    if args.init:
-        model, _ = mdl.load_model(args.init)
-    else:
-        model = mdl.init_model(rc.anchor, seed=rc.seed)
-    if with_bank and bank is None:
-        bank = mb.init_bank(
-            rc.memory, dim=rc.anchor.dim, heads=rc.anchor.num_heads,
-            head_dim=rc.anchor.head_dim, ffn_dim=rc.anchor.ffn_dim,
-            num_layers=rc.anchor.num_layers, k=tree.k, seed=rc.seed,
-        )
 
     meta = _provenance(rc, corpus=args.corpus, tree=args.tree)
     state = tr.train_run(model, bank, seqs, rc.train, out, extra_meta=meta)
@@ -126,53 +136,42 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_bundle(args, rc, need_tree: bool):
+def _recall(args, rc: hc.RunConfig, mode: str, mask: mb.BlockMask | None, name: str) -> int:
+    """Fact recall of ``args.checkpoint``, reported to ``recall_<name>.csv`` and ``.jsonl``."""
+    out = _outdir(rc)
     model, _ = mdl.load_model(args.checkpoint)
     bank = mb.load_bank(args.bank) if args.bank else None
-    facts = ev.load_facts(args.facts)
-    tree = ecfg = None
-    if need_tree:
+    if mode != "none" and bank is None:
+        raise hc.ConfigError(f"{mode}-mode evaluation needs --bank")
+    tree = None
+    if mode == "fetched":
         if not args.tree:
             raise hc.ConfigError("fetched-mode evaluation needs --tree")
-        tree = cl.load_tree(args.tree)
-        ecfg = rc.embedder
-        if bank is not None:
-            _check_bank_fits_tree(bank, tree)
-    return model, bank, facts, tree, ecfg, tr.ByteTokenizer()
-
-
-def _print_report(rep: ev.RecallReport) -> None:
+        tree = _load_tree(args.tree)
+    if bank is not None:
+        _check_bank(bank, tree, model)
+    facts = ev.load_facts(args.facts)
+    rep = ev.fact_recall(model, bank, tree, tree.embedder if tree else None, tr.ByteTokenizer(),
+                         facts, mode=mode, mask=mask, max_new=rc.eval.max_new,
+                         batch_size=rc.eval.batch_size)
+    ev.write_recall_report(rep, out / f"recall_{name}.csv", out / f"recall_{name}.jsonl")
     print(f"mode {rep.mode}: overall {rep.overall:.3f}"
           + (f", routing {rep.routing_accuracy:.3f}" if rep.routing_accuracy is not None else ""))
     for b in rep.buckets:
         print(f"  bucket {b['bucket']} (n={b['count']}): {b['accuracy']:.3f}")
+    print(f"report -> {out}/recall_{name}.csv")
+    return 0
 
 
 def cmd_eval(args) -> int:
-    rc = _load(args)
-    out = _outdir(rc)
-    mode = args.mode
-    model, bank, facts, tree, ecfg, tok = _eval_bundle(args, rc, need_tree=mode == "fetched")
-    if mode != "none" and bank is None:
-        raise hc.ConfigError(f"{mode}-mode evaluation needs --bank")
-    rep = ev.fact_recall(model, bank, tree, ecfg, tok, facts, mode=mode,
-                         max_new=rc.eval.max_new, batch_size=rc.eval.batch_size,
-                         n_buckets=rc.eval.n_buckets)
-    ev.write_recall_report(rep, out / f"recall_{mode}.csv", out / f"recall_{mode}.jsonl")
-    _print_report(rep)
-    print(f"report -> {out}/recall_{mode}.csv")
-    return 0
+    return _recall(args, _load(args), args.mode, None, args.mode)
 
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
     out = _outdir(rc)
     placement = ts.parse_tier_spec(args.tierspec)
-    acc = mb.bank_accounting(
-        rc.memory, dim=rc.anchor.dim, heads=rc.anchor.num_heads,
-        head_dim=rc.anchor.head_dim, ffn_dim=rc.anchor.ffn_dim,
-        num_layers=rc.anchor.num_layers, k=rc.cluster.k,
-    )
+    acc = mb.bank_accounting(rc.memory, **rc.anchor.bank_dims, k=rc.cluster.k)
     sizes = acc["level_sizes"]
     if len(sizes) != placement.depth:
         raise hc.ConfigError(
@@ -198,25 +197,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_block(args) -> int:
     rc = _load(args)
-    out = _outdir(rc)
-    model, bank, facts, tree, ecfg, tok = _eval_bundle(args, rc, need_tree=True)
-    if bank is None:
-        raise hc.ConfigError("blocking evaluation needs --bank")
     roots = []
     for spec in args.subtree:
         try:
             roots.append(tuple(int(x) for x in spec.split(".")))
         except ValueError:
             raise hc.ConfigError(f"bad subtree {spec!r}; expected e.g. 2 or 2.3") from None
-    mask = mb.BlockMask(roots)
-    rep = ev.fact_recall(model, bank, tree, ecfg, tok, facts, mode="fetched", mask=mask,
-                         max_new=rc.eval.max_new, batch_size=rc.eval.batch_size,
-                         n_buckets=rc.eval.n_buckets)
-    ev.write_recall_report(rep, out / "recall_blocked.csv", out / "recall_blocked.jsonl")
+    mask = mb.BlockMask(roots, rc.eval.masked_policy)
     print("blocked subtrees:", ", ".join(args.subtree))
-    _print_report(rep)
-    print(f"report -> {out}/recall_blocked.csv")
-    return 0
+    return _recall(args, rc, "fetched", mask, "blocked")
 
 
 def cmd_inspect(args) -> int:
@@ -234,8 +223,12 @@ def cmd_inspect(args) -> int:
         total += arr.size
         print(f"  array {name}: {arr.dtype} {arr.shape}")
     print(f"  total elements: {total:,}")
+    if magic == cl.TREE_MAGIC:
+        stats = meta["tree_meta"]["node_stats"].values()
+        print(f"  balance: largest child share {max(s['max_fraction'] for s in stats):.3f}, "
+              f"{sum(s['balance_converged'] for s in stats)} of {len(stats)} nodes converged")
     if magic == mb.BANK_MAGIC:
-        mcfg = fileio.stored_config(mb.MemoryConfig, meta, args.artifact)
+        mcfg = fileio.stored_config(mb.MemoryConfig, meta["config"], args.artifact)
         acc = mb.bank_accounting(mcfg, k=meta["k"], **meta["dims"])
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
     if state is not None:

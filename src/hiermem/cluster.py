@@ -9,10 +9,13 @@ into the smallest. Parents are frozen before their children train.
 
 Assignment (``assign_batch``) is a greedy root-to-leaf descent: k
 distance evaluations per level, p*k per vector, ties resolved toward the
-lowest index. A path is 1-based, (i_1, ..., i_p); its flat id is the
-0-based mixed-radix number sum_l (i_l - 1) * k^(p-l), so the children of a
-node are contiguous and the level-l ancestor of leaf f is f // k^(p-l).
+lowest index; training splits each node's vectors by the same step. A
+path is 1-based, (i_1, ..., i_p); its flat id is the 0-based mixed-radix
+number sum_l (i_l - 1) * k^(p-l), so the children of a node are
+contiguous and the level-l ancestor of leaf f is f // k^(p-l).
 ``flats_of_paths`` and ``paths_of_flats`` are the one codec between them.
+A tree records the embedder that made its vectors, if known, so that
+queries are embedded alike.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import embed as em
 from . import fileio
 
 TREE_MAGIC = "HMTREE"
@@ -56,6 +60,7 @@ class ClusterTree:
     dim: int
     levels: list[np.ndarray]  # levels[l-1]: (k^l, dim) float32, children contiguous
     meta: dict
+    embedder: em.EmbedderConfig | None = None  # what made the vectors, if known
 
     @property
     def k(self) -> int:
@@ -64,10 +69,6 @@ class ClusterTree:
     @property
     def depth(self) -> int:
         return self.config.depth
-
-    def node_children(self, level: int, parent_flat: int) -> np.ndarray:
-        """Centers of the k children under 0-based ``parent_flat`` at ``level``."""
-        return self.levels[level - 1][parent_flat * self.k : (parent_flat + 1) * self.k]
 
 
 def flats_of_paths(paths, k: int) -> np.ndarray:
@@ -188,30 +189,36 @@ def _train_node(
     return centers.astype(np.float32), stats
 
 
+def _descend(x: np.ndarray, flat: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
+    """Each row's nearest child (0-based flat id) under its node ``flat``,
+    among the level's (k^l, dim) ``centers``; ties go to the lowest index."""
+    child = np.empty_like(flat)
+    for pf in np.unique(flat):
+        sel = np.flatnonzero(flat == pf)
+        d2 = _sq_dists(x[sel].astype(np.float64), centers[pf * k : (pf + 1) * k].astype(np.float64))
+        child[sel] = pf * k + np.argmin(d2, axis=1)
+    return child
+
+
 def train_tree(vectors: np.ndarray, cfg: ClusterConfig) -> ClusterTree:
     """Train the full tree top-down on (n, dim) embedding vectors."""
     pts = normalize_rows(vectors)
     n, dim = pts.shape
     levels: list[np.ndarray] = []
     node_stats: dict[str, dict] = {}
-    # member lists per node at the level being split; root holds everything
-    member_sets: list[np.ndarray] = [np.arange(n)]
+    flat = np.zeros(n, dtype=np.int64)  # each vector's node at the level being split
     for level in range(1, cfg.depth + 1):
         centers_lvl = np.empty((cfg.k ** level, dim), dtype=np.float32)
-        next_members: list[np.ndarray] = []
-        for parent_flat, members in enumerate(member_sets):
+        for parent_flat in range(cfg.k ** (level - 1)):
             name = f"level{level}/node{parent_flat}" if level > 1 else "root"
             rng = np.random.default_rng([cfg.seed, level, parent_flat])
+            members = np.flatnonzero(flat == parent_flat)
             centers, stats = _train_node(pts, members, cfg, rng, name)
             centers_lvl[parent_flat * cfg.k : (parent_flat + 1) * cfg.k] = centers
             node_stats[f"{level}.{parent_flat}"] = stats
-            if level < cfg.depth:
-                d2 = _sq_dists(pts[members].astype(np.float64), centers.astype(np.float64))
-                child = np.argmin(d2, axis=1)
-                for j in range(cfg.k):
-                    next_members.append(members[child == j])
         levels.append(centers_lvl)
-        member_sets = next_members
+        if level < cfg.depth:
+            flat = _descend(pts, flat, centers_lvl, cfg.k)
     meta = {"n_train": n, "node_stats": node_stats, "config": asdict(cfg)}
     return ClusterTree(config=cfg, dim=dim, levels=levels, meta=meta)
 
@@ -221,26 +228,17 @@ def assign_batch(vectors: np.ndarray, tree: ClusterTree) -> np.ndarray:
     x = normalize_rows(vectors)
     if x.ndim != 2 or x.shape[1] != tree.dim:
         raise ClusterError(f"assign: vectors of shape {x.shape}, expected (n, {tree.dim})")
-    n = x.shape[0]
-    flat = np.zeros(n, dtype=np.int64)
-    out = np.zeros((n, tree.depth), dtype=np.int64)
-    for level in range(1, tree.depth + 1):
-        new_flat = np.empty_like(flat)
-        for pf in np.unique(flat):
-            sel = np.flatnonzero(flat == pf)
-            centers = tree.node_children(level, int(pf))
-            d2 = _sq_dists(x[sel].astype(np.float64), centers.astype(np.float64))
-            j = np.argmin(d2, axis=1)
-            out[sel, level - 1] = j + 1
-            new_flat[sel] = pf * tree.k + j
-        flat = new_flat
-    return out
+    flat = np.zeros(x.shape[0], dtype=np.int64)
+    for centers in tree.levels:
+        flat = _descend(x, flat, centers, tree.k)
+    return paths_of_flats(flat, tree.k, tree.depth)
 
 
 def save_tree(tree: ClusterTree, path, extra_meta: dict | None = None) -> None:
     meta = {
         "config": asdict(tree.config),
         "dim": tree.dim,
+        "embedder": asdict(tree.embedder) if tree.embedder else None,
         "tree_meta": tree.meta,
     }
     if extra_meta:
@@ -251,6 +249,10 @@ def save_tree(tree: ClusterTree, path, extra_meta: dict | None = None) -> None:
 
 def load_tree(path) -> ClusterTree:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=TREE_MAGIC)
-    cfg = fileio.stored_config(ClusterConfig, meta, path)
+    cfg = fileio.stored_config(ClusterConfig, meta["config"], path)
     levels = [arrays[f"level{l + 1}"] for l in range(cfg.depth)]
-    return ClusterTree(config=cfg, dim=meta["dim"], levels=levels, meta=meta.get("tree_meta", {}))
+    # None for a tree saved without one; the CLI refuses such a tree
+    emb = meta.get("embedder")
+    embedder = fileio.stored_config(em.EmbedderConfig, emb, path) if emb else None
+    return ClusterTree(config=cfg, dim=meta["dim"], levels=levels, meta=meta.get("tree_meta", {}),
+                       embedder=embedder)

@@ -6,12 +6,14 @@ against the owning dataclass and rejected with the offending section.key,
 never silently ignored — a typo'd key must not produce a differently
 configured run. The resolved config has a stable digest that producing
 commands stamp into their artifacts.
+A value that an input fixes is not a key: the tree records its embedder,
+a bank is laid out for its model, a report has a row per bucket its facts
+carry, and the masked-block policy is a setting of [eval], not of the bank.
 """
 
 from __future__ import annotations
 
 import configparser
-import types
 import typing
 from dataclasses import asdict, dataclass, fields
 
@@ -31,11 +33,13 @@ class ConfigError(ValueError):
 class EvalConfig:
     max_new: int = 8
     batch_size: int = 64
-    n_buckets: int = 5
+    masked_policy: str = "generic"     # what a blocked fetch substitutes: generic | zero
 
     def __post_init__(self):
-        if self.max_new < 1 or self.batch_size < 1 or self.n_buckets < 1:
+        if self.max_new < 1 or self.batch_size < 1:
             raise ValueError("eval sizes must be positive")
+        if self.masked_policy not in mb.MASKED_POLICIES:
+            raise ValueError(f"masked_policy must be one of {mb.MASKED_POLICIES}, got {self.masked_policy!r}")
 
 
 _SECTIONS = {
@@ -77,11 +81,6 @@ class RunConfig:
 def _convert(hint, raw: str, where: str):
     raw = raw.strip()
     origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        if raw.lower() in ("none", ""):
-            return None
-        return _convert(args[0], raw, where)
     try:
         if hint is bool:
             low = raw.lower()

@@ -23,6 +23,7 @@ class EmbedderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "ngram_sizes", tuple(self.ngram_sizes))  # a stored config holds a JSON list
         if self.dim <= 0:
             raise ValueError(f"embedder dim must be positive, got {self.dim}")
         if not self.ngram_sizes or any(n <= 0 for n in self.ngram_sizes):

@@ -295,12 +295,6 @@ def _memory_rows(
     return [nc.Tensor(rows.astype(dtype, copy=False)) for rows in fm.levels]
 
 
-def _attach(bank, model, rows):
-    if rows is None:
-        return None
-    return mdl.AttachedMemories(bank.cfg, model.cfg, rows)
-
-
 # ---------------------------------------------------------------------------
 # fact recall
 # ---------------------------------------------------------------------------
@@ -362,13 +356,15 @@ def fact_recall(
     mask: mb.BlockMask | None = None,
     max_new: int = 8,
     batch_size: int = 64,
-    n_buckets: int = 5,
 ) -> RecallReport:
-    """Prompt-only retrieval, greedy decode, first-integer extraction."""
+    """Prompt-only retrieval, greedy decode, first-integer extraction.
+
+    The report has one row per frequency bucket the facts carry.
+    """
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
     prompts = [fact_prompt(f) for f in facts]
-    paths = route_texts(prompts, tree, ecfg) if mode in ("fetched",) else None
+    paths = route_texts(prompts, tree, ecfg) if mode == "fetched" else None
 
     # group by prompt length so a batch decodes in lockstep without padding
     groups: dict[int, list[int]] = {}
@@ -383,7 +379,8 @@ def fact_recall(
             idx = idxs[i0 : i0 + batch_size]
             toks = np.stack([tok.encode(prompts[i]) for i in idx])
             rows = _memory_rows(bank, paths[idx] if paths is not None else None, mode, mask, model.dtype)
-            gen = greedy_decode_batch(model, toks, max_new, _attach(bank, model, rows))
+            mems = mdl.AttachedMemories(bank.cfg, model.cfg, rows) if rows is not None else None
+            gen = greedy_decode_batch(model, toks, max_new, mems)
             for j, i in enumerate(idx):
                 out = gen[j]
                 stop = np.flatnonzero(out == ByteTokenizer.EOT)
@@ -394,12 +391,10 @@ def fact_recall(
                 correct[i] = pred == facts[i].value
 
     buckets = []
-    for b in range(n_buckets):
+    for b in sorted({f.bucket for f in facts}):
         sel = [i for i, f in enumerate(facts) if f.bucket == b]
-        c = int(correct[list(sel)].sum()) if sel else 0
-        buckets.append(
-            {"bucket": b, "count": len(sel), "correct": c, "accuracy": c / len(sel) if sel else float("nan")}
-        )
+        c = int(correct[sel].sum())
+        buckets.append({"bucket": b, "count": len(sel), "correct": c, "accuracy": c / len(sel)})
     routing = None
     if paths is not None and all(f.home_leaf is not None for f in facts):
         hits = sum(tuple(paths[i]) == facts[i].home_leaf for i in range(len(facts)))

@@ -196,13 +196,13 @@ def read_artifact(path, expect_magic: str | None = None):
         return magic, meta, arrays
 
 
-def stored_config(cls, meta: dict, path):
-    """The config dataclass ``cls`` an artifact recorded under ``meta["config"]``.
+def stored_config(cls, fields: dict, path):
+    """The config dataclass ``cls`` an artifact recorded as the metadata dict ``fields``.
 
     A field ``cls`` does not know, or a value its checks refuse, is an
     ``ArtifactError`` naming the file.
     """
     try:
-        return cls(**meta["config"])
+        return cls(**fields)
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"{path}: stored config is not a valid {cls.__name__} ({e})") from None

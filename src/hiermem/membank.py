@@ -7,8 +7,8 @@ takes a batch of 0-based leaf ids and gathers, per level, one row per
 sequence: the block of the leaf's ancestor at that level. A single
 "generic" block of size sum(s_l) rides along for out-of-distribution use
 and is trained on a sampled fraction of sequences; ``fetch`` serves it to
-the rows marked generic and, per ``masked_policy``, to rows whose path
-enters a masked subtree.
+the rows marked generic and, under a ``BlockMask`` whose policy is
+"generic", to rows whose path enters a masked subtree.
 
 Block sizes per memory type, with r the width multiplier, d the model
 width, H = heads * head_dim, d_f the FFN width, and l the number of
@@ -38,6 +38,7 @@ BANK_MAGIC = "HMBANK"
 
 MEMORY_TYPES = ("ffn", "lora_qk", "lora_ov", "lora_ffn", "kv")
 PLACEMENTS = ("uniform", "early", "mid", "late")
+MASKED_POLICIES = ("generic", "zero")  # what a blocked fetch substitutes
 
 # LoRa-style attachments scale their delta by alpha / r.
 LORA_ALPHA = 2.0
@@ -52,7 +53,6 @@ class MemoryConfig:
     mem_type: str = "ffn"
     rs: tuple[int, ...] = (16, 16)     # width multiplier per level, coarse to fine
     placement: str = "uniform"
-    masked_policy: str = "generic"     # what a blocked fetch substitutes: generic | zero
 
     def __post_init__(self):
         object.__setattr__(self, "rs", tuple(self.rs))  # a stored config holds a JSON list
@@ -63,8 +63,6 @@ class MemoryConfig:
         # r_l = 0 marks a level holding no memories, e.g. single-level setups
         if not self.rs or any(r < 0 for r in self.rs):
             raise ValueError(f"width multipliers must be >= 0 per level, got {self.rs}")
-        if self.masked_policy not in ("generic", "zero"):
-            raise ValueError(f"masked_policy must be 'generic' or 'zero', got {self.masked_policy!r}")
 
     @property
     def depth(self) -> int:
@@ -186,18 +184,22 @@ class MemoryBank:
 
 
 class BlockMask:
-    """A set of masked subtree roots, closed over descendants.
+    """A set of masked subtree roots, closed over descendants, and a policy.
 
     Masking node (l, i_1..i_l) masks its whole subtree: any path whose
-    prefix matches a masked root is treated as blocked at fetch time.
+    prefix matches a masked root is treated as blocked at fetch time, and
+    gets the generic block or zeros there as ``policy`` says.
     """
 
-    def __init__(self, roots=()):
+    def __init__(self, roots, policy: str):
         roots = [tuple(int(i) for i in r) for r in roots]
         for r in roots:
             if not r:
                 raise BankError("cannot mask the tree root (empty path)")
+        if policy not in MASKED_POLICIES:
+            raise BankError(f"masked policy must be one of {MASKED_POLICIES}, got {policy!r}")
         self.roots = frozenset(roots)
+        self.policy = policy
 
     def blocked(self, ids, level: int, k: int) -> np.ndarray:
         """Whether each 0-based block id at ``level`` lies in a masked subtree."""
@@ -279,7 +281,7 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
 
     Rows flagged in ``generic_rows`` get the generic block at every level.
     Other rows whose path enters a subtree of ``mask`` get the generic
-    block, or zeros under ``masked_policy = "zero"``, from that level down.
+    block, or zeros under the mask's "zero" policy, from that level down.
     """
     leaf_flats = np.asarray(leaf_flats, dtype=np.int64)
     n_leaves = bank.k ** bank.depth
@@ -295,8 +297,10 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
     for l in range(1, bank.depth + 1):
         ids = leaf_flats // bank.k ** (bank.depth - l)
         rows = bank.levels[l - 1][ids]
-        masked = mask.blocked(ids, l, bank.k) & ~generic if mask else np.zeros_like(generic)
-        rows[masked] = 0.0 if bank.cfg.masked_policy == "zero" else bank.generic[l - 1]
+        masked = np.zeros_like(generic)
+        if mask:
+            masked = mask.blocked(ids, l, bank.k) & ~generic
+            rows[masked] = 0.0 if mask.policy == "zero" else bank.generic[l - 1]
         rows[generic] = bank.generic[l - 1]
         levels.append(rows)
         blocks.append(np.where(generic | masked, -1, ids))
@@ -322,7 +326,7 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
 
 def load_bank(path) -> MemoryBank:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=BANK_MAGIC)
-    cfg = fileio.stored_config(MemoryConfig, meta, path)
+    cfg = fileio.stored_config(MemoryConfig, meta["config"], path)
     depth = cfg.depth
     return MemoryBank(
         cfg=cfg,

@@ -70,6 +70,12 @@ class AnchorConfig:
     def attn_width(self) -> int:
         return self.num_heads * self.head_dim
 
+    @property
+    def bank_dims(self) -> dict:
+        """The sizes a memory bank's layout takes from its anchor, as ``init_bank`` takes them."""
+        return {"dim": self.dim, "heads": self.num_heads, "head_dim": self.head_dim,
+                "ffn_dim": self.ffn_dim, "num_layers": self.num_layers}
+
 
 def _anchor_layout(cfg: AnchorConfig) -> dict[str, tuple[int, ...]]:
     """Every anchor parameter's name and shape, in init and file order.
@@ -198,14 +204,13 @@ def forward(
     tokens: np.ndarray,
     doc_mask: np.ndarray | None = None,
     mems: AttachedMemories | None = None,
-    positions: np.ndarray | None = None,
     cache: KVCache | None = None,
 ) -> nc.Tensor:
     """Logits (B, S, V) for a batch of token id sequences (B, S).
 
-    With a ``cache``, the tokens continue the cached positions: they
-    attend over those and themselves, and their keys and values are
-    appended to the cache.
+    The tokens take positions 0..S-1. With a ``cache``, they continue the
+    cached positions instead: they attend over those and themselves, and
+    their keys and values are appended to the cache.
     """
     cfg = model.cfg
     p = model.params
@@ -215,8 +220,8 @@ def forward(
     B, S = tokens.shape
     past = 0
     if cache is not None:
-        if doc_mask is not None or positions is not None:
-            raise ModelError("a cached forward takes no doc_mask or positions")
+        if doc_mask is not None:
+            raise ModelError("a cached forward takes no doc_mask")
         past = cache.length
         if past + S > cache.capacity:
             raise ModelError(f"{S} tokens after {past} cached overrun the cache's {cache.capacity}")
@@ -227,7 +232,7 @@ def forward(
         raise ModelError(f"token id outside [0, {cfg.vocab_size})")
     heads, dh = cfg.num_heads, cfg.head_dim
     mask = doc_mask if doc_mask is not None else causal_mask(S, model.dtype, past)
-    pos = positions if positions is not None else np.arange(past, end)
+    pos = np.arange(past, end)
 
     x = nc.embedding(p["tok_embeddings.weight"], tokens)
     for i in range(cfg.num_layers):
@@ -313,7 +318,7 @@ def save_model(model: TransformerModel, path, extra_meta: dict | None = None) ->
 def load_model(path) -> tuple[TransformerModel, dict]:
     """The model a checkpoint holds, checked against its config's layout."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=MODEL_MAGIC)
-    cfg = fileio.stored_config(AnchorConfig, meta, path)
+    cfg = fileio.stored_config(AnchorConfig, meta["config"], path)
     dtype = np.dtype(meta["dtype"])
     layout = _anchor_layout(cfg)
     extra = [name for name in arrays if name not in layout]

@@ -182,7 +182,6 @@ class TrainConfig:
     beta2: float = 0.95
     adam_eps: float = 1e-8
     grad_clip: float = 1.0
-    generic_prob: float | None = None  # default 1/(k+1)
     checkpoint_interval: int = 0       # 0: only final
     log_interval: int = 100
     seed: int = 0
@@ -194,8 +193,6 @@ class TrainConfig:
             raise ValueError("total_steps and batch_size must be positive")
         if self.warmup_steps < 0 or self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
-        if self.generic_prob is not None and not (0.0 <= self.generic_prob <= 1.0):
-            raise ValueError(f"generic_prob {self.generic_prob} outside [0, 1]")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:
@@ -260,8 +257,7 @@ def train_step(
     generic_rows = np.zeros(B, dtype=bool)
     level_tensors: list[nc.Tensor] = []
     if bank is not None:
-        gp = cfg.generic_prob if cfg.generic_prob is not None else 1.0 / (bank.k + 1)
-        generic_rows = state.rng.random(B) < gp
+        generic_rows = state.rng.random(B) < 1.0 / (bank.k + 1)
         fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
         level_tensors = [nc.Tensor(rows.astype(model.dtype, copy=False), requires_grad=True) for rows in fm.levels]
 
@@ -372,7 +368,7 @@ def load_state(path) -> TrainState:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
     if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
         raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
-    state = TrainState(fileio.stored_config(TrainConfig, meta, path))
+    state = TrainState(fileio.stored_config(TrainConfig, meta["config"], path))
     state.step = meta["step"]
     state.aborted = meta["aborted"]
     state.tokens_seen = meta["tokens_seen"]

@@ -2,13 +2,16 @@ import hashlib
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from hiermem import cli
+from hiermem import cluster as cl
 from hiermem import embed as em
 from hiermem import evals as ev
 from hiermem import fileio
 from hiermem import membank as mb
+from hiermem import model as mdl
 
 BASE_INI = """\
 [embedder]
@@ -280,6 +283,140 @@ def test_bank_k_must_match_tree_k(ws, trained, tmp_path, capsys):
     assert "k=3" in capsys.readouterr().err
 
 
+def test_eval_and_train_embed_with_the_tree_embedder(ws, trained, tmp_path, capsys):
+    tree = cl.load_tree(trained["tree"])
+    assert tree.embedder == em.EmbedderConfig(dim=64)  # cluster's [embedder]: n-grams 3, 4, 5
+    ngram23 = tmp_path / "ngram23.ini"
+    ngram23.write_text(BASE_INI.replace("dim = 64", "dim = 64\nngram_sizes = 2, 3"))
+    prompts = [ev.fact_prompt(f) for f in ev.load_facts(trained["facts"])]
+    want = ev.route_texts(prompts, tree, tree.embedder).tolist()
+    # the config's embedder would route these prompts elsewhere
+    assert ev.route_texts(prompts, tree, em.EmbedderConfig(dim=64, ngram_sizes=(2, 3))).tolist() != want
+
+    out = tmp_path / "ev"
+    assert cli.main(["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+                     "--tree", trained["tree"], "--config", str(ngram23), "--out", str(out)]) == 0
+    lines = (out / "recall_fetched.jsonl").read_text().splitlines()
+    assert [json.loads(line)["routed"] for line in lines] == want
+
+    # train packs the corpus by the tree's embedder too: the same bank as under cluster's config
+    mem23 = tmp_path / "mem23.ini"
+    mem23.write_text(ngram23.read_text().replace("regime = scratch", "regime = memory"))
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(mem23),
+                     "--out", str(tmp_path / "t"),
+                     "--init", str(ws / "runA" / "ckpt_final" / "model.ckpt")]) == 0
+    a, b = mb.load_bank(trained["bank"]), mb.load_bank(tmp_path / "t" / "ckpt_final" / "bank.bin")
+    assert all(np.array_equal(x, y) for x, y in zip(a.levels + a.generic, b.levels + b.generic))
+
+    # a tree that records no embedder is refused: one written before trees
+    # recorded it, and one saved by a caller that never set it
+    magic, meta, arrays = fileio.read_artifact(trained["tree"])
+    del meta["embedder"]
+    fileio.write_artifact(tmp_path / "old.bin", magic, meta, arrays)
+    tree.embedder = None
+    cl.save_tree(tree, tmp_path / "unset.bin")
+    for t in ("old.bin", "unset.bin"):
+        t = str(tmp_path / t)
+        assert cli.main(["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+                         "--tree", t, "--config", trained["ini"], "--out", str(out)]) == 1
+        assert "records no embedder" in capsys.readouterr().err
+        assert cli.main(["train", str(ws / "corpus.txt"), t, "--config", trained["ini"],
+                         "--out", str(out)]) == 1
+        assert "records no embedder" in capsys.readouterr().err
+
+
+def test_train_init_lays_out_the_bank_for_the_model_it_trains(ws, trained, tmp_path):
+    # 1 layer of width 32 gives the same ffn block size as the model's 2 layers of 16
+    ini = tmp_path / "other_anchor.ini"
+    ini.write_text(BASE_INI.replace("regime = scratch", "regime = memory")
+                   .replace("num_layers = 2", "num_layers = 1").replace("dim = 16", "dim = 32"))
+    init = ws / "runA" / "ckpt_final" / "model.ckpt"
+    out = tmp_path / "o"
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ini),
+                     "--out", str(out), "--init", str(init)]) == 0
+    bank = mb.load_bank(out / "ckpt_final" / "bank.bin")
+    assert bank.dims == mdl.load_model(init)[0].cfg.bank_dims
+    # [anchor] is not read under --init: the run matches the one under the model's own sizes
+    want = mb.load_bank(trained["bank"])
+    assert all(np.array_equal(x, y) for x, y in zip(want.levels + want.generic, bank.levels + bank.generic))
+
+
+def test_bank_dims_must_match_the_model(ws, trained, tmp_path, capsys, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("embedded before the bank was checked against the model")
+
+    # the same ffn block size as the trained model's (2 layers of width 16), another layout
+    bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=(2, 2)), dim=32, heads=2,
+                        head_dim=8, ffn_dim=32, num_layers=1, k=2, seed=0)
+    path = str(tmp_path / "wide.bin")
+    mb.save_bank(bank, path)
+    monkeypatch.setattr(em, "embed_batch", no_embedding)
+    model, facts, out = str(trained["model"]), trained["facts"], str(tmp_path / "o")
+    for argv in (["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ws / "run_mem.ini"),
+                  "--init", model],
+                 ["eval", model, facts, "--tree", trained["tree"], "--config", trained["ini"]],
+                 ["eval", model, facts, "--mode", "generic", "--config", trained["ini"]],
+                 ["block", model, facts, "1", "--tree", trained["tree"], "--config", trained["ini"]]):
+        assert cli.main([*argv, "--bank", path, "--out", out]) == 2
+        assert "laid out for anchor" in capsys.readouterr().err
+
+
+def test_block_fills_masked_blocks_by_eval_masked_policy(trained, tmp_path, monkeypatch):
+    fetch, fetched = mb.fetch, []
+
+    def recording_fetch(*args, **kwargs):
+        fetched.append(fetch(*args, **kwargs))
+        return fetched[-1]
+
+    monkeypatch.setattr(mb, "fetch", recording_fetch)
+    bank = mb.load_bank(trained["bank"])
+    for policy in ("zero", "generic"):
+        ini = tmp_path / f"{policy}.ini"
+        ini.write_text(BASE_INI + f"\n[eval]\nmasked_policy = {policy}\n")
+        fetched.clear()
+        assert cli.main(["block", str(trained["model"]), trained["facts"], "1",
+                         "--bank", str(trained["bank"]), "--tree", trained["tree"],
+                         "--config", str(ini), "--out", str(tmp_path / policy)]) == 0
+        masked = 0
+        for fm in fetched:
+            for level, (rows, blocks) in enumerate(zip(fm.levels, fm.blocks)):
+                fill = 0.0 if policy == "zero" else bank.generic[level]
+                assert np.array_equal(rows[blocks < 0], np.broadcast_to(fill, rows[blocks < 0].shape))
+                masked += int((blocks < 0).sum())
+        assert masked > 0
+    assert bank.generic[0].any()  # the two policies fill differently
+
+
+def test_bucket_table_keeps_every_fact(trained, tmp_path):
+    facts = ev.load_facts(trained["facts"])
+    ev.assign_buckets(facts, 8)
+    table = tmp_path / "facts8.json"
+    table.write_text(json.dumps([asdict(f) for f in facts]))
+    out = tmp_path / "o"
+    assert cli.main(["eval", str(trained["model"]), str(table), "--mode", "none",
+                     "--config", trained["ini"], "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "recall_none.csv").read_text().splitlines()[1:]]
+    buckets = [r for r in rows if r[0] not in ("overall", "routing")]
+    assert [int(r[0]) for r in buckets] == sorted({f.bucket for f in facts}) == list(range(8))
+    assert sum(int(r[1]) for r in buckets) == len(facts)
+
+
+def test_eval_and_block_reports_ignore_embedder_anchor_and_memory(trained, tmp_path):
+    other = tmp_path / "other.ini"
+    other.write_text(BASE_INI.replace("dim = 64", "dim = 32\nngram_sizes = 2, 3")
+                     .replace("num_layers = 2", "num_layers = 1").replace("dim = 16", "dim = 32")
+                     .replace("mem_type = ffn", "mem_type = kv").replace("rs = 2, 2", "rs = 4, 4, 4"))
+    model, facts, bank = str(trained["model"]), trained["facts"], str(trained["bank"])
+    for ini, out in ((trained["ini"], tmp_path / "a"), (str(other), tmp_path / "b")):
+        common = ["--bank", bank, "--tree", trained["tree"], "--config", ini, "--out", str(out)]
+        for mode in ("fetched", "generic"):
+            assert cli.main(["eval", model, facts, "--mode", mode, *common]) == 0
+        assert cli.main(["block", model, facts, "1", "2.2", *common]) == 0
+    for name in ("recall_fetched", "recall_generic", "recall_blocked"):
+        for ext in (".csv", ".jsonl"):
+            assert (tmp_path / "a" / (name + ext)).read_bytes() == (tmp_path / "b" / (name + ext)).read_bytes()
+
+
 def test_eval_modes_and_reports(ws, trained, tmp_path, capsys):
     out = tmp_path / "ev"
     rc = cli.main(["eval", str(trained["model"]), trained["facts"],
@@ -371,6 +508,16 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
     for level in (1, 2):
         n = [v for key, v in opt_steps.items() if key.startswith(f"l{level}.") and key[3:] != "generic"]
         assert f"level {level}: {len(n)} blocks trained, updates min {min(n)} max {max(n)}" in out
+
+
+def test_inspect_tree_shows_embedder_and_balance(trained, capsys):
+    assert cli.main(["inspect", trained["tree"]]) == 0
+    out = capsys.readouterr().out
+    assert "embedder: {'dim': 64, 'ngram_sizes': [3, 4, 5], 'seed': 0}" in out
+    stats = cl.load_tree(trained["tree"]).meta["node_stats"].values()
+    share = max(s["max_fraction"] for s in stats)
+    converged = sum(s["balance_converged"] for s in stats)
+    assert f"balance: largest child share {share:.3f}, {converged} of 3 nodes converged" in out
 
 
 def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):

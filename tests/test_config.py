@@ -8,7 +8,7 @@ def test_defaults_without_file():
     assert rc.seed == 0 and rc.out == "runs"
     assert rc.cluster.k == 16
     assert rc.train.regime == "memory"
-    assert rc.eval.n_buckets == 5
+    assert rc.eval.masked_policy == "generic"
 
 
 def test_file_values_and_flag_overrides(tmp_path):
@@ -17,14 +17,15 @@ def test_file_values_and_flag_overrides(tmp_path):
         "[cluster]\nk = 4\ndepth = 3\nbalance_limit = 0.5\n"
         "[memory]\nrs = 4, 8, 8\nmem_type = kv\n"
         "[anchor]\ntied_head = false\n"
-        "[train]\ngeneric_prob = none\nlr_max = 5e-4\n"
+        "[train]\nlr_max = 5e-4\n"
+        "[eval]\nmasked_policy = zero\n"
         "[run]\nseed = 11\nout = somewhere\n"
     )
     rc = hc.load_config(p)
     assert rc.cluster.k == 4 and rc.cluster.depth == 3
     assert rc.memory.rs == (4, 8, 8) and rc.memory.mem_type == "kv"
     assert rc.anchor.tied_head is False
-    assert rc.train.generic_prob is None
+    assert rc.eval.masked_policy == "zero"
     assert rc.train.lr_max == pytest.approx(5e-4)
     assert rc.seed == 11 and rc.out == "somewhere"
     rc2 = hc.load_config(p, seed=99, out="elsewhere")
@@ -73,10 +74,15 @@ def test_error_messages(tmp_path):
     p.write_text("[cluster]\nk = 0\n")
     with pytest.raises(hc.ConfigError, match=r"\[cluster\].*branching"):
         hc.load_config(p)
+    # settings an input fixes, and the mask policy's old home, are not keys
+    for section, key in (("eval", "n_buckets"), ("train", "generic_prob"), ("memory", "masked_policy")):
+        p.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(hc.ConfigError, match=rf"\[{section}\] has no key '{key}'"):
+            hc.load_config(p)
 
 
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         hc.EvalConfig(max_new=0)
-    with pytest.raises(ValueError):
-        hc.EvalConfig(n_buckets=0)
+    with pytest.raises(ValueError, match="masked_policy"):
+        hc.EvalConfig(masked_policy="warp")

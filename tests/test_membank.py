@@ -71,20 +71,22 @@ def test_fetch_path_and_masking_policies():
     fm = mb.fetch(bank, leaves)
     assert [b.tolist() for b in fm.blocks] == [[1, 0], [3, 2]]
 
-    mask = mb.BlockMask([(2,)])  # level-1 subtree: prefix closure blocks level 2 too
+    mask = mb.BlockMask([(2,)], "generic")  # level-1 subtree: prefix closure blocks level 2 too
     fm = mb.fetch(bank, leaves, mask=mask)
     assert [b.tolist() for b in fm.blocks] == [[-1, 0], [-1, 2]]
     assert np.array_equal(fm.levels[0][0], bank.generic[0])
     assert np.array_equal(fm.levels[1][1], bank.levels[1][2])
 
-    bank_zero = small_bank(masked_policy="zero")
-    fm0 = mb.fetch(bank_zero, leaves, mask=mask)
+    fm0 = mb.fetch(bank, leaves, mask=mb.BlockMask([(2,)], "zero"))
+    assert [b.tolist() for b in fm0.blocks] == [[-1, 0], [-1, 2]]
     assert not fm0.levels[0][0].any() and not fm0.levels[1][0].any()
-    assert np.array_equal(fm0.levels[0][1], bank_zero.levels[0][0])
+    assert np.array_equal(fm0.levels[0][1], bank.levels[0][0])
+    with pytest.raises(mb.BankError, match="policy"):
+        mb.BlockMask([(2,)], "warp")
 
 
 def test_blockmask_deeper_subtree_only_hits_descendants():
-    mask = mb.BlockMask([(1, 2)])
+    mask = mb.BlockMask([(1, 2)], "generic")
     assert mask.blocked([1, 2], 2, 3).tolist() == [True, False]  # (1, 2) and (1, 3)
     assert not mask.blocked([0], 1, 3).any()  # level-1 block untouched
     bank = small_bank()
@@ -97,14 +99,14 @@ def test_mask_roots_outside_branching_factor_rejected():
     # at k=3, (1, 4) would otherwise alias the flat id of (2, 1)
     for root in [(1, 4), (0,), (4,)]:
         with pytest.raises(mb.BankError):
-            mb.fetch(bank, [0], mask=mb.BlockMask([root]))
+            mb.fetch(bank, [0], mask=mb.BlockMask([root], "generic"))
 
 
 def test_mask_roots_deeper_than_bank_rejected():
     bank = small_bank()
     # a depth-3 root names no block of a depth-2 bank, so it would mask nothing
     with pytest.raises(mb.BankError, match="deeper"):
-        mb.fetch(bank, [0], mask=mb.BlockMask([(1, 1, 1)]))
+        mb.fetch(bank, [0], mask=mb.BlockMask([(1, 1, 1)], "generic"))
 
 
 def test_generic_fetch():
@@ -114,7 +116,7 @@ def test_generic_fetch():
         assert np.array_equal(fm.levels[l][0], bank.generic[l])
     assert [b.tolist() for b in fm.blocks] == [[-1, 2], [-1, 8]]
     # a generic row stays generic under a mask, whatever the policy
-    fm = mb.fetch(small_bank(masked_policy="zero"), [0], [True], mb.BlockMask([(1,)]))
+    fm = mb.fetch(bank, [0], [True], mb.BlockMask([(1,)], "zero"))
     assert fm.levels[1].any() and fm.blocks[1].tolist() == [-1]
 
 
@@ -140,7 +142,7 @@ def per_row_fetch(bank, leaf_flats, generic_rows, mask):
             if gen:
                 rows.append(bank.generic[l - 1])
             elif any(prefix[: len(r)] == r for r in mask.roots if len(r) <= l):
-                rows.append(bank.generic[l - 1] * (bank.cfg.masked_policy != "zero"))
+                rows.append(bank.generic[l - 1] * (mask.policy != "zero"))
             else:
                 flat = 0
                 for c in prefix:
@@ -154,12 +156,12 @@ def per_row_fetch(bank, leaf_flats, generic_rows, mask):
 @given(data=st.data(), policy=st.sampled_from(["generic", "zero"]), r1=st.sampled_from([0, 2]))
 def test_batched_fetch_equals_per_row_reference(data, policy, r1):
     k, depth = 3, 3
-    bank = small_bank(rs=(r1, 1, 2), k=k, masked_policy=policy)
+    bank = small_bank(rs=(r1, 1, 2), k=k)
     B = data.draw(st.integers(0, 12))
     leaves = np.array(data.draw(st.lists(st.integers(0, k ** depth - 1), min_size=B, max_size=B)), dtype=np.int64)
     generic = np.array(data.draw(st.lists(st.booleans(), min_size=B, max_size=B)), dtype=bool)
     path = st.lists(st.integers(1, k), min_size=1, max_size=depth).map(tuple)
-    mask = mb.BlockMask(data.draw(st.lists(path, max_size=4)))
+    mask = mb.BlockMask(data.draw(st.lists(path, max_size=4)), policy)
     fm = mb.fetch(bank, leaves, generic, mask)
     for got, want in zip(fm.levels, per_row_fetch(bank, leaves, generic, mask)):
         assert got.dtype == np.float32 and got.shape == want.shape
@@ -217,9 +219,14 @@ def test_zero_width_levels():
 
 
 def test_config_from_artifact_meta(tmp_path):
-    bank = small_bank(rs=(0, 3), placement="late", masked_policy="zero")
+    bank = small_bank(rs=(0, 3), placement="late")
     mb.save_bank(bank, tmp_path / "b.bin")
     assert mb.load_bank(tmp_path / "b.bin").cfg == bank.cfg
-    legacy = {"config": {"mem_type": "kv", "rs": [1, 2], "placement": "mid"}}
-    assert fileio.stored_config(mb.MemoryConfig, legacy, "legacy.bin") == \
-        mb.MemoryConfig("kv", (1, 2), "mid", "generic")
+    stored = {"mem_type": "kv", "rs": [1, 2], "placement": "mid"}
+    assert fileio.stored_config(mb.MemoryConfig, stored, "b.bin") == mb.MemoryConfig("kv", (1, 2), "mid")
+    # a bank file from when the mask policy was stored in the bank is refused
+    magic, meta, arrays = fileio.read_artifact(tmp_path / "b.bin")
+    meta["config"]["masked_policy"] = "generic"
+    fileio.write_artifact(tmp_path / "old.bin", magic, meta, arrays)
+    with pytest.raises(fileio.ArtifactError, match="masked_policy"):
+        mb.load_bank(tmp_path / "old.bin")

@@ -129,19 +129,6 @@ def test_doc_mask_isolates_spans():
     assert not np.allclose(a[0, 1:4], b[0, 1:4])
 
 
-def test_rotary_positions_are_relative():
-    rng = np.random.default_rng(8)
-    model = mdl.init_model(TOY, seed=9)
-    toks = rng.integers(0, TOY.vocab_size, size=(1, 6)).astype(np.int32)
-    a = mdl.forward(model, toks).data
-    # a uniform shift leaves all pairwise offsets, hence logits, unchanged
-    b = mdl.forward(model, toks, positions=np.arange(3, 9)).data
-    assert np.abs(a - b).max() < 1e-5
-    # stretching the gaps does not
-    c = mdl.forward(model, toks, positions=np.arange(6) * 4).data
-    assert np.abs(a - c).max() > 1e-4
-
-
 def test_save_load_roundtrip_and_meta(tmp_path):
     model = mdl.init_model(TOY, seed=11)
     p1, p2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
@@ -171,8 +158,6 @@ def test_cached_forward_rejects_mask_positions_and_overrun():
     cache = mdl.KVCache(TOY, 2, 4, model.dtype)
     with pytest.raises(mdl.ModelError):
         mdl.forward(model, toks, doc_mask=mdl.causal_mask(3), cache=cache)
-    with pytest.raises(mdl.ModelError):
-        mdl.forward(model, toks, positions=np.arange(3), cache=cache)
     mdl.forward(model, toks, cache=cache)
     assert cache.length == 3
     with pytest.raises(mdl.ModelError):

@@ -145,6 +145,21 @@ def test_rope_grads_and_norm_preservation():
     assert np.allclose(np.linalg.norm(out.data, axis=-1), np.linalg.norm(x, axis=-1))
 
 
+def test_rotary_positions_are_relative():
+    q = rng.normal(size=(1, 2, 6, 8))
+    k = rng.normal(size=(1, 2, 6, 8))
+
+    def scores(pos):
+        qr, kr = nc.rope(nc.Tensor(q), pos, 100.0), nc.rope(nc.Tensor(k), pos, 100.0)
+        return qr.data @ np.swapaxes(kr.data, -1, -2)
+
+    a = scores(np.arange(6))
+    # a uniform shift leaves every pairwise offset, hence every q.k, unchanged
+    assert np.abs(a - scores(np.arange(3, 9))).max() < 1e-9
+    # stretching the gaps does not
+    assert np.abs(a - scores(np.arange(6) * 4)).max() > 1e-4
+
+
 def test_cross_entropy_matches_manual_and_weights():
     logits = rng.normal(size=(5, 7))
     targets = rng.integers(0, 7, size=5)

@@ -221,15 +221,29 @@ def test_nonfinite_loss_aborts_step():
         assert np.array_equal(g, b)
 
 
-def test_generic_prob_default_rate():
+def test_generic_prob_default_rate(monkeypatch):
     model, bank, seqs, cfg = toy_setup(steps=1)
     state = tr.TrainState(cfg)
-    n, hits = 4000, 0
-    draws = state.rng.random(n) < 1.0 / (bank.k + 1)
-    hits = int(draws.sum())
+    batch = tr.build_batch(seqs[:4])
+    fetch, generic = mb.fetch, []
+
+    class Fetched(Exception):
+        pass
+
+    def fetch_and_stop(*args, **kwargs):
+        # no mask in training: a row without a block id got the generic block
+        generic.append(fetch(*args, **kwargs).blocks[0] < 0)
+        raise Fetched
+
+    monkeypatch.setattr(mb, "fetch", fetch_and_stop)
+    for _ in range(1000):
+        with pytest.raises(Fetched):
+            tr.train_step(model, bank, batch, state, cfg)
+    rows = np.concatenate(generic)
+    n, hits = rows.size, int(rows.sum())
     p = 1.0 / (bank.k + 1)
     sigma = (n * p * (1 - p)) ** 0.5
-    assert abs(hits - n * p) < 4 * sigma
+    assert n == 4000 and abs(hits - n * p) < 4 * sigma
 
 
 # --- state save/load ---
@@ -315,5 +329,3 @@ def test_config_validation():
         tr.TrainConfig(total_steps=0)
     with pytest.raises(ValueError):
         tr.TrainConfig(warmup_steps=11, total_steps=10)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(generic_prob=1.5)

@@ -1,8 +1,12 @@
 """Command-line pipeline: cluster, train, eval, simulate, block, inspect.
 
-Every command resolves one RunConfig (file + flag overrides), writes its
-outputs under the config's out directory, and stamps the config digest
-into each artifact so `inspect` can show which settings produced what.
+Every command resolves one RunConfig (file + flag overrides) and writes its
+outputs under the config's out directory. [run] seed, or --seed, is the
+one seed of a run: it seeds the embedder hash, the tree's k-means, the
+model and bank init, the packing order and the batch and generic draws.
+Each artifact records the configs it was built from and the names and
+sha256 of its input files, and nothing else of the run config, so a
+setting a command does not read never changes its output bytes.
 Besides [run], each command reads only the sections that no input fixes:
 `cluster` [embedder] and [cluster] (tree.bin records the embedder);
 `train` [train], [anchor] without --init and [memory] without --bank;
@@ -16,7 +20,6 @@ Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -34,8 +37,7 @@ from . import train as tr
 
 
 def _load(args) -> hc.RunConfig:
-    out = args.out or os.environ.get("HIERMEM_OUT")
-    return hc.load_config(args.config, seed=args.seed, out=out)
+    return hc.load_config(args.config, seed=args.seed, out=args.out)
 
 
 def _outdir(rc: hc.RunConfig) -> Path:
@@ -53,13 +55,11 @@ def _read_corpus(path) -> list[str]:
     return docs
 
 
-def _provenance(rc: hc.RunConfig, **inputs) -> dict:
+def _provenance(**inputs) -> dict:
     # the file name, not the path: artifact bytes must not depend on where
     # the inputs sit or where the command runs
-    meta = {"config_digest": rc.digest}
-    for name, p in inputs.items():
-        meta[f"input_{name}"] = {"name": Path(p).name, "sha256": fileio.sha256_file(p)}
-    return meta
+    return {f"input_{name}": {"name": Path(p).name, "sha256": fileio.sha256_file(p)}
+            for name, p in inputs.items()}
 
 
 def _load_tree(path) -> cl.ClusterTree:
@@ -88,7 +88,7 @@ def cmd_cluster(args) -> int:
     tree = cl.train_tree(vecs, rc.cluster)
     tree.embedder = rc.embedder
     tree_path = out / "tree.bin"
-    cl.save_tree(tree, tree_path, extra_meta=_provenance(rc, corpus=args.corpus))
+    cl.save_tree(tree, tree_path, extra_meta=_provenance(corpus=args.corpus))
     paths = cl.assign_batch(vecs, tree)
     index_path = out / "doc_index.csv"
     fileio.write_csv(index_path, ["doc"] + [f"level{l}" for l in range(1, tree.depth + 1)],
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], paths, rc.train.seq_len, tok,
                           tree.k, seed=rc.seed)
 
-    meta = _provenance(rc, corpus=args.corpus, tree=args.tree)
+    meta = _provenance(corpus=args.corpus, tree=args.tree)
     state = tr.train_run(model, bank, seqs, rc.train, out, extra_meta=meta)
     print(f"trained {state.step} steps ({state.tokens_seen:.0f} tokens) -> {out}/ckpt_final")
     return 0
@@ -208,15 +208,21 @@ def cmd_block(args) -> int:
     return _recall(args, rc, "fetched", mask, "blocked")
 
 
+_LOADERS = {cl.TREE_MAGIC: cl.load_tree, mdl.MODEL_MAGIC: mdl.load_model,
+            mb.BANK_MAGIC: mb.load_bank, tr.STATE_MAGIC: tr.load_state}
+
+
 def cmd_inspect(args) -> int:
     magic, meta, arrays = fileio.read_artifact(args.artifact)
-    # a training state is shown only if it could be resumed
-    state = tr.load_state(args.artifact) if magic == tr.STATE_MAGIC else None
+    # an artifact is shown only if the command that reads it would accept it
+    loaded = _LOADERS[magic](args.artifact) if magic in _LOADERS else None
     print(f"{args.artifact}: {magic} v{fileio.FORMAT_VERSION}")
     for key in sorted(meta):
         val = meta[key]
         if isinstance(val, dict) and set(val) == {"name", "sha256"}:
             val = f"{val['name']} sha256:{val['sha256'][:16]}…"
+        if key == "tree_meta":  # one stats dict per node; the balance line sums them up
+            val = {name: v for name, v in val.items() if name != "node_stats"}
         print(f"  {key}: {val}")
     total = 0
     for name, arr in arrays.items():
@@ -224,17 +230,16 @@ def cmd_inspect(args) -> int:
         print(f"  array {name}: {arr.dtype} {arr.shape}")
     print(f"  total elements: {total:,}")
     if magic == cl.TREE_MAGIC:
-        stats = meta["tree_meta"]["node_stats"].values()
+        stats = loaded.meta["node_stats"].values()
         print(f"  balance: largest child share {max(s['max_fraction'] for s in stats):.3f}, "
               f"{sum(s['balance_converged'] for s in stats)} of {len(stats)} nodes converged")
     if magic == mb.BANK_MAGIC:
-        mcfg = fileio.stored_config(mb.MemoryConfig, meta["config"], args.artifact)
-        acc = mb.bank_accounting(mcfg, k=meta["k"], **meta["dims"])
+        acc = mb.bank_accounting(loaded.cfg, k=loaded.k, **loaded.dims)
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
-    if state is not None:
-        print(f"  step {state.step}, aborted {state.aborted}")
+    if magic == tr.STATE_MAGIC:
+        print(f"  step {loaded.step}, aborted {loaded.aborted}")
         updates: dict[int, list[int]] = {}
-        for key, st in state.opt.items():
+        for key, st in loaded.opt.items():
             owner, block = key.split(".", 1)  # anchor.<param>, l<level>.<block id or generic>
             if owner != "anchor" and block != "generic":
                 updates.setdefault(int(owner[1:]), []).append(st.steps)

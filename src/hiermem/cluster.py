@@ -250,7 +250,8 @@ def save_tree(tree: ClusterTree, path, extra_meta: dict | None = None) -> None:
 def load_tree(path) -> ClusterTree:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=TREE_MAGIC)
     cfg = fileio.stored_config(ClusterConfig, meta["config"], path)
-    levels = [arrays[f"level{l + 1}"] for l in range(cfg.depth)]
+    fileio.check_layout(path, arrays, {f"level{l}": (cfg.k**l, meta["dim"]) for l in range(1, cfg.depth + 1)})
+    levels = [arrays[f"level{l}"] for l in range(1, cfg.depth + 1)]
     # None for a tree saved without one; the CLI refuses such a tree
     emb = meta.get("embedder")
     embedder = fileio.stored_config(em.EmbedderConfig, emb, path) if emb else None

@@ -4,22 +4,25 @@ A run config is plain text with one section per subsystem; every key has a
 default, so the empty file is a valid config. Values are type-checked
 against the owning dataclass and rejected with the offending section.key,
 never silently ignored — a typo'd key must not produce a differently
-configured run. The resolved config has a stable digest that producing
-commands stamp into their artifacts.
+configured run.
+One seed drives every random stage: [run] seed (or --seed) becomes the
+seed of the embedder, the cluster tree and the training run, and a seed
+key in any other section is refused.
 A value that an input fixes is not a key: the tree records its embedder,
 a bank is laid out for its model, a report has a row per bucket its facts
 carry, and the masked-block policy is a setting of [eval], not of the bank.
+Each artifact records the sections it was built from, not the whole run
+config, so a section a command does not read cannot change its output.
 """
 
 from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import cluster as cl
 from . import embed as em
-from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import train as tr
@@ -64,18 +67,9 @@ class RunConfig:
     seed: int = 0
     out: str = "runs"
 
-    def as_dict(self) -> dict:
-        d = {name: asdict(getattr(self, name)) for name in _SECTIONS}
-        d["run"] = {"seed": self.seed, "out": self.out}
-        return d
-
-    @property
-    def digest(self) -> str:
-        # the digest names the settings that determine artifact bytes; where
-        # those bytes land is not one of them
-        d = self.as_dict()
-        d["run"] = {"seed": self.seed}
-        return fileio.digest_of(d)
+    def __post_init__(self):
+        for name in ("embedder", "cluster", "train"):
+            object.__setattr__(self, name, replace(getattr(self, name), seed=self.seed))
 
 
 def _convert(hint, raw: str, where: str):
@@ -109,6 +103,8 @@ def _parse_section(cls, section: str, items: dict) -> object:
     known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, raw in items.items():
+        if key == "seed":
+            raise ConfigError(f"[{section}] seed: the one seed of a run is [run] seed (or --seed)")
         if key not in known:
             raise ConfigError(f"[{section}] has no key {key!r}")
         kwargs[key] = _convert(hints[key], raw, f"[{section}] {key}")

@@ -425,11 +425,10 @@ def fact_recall(
 # report files
 # ---------------------------------------------------------------------------
 
-def write_recall_report(rep: RecallReport, csv_path, jsonl_path=None) -> None:
+def write_recall_report(rep: RecallReport, csv_path, jsonl_path) -> None:
     rows = [[b["bucket"], b["count"], b["correct"], b["accuracy"]] for b in rep.buckets]
     rows.append(["overall", len(rep.traces), int(sum(t["correct"] for t in rep.traces)), rep.overall])
     if rep.routing_accuracy is not None:
         rows.append(["routing", None, None, rep.routing_accuracy])
     fileio.write_csv(csv_path, ("bucket", "count", "correct", "accuracy"), rows)
-    if jsonl_path is not None:
-        fileio.write_lines(jsonl_path, (json.dumps(t, sort_keys=True) for t in rep.traces))
+    fileio.write_lines(jsonl_path, (json.dumps(t, sort_keys=True) for t in rep.traces))

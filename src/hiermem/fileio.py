@@ -40,11 +40,6 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def digest_of(obj) -> str:
-    """sha256 hex digest of an object's canonical JSON form."""
-    return hashlib.sha256(canonical_json(obj)).hexdigest()
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -101,6 +96,11 @@ def write_csv(path, header, rows) -> None:
     write_lines(path, itertools.chain([",".join(header)], lines))
 
 
+def _raw_bytes(arr: np.ndarray) -> memoryview:
+    """The raw bytes of a C-contiguous array: a view of its buffer, not a copy."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
 def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write an artifact whole or not at all."""
     if len(magic) > 8:
@@ -122,7 +122,7 @@ def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) 
             f.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(arr).tobytes())
+            f.write(_raw_bytes(np.ascontiguousarray(arr)))
 
 
 class _Fields(dict):
@@ -149,12 +149,15 @@ def read_artifact(path, expect_magic: str | None = None):
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
 
-        def take(n: int, what: str) -> bytes:
+        def reserve(n: int, what: str) -> int:
             nonlocal left
             if n > left:
                 raise ArtifactError(f"{path}: truncated {what}")
             left -= n
-            return f.read(n)
+            return n
+
+        def take(n: int, what: str) -> bytes:
+            return f.read(reserve(n, what))
 
         def unpack(fmt: str, what: str) -> int:
             return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
@@ -186,14 +189,27 @@ def read_artifact(path, expect_magic: str | None = None):
             if dtype.hasobject or dtype.itemsize == 0:
                 raise ArtifactError(f"{path}: array {name!r} has unsupported dtype {dtype}")
             shape = tuple(unpack("<Q", "array header") for _ in range(unpack("<B", "array header")))
-            buf = take(math.prod(shape) * dtype.itemsize, f"array {name!r}")
+            nbytes = reserve(math.prod(shape) * dtype.itemsize, f"array {name!r}")
             try:
-                arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+                arr = arrays[name] = np.empty(shape, dtype=dtype)
             except ValueError as e:  # e.g. a zero-sized shape too large to index
                 raise ArtifactError(f"{path}: corrupt array {name!r} ({e})") from None
+            # straight into the array's own buffer: no bytes object, no copy
+            if f.readinto(_raw_bytes(arr)) != nbytes:
+                raise ArtifactError(f"{path}: truncated array {name!r}")
         if left:
             raise ArtifactError(f"{path}: {left} trailing bytes after the last array")
         return magic, meta, arrays
+
+
+def check_layout(path, arrays: dict[str, np.ndarray], layout: dict[str, tuple[int, ...]]) -> None:
+    """An ``ArtifactError`` unless ``arrays`` has exactly ``layout``'s names and shapes."""
+    extra = [name for name in arrays if name not in layout]
+    if extra:
+        raise ArtifactError(f"{path}: arrays {extra} are not in the stored config's layout")
+    for name, shape in layout.items():
+        if arrays[name].shape != shape:  # a missing array is an ArtifactError too
+            raise ArtifactError(f"{path}: {name} is shaped {arrays[name].shape}, the stored config needs {shape}")
 
 
 def stored_config(cls, fields: dict, path):

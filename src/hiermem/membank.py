@@ -146,11 +146,7 @@ def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_
 
 
 def bank_accounting(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_dim: int, num_layers: int, k: int) -> dict:
-    """Fetch/bank parameter totals plus the per-level block sizes.
-
-    c0 is the block size at r=1 (the granularity the width multipliers
-    scale), identical across levels.
-    """
+    """Fetch/bank parameter totals plus the per-level block sizes."""
     layers = layer_subset(cfg.placement, num_layers)
 
     def size(r: int) -> int:
@@ -164,8 +160,6 @@ def bank_accounting(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_
         "fetch_params": fetch,
         "bank_params": bank,
         "generic_params": fetch,
-        "c0": size(1),
-        "placed_layers": len(layers),
     }
 
 
@@ -327,12 +321,13 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
 def load_bank(path) -> MemoryBank:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=BANK_MAGIC)
     cfg = fileio.stored_config(MemoryConfig, meta["config"], path)
-    depth = cfg.depth
-    return MemoryBank(
-        cfg=cfg,
-        k=meta["k"],
-        dims=meta["dims"],
-        levels=[arrays[f"level{l}"] for l in range(1, depth + 1)],
-        generic=[arrays[f"generic.l{l}"] for l in range(1, depth + 1)],
-        meta=meta.get("bank_meta", {}),
-    )
+    k, dims = meta["k"], meta["dims"]
+    try:
+        sizes = bank_accounting(cfg, k=k, **dims)["level_sizes"]
+    except (TypeError, ValueError) as e:
+        raise fileio.ArtifactError(f"{path}: stored k {k!r} and dims {dims!r} give no bank layout ({e})") from None
+    levels = range(1, cfg.depth + 1)
+    fileio.check_layout(path, arrays, {f"level{l}": (k**l, sizes[l - 1]) for l in levels}
+                        | {f"generic.l{l}": (sizes[l - 1],) for l in levels})
+    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=[arrays[f"level{l}"] for l in levels],
+                      generic=[arrays[f"generic.l{l}"] for l in levels], meta=meta.get("bank_meta", {}))

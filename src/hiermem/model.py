@@ -321,13 +321,6 @@ def load_model(path) -> tuple[TransformerModel, dict]:
     cfg = fileio.stored_config(AnchorConfig, meta["config"], path)
     dtype = np.dtype(meta["dtype"])
     layout = _anchor_layout(cfg)
-    extra = [name for name in arrays if name not in layout]
-    if extra:
-        raise ModelError(f"{path}: parameters {extra} are not in the config's layout")
-    params = {}
-    for name, shape in layout.items():
-        arr = arrays[name]  # a missing parameter is an ArtifactError
-        if arr.shape != shape:
-            raise ModelError(f"{path}: {name} is shaped {arr.shape}, the config needs {shape}")
-        params[name] = nc.Tensor(arr, requires_grad=True)
+    fileio.check_layout(path, arrays, layout)
+    params = {name: nc.Tensor(arrays[name], requires_grad=True) for name in layout}
     return TransformerModel(cfg, params, dtype=dtype), meta

@@ -459,7 +459,7 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over the vocabulary (last axis).
 
     ``targets`` holds class ids shaped like logits minus the last axis;
@@ -474,10 +474,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray | None
         raise ShapeError(f"cross_entropy: logits {logits.data.shape} vs targets {np.asarray(targets).shape}")
     if t.size and (t.min() < 0 or t.max() >= V):
         raise ShapeError(f"cross_entropy: target id out of range [0, {V})")
-    if weight is None:
-        w = np.ones(flat.shape[0], dtype=flat.dtype)
-    else:
-        w = np.asarray(weight, dtype=flat.dtype).reshape(-1)
+    w = np.asarray(weight, dtype=flat.dtype).reshape(-1)
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
     lse = np.log(np.exp(z).sum(axis=-1))

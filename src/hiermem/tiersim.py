@@ -75,19 +75,13 @@ def load_latency(level_params: list[int], placement: TierPlacement, mode: str = 
     return {"per_level": per, "total": total, "mode": mode}
 
 
-def session_latency(
-    level_params: list[int],
-    placement: TierPlacement,
-    queries: list[tuple],
-    mode: str = "parallel",
-) -> dict:
+def session_latency(level_params: list[int], placement: TierPlacement, queries: list[tuple]) -> dict:
     """Marginal load cost per query in a session of cluster indices.
 
     The first query loads every level; after that only levels whose block
-    id changed reload. Identical consecutive queries cost zero.
+    id changed reload, all at once, so a query costs its slowest reload.
+    Identical consecutive queries cost zero.
     """
-    if mode not in MODES:
-        raise TierError(f"mode must be one of {MODES}, got {mode!r}")
     depth = placement.depth
     per_query: list[float] = []
     reloads = [0] * depth
@@ -107,13 +101,12 @@ def session_latency(
         for l in changed:
             if level_params[l] > 0:
                 reloads[l] += 1
-        per_query.append((max(costs, default=0.0) if mode == "parallel" else float(sum(costs))))
+        per_query.append(max(costs, default=0.0))
         prev = q
     return {
         "per_query": per_query,
         "total": float(sum(per_query)),
         "reloads_per_level": reloads,
-        "mode": mode,
     }
 
 

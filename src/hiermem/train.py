@@ -33,6 +33,10 @@ from . import numcore as nc
 
 STATE_MAGIC = "HMSTATE"
 
+# AdamW and clipping constants, the same for every run; anchor gains get no weight decay
+BETA1, BETA2, ADAM_EPS, GRAD_CLIP = 0.9, 0.95, 1e-8, 1.0
+ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; memory and generic blocks
+
 # grad_norm is the pre-clip global norm; NaN (an empty CSV cell) on an aborted step
 METRIC_COLUMNS = ("step", "lr", "loss", "loss_fetched", "loss_generic", "tokens_seen", "grad_norm")
 
@@ -176,12 +180,6 @@ class TrainConfig:
     warmup_steps: int = 100
     lr_max: float = 1e-4
     lr_min: float = 1e-5
-    anchor_wd: float = 0.1
-    memory_wd: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.95
-    adam_eps: float = 1e-8
-    grad_clip: float = 1.0
     checkpoint_interval: int = 0       # 0: only final
     log_interval: int = 100
     seed: int = 0
@@ -229,16 +227,16 @@ class TrainState:
 
 
 def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: int,
-           lr: float, wd: float, cfg: TrainConfig) -> None:
+           lr: float, wd: float) -> None:
     """Decoupled AdamW on one parameter array, in place. ``steps`` is the
     per-parameter update count including this one."""
-    m *= cfg.beta1
-    m += (1 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1 - cfg.beta2) * np.square(g)
-    mhat = m / (1 - cfg.beta1 ** steps)
-    vhat = v / (1 - cfg.beta2 ** steps)
-    p -= lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + wd * p)
+    m *= BETA1
+    m += (1 - BETA1) * g
+    v *= BETA2
+    v += (1 - BETA2) * np.square(g)
+    mhat = m / (1 - BETA1 ** steps)
+    vhat = v / (1 - BETA2 ** steps)
+    p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + wd * p)
 
 
 def train_step(
@@ -300,7 +298,7 @@ def train_step(
     if cfg.regime != "memory":
         for name, p in model.named_params():
             if p.grad is not None:
-                wd = cfg.anchor_wd if p.data.ndim >= 2 else 0.0  # no decay on gains
+                wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
                 updates.append((f"anchor.{name}", p.data, p.grad, wd))
 
     # scatter per-sequence memory row gradients into per-block sums
@@ -317,19 +315,19 @@ def train_step(
                 for j, row in zip(inv, g[fetched].astype(np.float32, copy=False)):
                     gsum[j] += row
                 lvl = bank.levels[l - 1]
-                updates += [(f"l{l}.{i}", lvl[i], gsum[j], cfg.memory_wd) for j, i in enumerate(ids)]
+                updates += [(f"l{l}.{i}", lvl[i], gsum[j], MEMORY_WD) for j, i in enumerate(ids)]
             if generic_rows.any():
                 ggen = g[generic_rows].sum(axis=0).astype(np.float32)
-                updates.append((f"l{l}.generic", bank.generic[l - 1], ggen, cfg.memory_wd))
+                updates.append((f"l{l}.generic", bank.generic[l - 1], ggen, MEMORY_WD))
 
-    metrics["grad_norm"] = nc.clip_global_norm([u[2] for u in updates], cfg.grad_clip)
+    metrics["grad_norm"] = nc.clip_global_norm([u[2] for u in updates], GRAD_CLIP)
 
     for key, p, g, wd in updates:
         st = state.opt.get(key)
         if st is None:
             st = state.opt[key] = _AdamState(np.zeros_like(p), np.zeros_like(p))
         st.steps += 1
-        _adamw(p, g, st.m, st.v, st.steps, lr, wd, cfg)
+        _adamw(p, g, st.m, st.v, st.steps, lr, wd)
 
     # drop step gradients
     for _, p in model.named_params():

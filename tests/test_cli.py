@@ -12,6 +12,7 @@ from hiermem import evals as ev
 from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
+from hiermem import train as tr
 
 BASE_INI = """\
 [embedder]
@@ -159,6 +160,19 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
     warp_state = damaged(trained["state"], "warp_state.bin", config_set("warp", 1))
     foo_bank = damaged(trained["bank"], "foo_bank.bin", config_set("mem_type", "foo"))
     flat_rs = damaged(trained["bank"], "flat_rs.bin", config_set("rs", 2))
+
+    def arrays_set(name, value):
+        def change(meta, arrays):
+            arrays[name] = value(arrays)
+        return change
+
+    short_bank = damaged(trained["bank"], "short_bank.bin", arrays_set("level2", lambda a: a["level2"][:1]))
+    wide_generic = damaged(trained["bank"], "wide_generic.bin",
+                           arrays_set("generic.l1", lambda a: np.tile(a["generic.l1"], 2)))
+    extra_bank = damaged(trained["bank"], "extra_bank.bin", arrays_set("level3", lambda a: a["level2"]))
+    short_tree = damaged(trained["tree"], "short_tree.bin", arrays_set("level2", lambda a: a["level2"][:0]))
+    extra_tree = damaged(trained["tree"], "extra_tree.bin", arrays_set("warp", lambda a: a["level1"]))
+    bad_dims = damaged(trained["bank"], "bad_dims.bin", lambda meta, arrays: meta["dims"].pop("heads"))
     common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
     cases = [
         (["eval", no_wq, trained["facts"], "--mode", "none", *common], "layers.0.wq"),
@@ -178,6 +192,18 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
         (["eval", str(trained["model"]), trained["facts"], "--bank", foo_bank,
           "--tree", trained["tree"], *common], "foo"),
         (["inspect", flat_rs], "MemoryConfig"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", short_bank,
+          "--tree", trained["tree"], *common], "level2"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", wide_generic,
+          "--tree", trained["tree"], *common], "generic.l1"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", extra_bank,
+          "--tree", trained["tree"], *common], "level3"),
+        (["inspect", bad_dims], "dims"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+          "--tree", short_tree, *common], "level2"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+          "--tree", extra_tree, *common], "warp"),
+        (["inspect", short_tree], "level2"),
     ]
     for argv, named in cases:
         assert cli.main(argv) == 1
@@ -285,13 +311,13 @@ def test_bank_k_must_match_tree_k(ws, trained, tmp_path, capsys):
 
 def test_eval_and_train_embed_with_the_tree_embedder(ws, trained, tmp_path, capsys):
     tree = cl.load_tree(trained["tree"])
-    assert tree.embedder == em.EmbedderConfig(dim=64)  # cluster's [embedder]: n-grams 3, 4, 5
+    assert tree.embedder == em.EmbedderConfig(dim=64, seed=7)  # cluster's [embedder] and [run] seed
     ngram23 = tmp_path / "ngram23.ini"
     ngram23.write_text(BASE_INI.replace("dim = 64", "dim = 64\nngram_sizes = 2, 3"))
     prompts = [ev.fact_prompt(f) for f in ev.load_facts(trained["facts"])]
     want = ev.route_texts(prompts, tree, tree.embedder).tolist()
     # the config's embedder would route these prompts elsewhere
-    assert ev.route_texts(prompts, tree, em.EmbedderConfig(dim=64, ngram_sizes=(2, 3))).tolist() != want
+    assert ev.route_texts(prompts, tree, em.EmbedderConfig(dim=64, ngram_sizes=(2, 3), seed=7)).tolist() != want
 
     out = tmp_path / "ev"
     assert cli.main(["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
@@ -490,7 +516,7 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
     assert cli.main(["inspect", trained["tree"]]) == 0
     out = capsys.readouterr().out
     assert "HMTREE" in out
-    assert "config_digest" in out
+    assert "config_digest" not in out
     assert "input_corpus" in out and "sha256:" in out
 
     assert cli.main(["inspect", str(trained["bank"])]) == 0
@@ -513,11 +539,13 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
 def test_inspect_tree_shows_embedder_and_balance(trained, capsys):
     assert cli.main(["inspect", trained["tree"]]) == 0
     out = capsys.readouterr().out
-    assert "embedder: {'dim': 64, 'ngram_sizes': [3, 4, 5], 'seed': 0}" in out
+    assert "embedder: {'dim': 64, 'ngram_sizes': [3, 4, 5], 'seed': 7}" in out
     stats = cl.load_tree(trained["tree"]).meta["node_stats"].values()
     share = max(s["max_fraction"] for s in stats)
     converged = sum(s["balance_converged"] for s in stats)
     assert f"balance: largest child share {share:.3f}, {converged} of 3 nodes converged" in out
+    # the balance line sums up the per-node stats, which are not printed one by one
+    assert "node_stats" not in out and "max_fraction" not in out and "n_train" in out
 
 
 def test_identical_reruns_are_bit_identical(ws, trained, tmp_path):
@@ -550,8 +578,63 @@ def test_artifacts_do_not_depend_on_the_working_directory(ws, tmp_path, monkeypa
     assert digests[0] == digests[1]
 
 
-def test_out_env_fallback(ws, trained, tmp_path, monkeypatch):
-    target = tmp_path / "envout"
-    monkeypatch.setenv("HIERMEM_OUT", str(target))
-    assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", trained["ini"]]) == 0
-    assert (target / "tree.bin").exists()
+def test_out_dir_comes_from_flag_or_run_out(ws, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HIERMEM_OUT", str(tmp_path / "env"))  # not a setting
+    ini = tmp_path / "out.ini"
+    ini.write_text(BASE_INI + "out = from_ini\n")
+    assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", str(ini)]) == 0
+    assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", str(ini), "--out", "from_flag"]) == 0
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["from_flag", "from_ini", "out.ini"]
+
+
+def test_run_seed_seeds_cluster_and_train(ws, tmp_path):
+    corpus = str(ws / "corpus.txt")
+    trees = []
+    for seed in (1, 2):
+        out = tmp_path / f"s{seed}"
+        assert cli.main(["cluster", corpus, "--config", str(ws / "run.ini"), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        tree = cl.load_tree(out / "tree.bin")
+        assert tree.config.seed == tree.embedder.seed == seed
+        trees.append(fileio.read_artifact(out / "tree.bin")[2])
+    assert any(not np.array_equal(trees[0][name], trees[1][name]) for name in trees[0])
+
+    out = tmp_path / "t"
+    assert cli.main(["train", corpus, str(tmp_path / "s1" / "tree.bin"), "--config", str(ws / "run.ini"),
+                     "--seed", "3", "--out", str(out)]) == 0
+    assert tr.load_state(out / "ckpt_final" / "trainstate.bin").cfg.seed == 3
+
+
+@pytest.mark.parametrize("section, key", [
+    ("embedder", "seed"), ("cluster", "seed"), ("train", "seed"),
+    *(("train", key) for key in ("beta1", "beta2", "adam_eps", "grad_clip", "anchor_wd", "memory_wd")),
+])
+def test_stage_seeds_and_optimizer_constants_are_not_keys(ws, tmp_path, capsys, section, key):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(BASE_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+    assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", str(ini), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"[{section}] " in err
+    assert ("[run] seed" if key == "seed" else "has no key") in err
+
+
+def test_unread_sections_leave_outputs_byte_identical(ws, trained, tmp_path):
+    corpus = str(ws / "corpus.txt")
+    # cluster reads [embedder], [cluster] and [run] only
+    other = tmp_path / "not_cluster.ini"
+    other.write_text(BASE_INI.replace("num_layers = 2", "num_layers = 1").replace("rs = 2, 2", "rs = 4, 4, 4")
+                     .replace("total_steps = 5", "total_steps = 3")
+                     + "\n[eval]\nmax_new = 2\nmasked_policy = zero\n")
+    assert cli.main(["cluster", corpus, "--config", str(other), "--out", str(tmp_path / "c")]) == 0
+    assert sha(tmp_path / "c" / "tree.bin") == sha(ws / "outc" / "tree.bin")
+
+    # train reads [train], [memory], [run] and, without --init, [anchor]
+    other = tmp_path / "not_train.ini"
+    other.write_text((ws / "run_mem.ini").read_text().replace("dim = 64", "dim = 32\nngram_sizes = 2, 3")
+                     .replace("k = 2", "k = 3").replace("em_steps = 4", "em_steps = 1")
+                     + "\n[eval]\nbatch_size = 3\n")
+    assert cli.main(["train", corpus, trained["tree"], "--config", str(other), "--out", str(tmp_path / "t"),
+                     "--init", str(ws / "runA" / "ckpt_final" / "model.ckpt")]) == 0
+    for name in ("model.ckpt", "bank.bin", "trainstate.bin", "metrics.csv"):
+        assert sha(tmp_path / "t" / "ckpt_final" / name) == sha(ws / "runB" / "ckpt_final" / name), name

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from hiermem import config as hc
+
+OPTIMIZER_KEYS = ("beta1", "beta2", "adam_eps", "grad_clip", "anchor_wd", "memory_wd")
 
 
 def test_defaults_without_file():
@@ -30,25 +34,10 @@ def test_file_values_and_flag_overrides(tmp_path):
     assert rc.seed == 11 and rc.out == "somewhere"
     rc2 = hc.load_config(p, seed=99, out="elsewhere")
     assert rc2.seed == 99 and rc2.out == "elsewhere"
-    # flag overrides only touch [run]
-    assert rc2.cluster == rc.cluster
-
-
-def test_digest_ignores_out_but_not_settings(tmp_path):
-    p = tmp_path / "a.ini"
-    p.write_text("[cluster]\nk = 4\nbalance_limit = 0.5\n")
-    base = hc.load_config(p).digest
-    assert hc.load_config(p, out="x").digest == base
-    assert hc.load_config(p, seed=5).digest != base
-    p.write_text("[cluster]\nk = 8\nbalance_limit = 0.5\n")
-    assert hc.load_config(p).digest != base
-    assert len(base) == 64
-
-
-def test_as_dict_sections():
-    d = hc.load_config(None).as_dict()
-    assert set(d) == {"embedder", "cluster", "anchor", "memory", "train", "eval", "run"}
-    assert d["run"] == {"seed": 0, "out": "runs"}
+    # flag overrides only touch [run], and the run seed is every stage's seed
+    assert rc2.cluster == replace(rc.cluster, seed=99)
+    assert (rc.embedder.seed, rc.cluster.seed, rc.train.seed) == (11, 11, 11)
+    assert (rc2.embedder.seed, rc2.cluster.seed, rc2.train.seed) == (99, 99, 99)
 
 
 def test_error_messages(tmp_path):
@@ -74,10 +63,16 @@ def test_error_messages(tmp_path):
     p.write_text("[cluster]\nk = 0\n")
     with pytest.raises(hc.ConfigError, match=r"\[cluster\].*branching"):
         hc.load_config(p)
-    # settings an input fixes, and the mask policy's old home, are not keys
-    for section, key in (("eval", "n_buckets"), ("train", "generic_prob"), ("memory", "masked_policy")):
+    # settings an input fixes, the mask policy's old home and the optimizer constants are not keys
+    for section, key in (("eval", "n_buckets"), ("train", "generic_prob"), ("memory", "masked_policy"),
+                         *(("train", key) for key in OPTIMIZER_KEYS)):
         p.write_text(f"[{section}]\n{key} = 1\n")
         with pytest.raises(hc.ConfigError, match=rf"\[{section}\] has no key '{key}'"):
+            hc.load_config(p)
+    # [run] seed is the one seed
+    for section in ("embedder", "cluster", "anchor", "memory", "train", "eval"):
+        p.write_text(f"[{section}]\nseed = 1\n")
+        with pytest.raises(hc.ConfigError, match=rf"\[{section}\] seed: .*\[run\] seed"):
             hc.load_config(p)
 
 

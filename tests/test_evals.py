@@ -290,5 +290,5 @@ def test_write_recall_report(tmp_path):
     assert lines[1:] == ["0,2,1,0.5", "1,0,0,", "overall,2,1,0.5", "routing,,,0.75"]
     assert [json.loads(l)["entity"] for l in jl.read_text().splitlines()] == [0, 1]
     rep.routing_accuracy = None
-    ev.write_recall_report(rep, csv)
+    ev.write_recall_report(rep, csv, jl)
     assert "routing" not in csv.read_text()

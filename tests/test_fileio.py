@@ -50,6 +50,29 @@ def test_corrupt_metadata_and_array_headers_raise_artifact_error(tmp_path):
         fileio.read_artifact(p)
 
 
+def test_round_trip_keeps_dtype_shape_and_bytes(tmp_path):
+    arrays = {
+        "f4": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "empty": np.zeros((0, 5), dtype=np.float32),
+        "big_endian": np.arange(4, dtype=">f8"),
+        "scalar": np.array(7, dtype=np.int64),
+        "strided": np.arange(12, dtype=np.int16).reshape(3, 4)[:, ::2],
+    }
+    p, q = tmp_path / "a.bin", tmp_path / "b.bin"
+    fileio.write_artifact(p, "TEST", {"v": 1}, arrays)
+    magic, meta, got = fileio.read_artifact(p, expect_magic="TEST")
+    assert (magic, meta) == ("TEST", {"v": 1})
+    assert list(got) == list(arrays)
+    for name, arr in arrays.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert np.array_equal(got[name], arr) and got[name].flags.writeable, name
+    assert got["big_endian"].dtype.str == ">f8"
+    fileio.write_artifact(q, "TEST", {"v": 1}, got)
+    assert q.read_bytes() == p.read_bytes()
+    # raw C-order bytes as stored, native or not
+    assert arrays["big_endian"].tobytes() in p.read_bytes()
+
+
 def test_write_csv_cells(tmp_path):
     out = tmp_path / "t.csv"
     fileio.write_csv(out, ["mode", "per_level", "total"], [

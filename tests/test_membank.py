@@ -28,8 +28,9 @@ def test_block_size_formulas():
     for mem_type, size in want.items():
         acc = mb.bank_accounting(mb.MemoryConfig(mem_type=mem_type, rs=(r, 0)), k=2, **dims)
         assert acc["level_sizes"] == [size, 0]
-        assert acc["c0"] == size // r
-        assert acc["placed_layers"] == l
+        # block sizes scale linearly in the width multiplier
+        acc = mb.bank_accounting(mb.MemoryConfig(mem_type=mem_type, rs=(1, r, 3 * r)), k=2, **dims)
+        assert acc["level_sizes"] == [size // r, size, 3 * size]
 
 
 def test_accounting_fetch_and_bank_totals():

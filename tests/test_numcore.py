@@ -291,7 +291,7 @@ def test_shape_errors_are_loud():
     with pytest.raises(nc.ShapeError, match=r"\(2, 3, 5\) @ \(4, 2\)"):
         nc.matmul(nc.Tensor(np.ones((2, 3, 5))), nc.Tensor(np.ones((4, 2))))
     with pytest.raises(nc.ShapeError):
-        nc.cross_entropy(nc.Tensor(np.ones((2, 3))), np.array([0, 3]))
+        nc.cross_entropy(nc.Tensor(np.ones((2, 3))), np.array([0, 3]), np.ones(2))
 
 
 def test_composite_f64_pipeline_close_to_fd():

@@ -2,14 +2,18 @@
 
 The tree has a fixed branching factor k and depth p. It is trained level
 by level from the root: each node runs a sampled EM loop (k-means++ init,
-then per-step batches accumulated into a growing pool with cumulative
-per-cluster counters), re-balancing whenever a child's share of the pool
-exceeds ``balance_limit`` by moving a random half of the largest cluster
-into the smallest. Parents are frozen before their children train.
+then per-step batches written into a pool preallocated for all steps,
+with cumulative per-cluster counters), re-balancing whenever a child's
+share of the pool exceeds ``balance_limit`` by moving a random half of
+the largest cluster into the smallest. Parents are frozen before their
+children train. A node needs k distinct vectors; the costly check of its
+members runs only when k-means++ had to draw at zero total distance,
+since otherwise it has already picked k distinct rows.
 
 Assignment (``assign_batch``) is a greedy root-to-leaf descent: k
 distance evaluations per level, p*k per vector, ties resolved toward the
-lowest index; training splits each node's vectors by the same step. A
+lowest index; training splits each node's vectors by the same step.
+Both find a node's rows from one stable sort of the rows' node ids. A
 path is 1-based, (i_1, ..., i_p); its flat id is the 0-based mixed-radix
 number sum_l (i_l - 1) * k^(p-l), so the children of a node are
 contiguous and the level-l ancestor of leaf f is f // k^(p-l).
@@ -99,20 +103,50 @@ def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(x2 - 2.0 * (pts @ centers.T) + c2, 0.0)
 
 
-def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """k-means++ centres, and whether a draw found zero total distance.
+
+    Without such a draw every centre was picked at a positive distance
+    from the ones before it, so the k centres are distinct rows.
+    """
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]), dtype=np.float64)
     centers[0] = pts[int(rng.integers(n))]
     d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    drew_at_zero = False
     for j in range(1, k):
         tot = d2.sum()
         if tot > 0:
             idx = int(rng.choice(n, p=d2 / tot))
         else:
             idx = int(rng.integers(n))
+            drew_at_zero = True
         centers[j] = pts[idx]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
-    return centers
+    return centers, drew_at_zero
+
+
+def _add_rows(sums: np.ndarray, rows: np.ndarray, a: np.ndarray, counts: np.ndarray,
+              seeded: np.ndarray) -> None:
+    """``sums[j] += rows[i]`` for every row i with ``a[i] == j``, in row order.
+
+    ``counts`` is ``bincount(a)``. The rows are grouped by a stable sort
+    into ``seeded`` (at least ``len(rows) + k`` rows), each cluster's group
+    behind its current sum, and each group is reduced down its rows. That
+    adds them one after another, as ``np.add.at`` does, so the float64
+    sums agree bit for bit; ``np.add.reduceat`` would sum each group
+    pairwise. (With one column, where ``reduce`` may go pairwise, the
+    normalised rows are ±1 or 0 and every order is exact.)
+    """
+    order = np.argsort(a, kind="stable")
+    ends = np.cumsum(counts + 1)
+    starts = ends - counts - 1
+    pos = np.empty_like(order)
+    pos[order] = np.arange(a.shape[0]) + a[order] + 1
+    seeded[starts] = sums
+    seeded[pos] = rows
+    for j in np.flatnonzero(counts):
+        sums[j] = np.add.reduce(seeded[starts[j] : ends[j]], axis=0)
 
 
 def _train_node(
@@ -124,22 +158,24 @@ def _train_node(
     ``pts`` belonging to this node.
     """
     k = cfg.k
-    n = members.shape[0]
+    n, dim = members.shape[0], pts.shape[1]
     if n < k:
         raise ClusterError(f"node {node_name}: {n} vectors < k={k}")
-    if np.unique(pts[members], axis=0).shape[0] < k:
+
+    m = min(cfg.batch_per_step, n)
+    first = rng.choice(n, size=m, replace=False)
+    centers, drew_at_zero = _kmeanspp_init(pts[members[first]].astype(np.float64), k, rng)
+    if drew_at_zero and np.unique(pts[members], axis=0).shape[0] < k:
         raise ClusterError(f"node {node_name}: fewer than k={k} distinct vectors")
 
-    first = rng.choice(n, size=min(cfg.batch_per_step, n), replace=False)
-    centers = _kmeanspp_init(pts[members[first]].astype(np.float64), k, rng)
-
     counts = np.zeros(k, dtype=np.int64)
-    sums = np.zeros((k, pts.shape[1]), dtype=np.float64)
-    pool = np.empty((0, pts.shape[1]), dtype=np.float64)  # cumulative sample pool
-    pool_assign = np.empty(0, dtype=np.int64)
+    sums = np.zeros((k, dim), dtype=np.float64)
+    pool = np.empty((cfg.em_steps * m, dim), dtype=np.float64)  # cumulative sample pool, filled in order
+    pool_assign = np.empty(cfg.em_steps * m, dtype=np.int64)
+    seeded = np.empty((m + k, dim), dtype=np.float64)  # scratch of _add_rows
     balanced = True
 
-    def rebalance() -> bool:
+    def rebalance(pool: np.ndarray, pool_assign: np.ndarray) -> bool:
         """Repeatedly split the largest cluster evenly at random into the
         smallest (also fills empty clusters). Stops once every share is
         within the limit, or — for limits the halving dynamics cannot
@@ -167,18 +203,18 @@ def _train_node(
             centers[a] = sums[a] / counts[a]
             centers[b] = sums[b] / counts[b]
 
-    for _ in range(cfg.em_steps):
-        batch_idx = rng.choice(n, size=min(cfg.batch_per_step, n), replace=False)
-        batch = pts[members[batch_idx]].astype(np.float64)
-        d2 = _sq_dists(batch, centers)
-        a = np.argmin(d2, axis=1)  # ties: lowest index
-        pool = np.concatenate([pool, batch])
-        pool_assign = np.concatenate([pool_assign, a])
-        np.add.at(counts, a, 1)
-        np.add.at(sums, a, batch)
+    for step in range(cfg.em_steps):
+        batch_idx = rng.choice(n, size=m, replace=False)
+        used = (step + 1) * m
+        batch, a = pool[used - m : used], pool_assign[used - m : used]
+        batch[:] = pts[members[batch_idx]]
+        a[:] = np.argmin(_sq_dists(batch, centers), axis=1)  # ties: lowest index
+        step_counts = np.bincount(a, minlength=k)
+        _add_rows(sums, batch, a, step_counts, seeded)
+        counts += step_counts
         nz = counts > 0
         centers[nz] = sums[nz] / counts[nz, None]
-        balanced = rebalance() and balanced
+        balanced = rebalance(pool[:used], pool_assign[:used]) and balanced
 
     stats = {
         "pool_size": int(counts.sum()),
@@ -189,12 +225,22 @@ def _train_node(
     return centers.astype(np.float32), stats
 
 
+def _by_node(flat: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): ``order[bounds[p]:bounds[p + 1]]`` are the rows whose
+    node id in ``flat`` is p, ascending (one stable sort, not a scan per node)."""
+    order = np.argsort(flat, kind="stable")
+    bounds = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_nodes), out=bounds[1:])
+    return order, bounds
+
+
 def _descend(x: np.ndarray, flat: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     """Each row's nearest child (0-based flat id) under its node ``flat``,
     among the level's (k^l, dim) ``centers``; ties go to the lowest index."""
     child = np.empty_like(flat)
-    for pf in np.unique(flat):
-        sel = np.flatnonzero(flat == pf)
+    order, bounds = _by_node(flat, centers.shape[0] // k)
+    for pf in np.flatnonzero(np.diff(bounds)):
+        sel = order[bounds[pf] : bounds[pf + 1]]
         d2 = _sq_dists(x[sel].astype(np.float64), centers[pf * k : (pf + 1) * k].astype(np.float64))
         child[sel] = pf * k + np.argmin(d2, axis=1)
     return child
@@ -209,10 +255,11 @@ def train_tree(vectors: np.ndarray, cfg: ClusterConfig) -> ClusterTree:
     flat = np.zeros(n, dtype=np.int64)  # each vector's node at the level being split
     for level in range(1, cfg.depth + 1):
         centers_lvl = np.empty((cfg.k ** level, dim), dtype=np.float32)
+        order, bounds = _by_node(flat, cfg.k ** (level - 1))
         for parent_flat in range(cfg.k ** (level - 1)):
             name = f"level{level}/node{parent_flat}" if level > 1 else "root"
             rng = np.random.default_rng([cfg.seed, level, parent_flat])
-            members = np.flatnonzero(flat == parent_flat)
+            members = order[bounds[parent_flat] : bounds[parent_flat + 1]]
             centers, stats = _train_node(pts, members, cfg, rng, name)
             centers_lvl[parent_flat * cfg.k : (parent_flat + 1) * cfg.k] = centers
             node_stats[f"{level}.{parent_flat}"] = stats
@@ -250,7 +297,8 @@ def save_tree(tree: ClusterTree, path, extra_meta: dict | None = None) -> None:
 def load_tree(path) -> ClusterTree:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=TREE_MAGIC)
     cfg = fileio.stored_config(ClusterConfig, meta["config"], path)
-    fileio.check_layout(path, arrays, {f"level{l}": (cfg.k**l, meta["dim"]) for l in range(1, cfg.depth + 1)})
+    fileio.check_layout(path, arrays, {f"level{l}": (cfg.k**l, meta["dim"]) for l in range(1, cfg.depth + 1)},
+                        np.float32)
     levels = [arrays[f"level{l}"] for l in range(1, cfg.depth + 1)]
     # None for a tree saved without one; the CLI refuses such a tree
     emb = meta.get("embedder")

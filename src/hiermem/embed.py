@@ -5,6 +5,12 @@ feature hashing of their character n-grams (sizes 3, 4 and 5 by default),
 then L2-normalized. Deterministic across processes and platforms: the
 hash is a vectorized 64-bit polynomial over raw bytes with a splitmix64
 finisher, nothing drawn from Python's randomized ``hash``.
+
+``embed_batch`` works in chunks of ``_CHUNK_DOCS`` documents: it hashes
+every window of a chunk's joined bytes at once, drops the windows that
+cross a document's end, and sums the ±1 signs of each (document, bucket)
+with one ``bincount``. The sums are integers, so neither the order of the
+additions nor the chunk a document falls in changes its vector.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _P = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
+_CHUNK_DOCS = 1024  # documents hashed together; bounds the (chunk, dim) float64 sums
 
 
 @dataclass(frozen=True)
@@ -52,26 +59,39 @@ def _ngram_hashes(data: np.ndarray, n: int, seed: int) -> np.ndarray:
         return _splitmix64(h)
 
 
-def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    """Embed one document. Empty/too-short text gives the zero vector."""
-    data = np.frombuffer(_normalize_text(text), dtype=np.uint8)
-    vec = np.zeros(cfg.dim, dtype=np.float32)
+def _embed_chunk(texts: list[str], cfg: EmbedderConfig) -> np.ndarray:
+    docs = [_normalize_text(t) for t in texts]
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    ends = np.cumsum(lengths)
+    data = np.frombuffer(b"".join(docs), dtype=np.uint8)
+    doc_of = np.repeat(np.arange(len(docs)), lengths)  # each byte's document
+    keys, signs = [], []
     for n in cfg.ngram_sizes:
         hashes = _ngram_hashes(data, n, cfg.seed)
-        if hashes.size == 0:
-            continue
-        buckets = (hashes % np.uint64(cfg.dim)).astype(np.int64)
-        signs = np.where((hashes >> np.uint64(63)) & np.uint64(1), -1.0, 1.0).astype(np.float32)
-        np.add.at(vec, buckets, signs)
-    norm = float(np.linalg.norm(vec))
-    if norm > 0:
-        vec /= norm
-    return vec
+        doc = doc_of[: hashes.size]
+        inside = np.arange(hashes.size) + n <= ends[doc]  # the window ends in its document
+        hashes, doc = hashes[inside], doc[inside]
+        keys.append(doc * cfg.dim + (hashes % np.uint64(cfg.dim)).astype(np.int64))
+        signs.append(np.where((hashes >> np.uint64(63)) & np.uint64(1), -1.0, 1.0))
+    sums = np.bincount(np.concatenate(keys), weights=np.concatenate(signs),
+                       minlength=len(docs) * cfg.dim).reshape(len(docs), cfg.dim)
+    vecs = sums.astype(np.float32)
+    # An integer sum of squares below 2**24 is exact in float32, so its
+    # float32 root is the norm the per-document float32 dot gives; a
+    # larger one takes that dot itself.
+    sq = np.einsum("ij,ij->i", sums, sums)
+    norms = np.sqrt(sq.astype(np.float32))
+    for i in np.flatnonzero(sq >= 2.0**24):
+        norms[i] = np.linalg.norm(vecs[i])
+    return np.divide(vecs, norms[:, None], out=vecs, where=norms[:, None] > 0)
 
 
 def embed_batch(texts: list[str], cfg: EmbedderConfig) -> np.ndarray:
-    """Embed a list of documents into an (n, dim) float32 matrix."""
-    out = np.zeros((len(texts), cfg.dim), dtype=np.float32)
-    for i, t in enumerate(texts):
-        out[i] = embed_text(t, cfg)
+    """Embed a list of documents into an (n, dim) float32 matrix.
+
+    Empty or too-short text gives the zero vector.
+    """
+    out = np.empty((len(texts), cfg.dim), dtype=np.float32)
+    for lo in range(0, len(texts), _CHUNK_DOCS):
+        out[lo : lo + _CHUNK_DOCS] = _embed_chunk(texts[lo : lo + _CHUNK_DOCS], cfg)
     return out

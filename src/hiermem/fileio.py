@@ -202,14 +202,17 @@ def read_artifact(path, expect_magic: str | None = None):
         return magic, meta, arrays
 
 
-def check_layout(path, arrays: dict[str, np.ndarray], layout: dict[str, tuple[int, ...]]) -> None:
-    """An ``ArtifactError`` unless ``arrays`` has exactly ``layout``'s names and shapes."""
+def check_layout(path, arrays: dict[str, np.ndarray], layout: dict[str, tuple[int, ...]], dtype) -> None:
+    """An ``ArtifactError`` unless ``arrays`` has exactly ``layout``'s names and
+    shapes, each array of ``dtype``."""
     extra = [name for name in arrays if name not in layout]
     if extra:
         raise ArtifactError(f"{path}: arrays {extra} are not in the stored config's layout")
     for name, shape in layout.items():
         if arrays[name].shape != shape:  # a missing array is an ArtifactError too
             raise ArtifactError(f"{path}: {name} is shaped {arrays[name].shape}, the stored config needs {shape}")
+        if arrays[name].dtype != dtype:
+            raise ArtifactError(f"{path}: {name} is {arrays[name].dtype.str}, expected {np.dtype(dtype).str}")
 
 
 def stored_config(cls, fields: dict, path):

@@ -328,6 +328,6 @@ def load_bank(path) -> MemoryBank:
         raise fileio.ArtifactError(f"{path}: stored k {k!r} and dims {dims!r} give no bank layout ({e})") from None
     levels = range(1, cfg.depth + 1)
     fileio.check_layout(path, arrays, {f"level{l}": (k**l, sizes[l - 1]) for l in levels}
-                        | {f"generic.l{l}": (sizes[l - 1],) for l in levels})
+                        | {f"generic.l{l}": (sizes[l - 1],) for l in levels}, np.float32)
     return MemoryBank(cfg=cfg, k=k, dims=dims, levels=[arrays[f"level{l}"] for l in levels],
                       generic=[arrays[f"generic.l{l}"] for l in levels], meta=meta.get("bank_meta", {}))

@@ -319,8 +319,11 @@ def load_model(path) -> tuple[TransformerModel, dict]:
     """The model a checkpoint holds, checked against its config's layout."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=MODEL_MAGIC)
     cfg = fileio.stored_config(AnchorConfig, meta["config"], path)
-    dtype = np.dtype(meta["dtype"])
+    try:
+        dtype = np.dtype(meta["dtype"])
+    except TypeError as e:
+        raise fileio.ArtifactError(f"{path}: stored dtype {meta['dtype']!r} is not a dtype ({e})") from None
     layout = _anchor_layout(cfg)
-    fileio.check_layout(path, arrays, layout)
+    fileio.check_layout(path, arrays, layout, dtype)
     params = {name: nc.Tensor(arrays[name], requires_grad=True) for name in layout}
     return TransformerModel(cfg, params, dtype=dtype), meta

@@ -475,6 +475,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     if t.size and (t.min() < 0 or t.max() >= V):
         raise ShapeError(f"cross_entropy: target id out of range [0, {V})")
     w = np.asarray(weight, dtype=flat.dtype).reshape(-1)
+    if w.shape != t.shape:  # a broadcast weight would turn the mean into a sum
+        raise ShapeError(f"cross_entropy: weight {np.shape(weight)} vs targets {np.asarray(targets).shape}")
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
     lse = np.log(np.exp(z).sum(axis=-1))

@@ -1,7 +1,8 @@
 """Independent reference oracles for the test suite.
 
-Everything here is deliberately written the slow, obvious way — full-batch
-Lloyd's iterations, brute-force nearest neighbour, central finite
+Everything here is deliberately written the slow, obvious way — one
+document at a time with Python integer hashing, full-batch Lloyd's
+iterations, brute-force nearest neighbour, central finite
 differences, straight-line per-position transformer evaluation, greedy
 decode by rerunning the whole sequence — so that the fast implementations
 elsewhere in the package can be checked against code that shares none of
@@ -26,6 +27,47 @@ class OracleResult:
 
     value: object
     note: str
+
+
+# ---------------------------------------------------------------------------
+# embedding
+# ---------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def _ref_splitmix64(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def oracle_embed(texts: list[str], cfg) -> OracleResult:
+    """Hashed n-gram embedding of each text on its own, in Python integers.
+
+    Per text: lower-case, collapse whitespace, UTF-8 encode; for every
+    n-gram size and every length-n byte window, a polynomial hash mod 2**64
+    (multiplier 0x100000001B3, start ``seed * 0x9E3779B9 + n``) finished by
+    splitmix64 picks bucket ``h % dim`` and sign ``-1`` if bit 63 is set.
+    The integer counts are scaled to unit float32 norm, the norm being
+    numpy's on the float32 vector.
+    """
+    out = np.zeros((len(texts), cfg.dim), dtype=np.float32)
+    for row, text in enumerate(texts):
+        data = " ".join(text.lower().split()).encode("utf-8")
+        counts = [0] * cfg.dim
+        for n in cfg.ngram_sizes:
+            for start in range(len(data) - n + 1):
+                h = (cfg.seed * 0x9E3779B9 + n) & _M64
+                for byte in data[start : start + n]:
+                    h = (h * 0x100000001B3 + byte) & _M64
+                h = _ref_splitmix64(h)
+                counts[h % cfg.dim] += -1 if h >> 63 else 1
+        vec = np.array(counts, dtype=np.float32)
+        norm = float(np.linalg.norm(vec))
+        out[row] = vec / norm if norm > 0 else vec
+    return OracleResult(out, "per-text loop over every window in Python integers")
 
 
 # ---------------------------------------------------------------------------

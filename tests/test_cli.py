@@ -211,6 +211,38 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
+def test_artifact_of_another_dtype_exits_1(trained, tmp_path, capsys):
+    def widened(source, name, meta_change=lambda meta: None):
+        magic, meta, arrays = fileio.read_artifact(source)
+        meta_change(meta)
+        fileio.write_artifact(tmp_path / name, magic, meta, {n: a.astype(np.float64) for n, a in arrays.items()})
+        return str(tmp_path / name)
+
+    bank = widened(trained["bank"], "bank.bin")
+    tree = widened(trained["tree"], "tree.bin")
+    model = widened(trained["model"], "model.ckpt")
+    with pytest.raises(fileio.ArtifactError, match="level1 is <f8, expected <f4"):
+        mb.load_bank(bank)
+    with pytest.raises(fileio.ArtifactError, match="level1 is <f8, expected <f4"):
+        cl.load_tree(tree)
+    # a float64 checkpoint that says so loads; one whose meta says float32 does not
+    assert mdl.load_model(widened(trained["model"], "f8.ckpt", lambda m: m.update(dtype="<f8")))[0].dtype == np.float64
+    word = widened(trained["model"], "word.ckpt", lambda m: m.update(dtype="banana"))
+    common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
+    cases = [
+        (["eval", str(trained["model"]), trained["facts"], "--bank", bank, "--tree", trained["tree"], *common],
+         "level1 is <f8"),
+        (["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]), "--tree", tree, *common],
+         "level1 is <f8"),
+        (["eval", model, trained["facts"], "--mode", "none", *common], "is <f8, expected <f4"),
+        (["eval", word, trained["facts"], "--mode", "none", *common], "banana"),
+    ]
+    for argv, named in cases:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+
+
 @pytest.mark.parametrize("table, named", [
     ({"entity": 1}, "list"),
     ([{"entity": 1}], "missing"),

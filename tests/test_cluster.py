@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,60 @@ def test_too_few_distinct_vectors_errors():
                            balance_limit=0.5, seed=0)
     with pytest.raises(cl.ClusterError):
         cl.train_tree(pts, cfg)
+
+
+@pytest.mark.parametrize("pts, k, message", [
+    (np.eye(3, dtype=np.float32), 4, "node root: 3 vectors < k=4"),
+    (np.tile(np.float32([[1, 0], [0, 1]]), (6, 1)), 3, "node root: fewer than k=3 distinct vectors"),
+])
+def test_small_or_duplicate_node_keeps_its_error(pts, k, message):
+    cfg = cl.ClusterConfig(k=k, depth=1, em_steps=2, batch_per_step=8, balance_limit=1.0, seed=0)
+    with pytest.raises(cl.ClusterError, match=f"^{message}$"):
+        cl.train_tree(pts, cfg)
+
+
+def test_first_sample_short_of_k_distinct_rows_falls_back_to_the_members(monkeypatch):
+    # 61 rows, 2 distinct; the first 4-row sample holds only the repeated
+    # one, so k-means++ draws at zero distance and the node's members decide
+    pts = np.concatenate([np.tile(np.float32([1, 0]), (60, 1)), np.float32([[0, 1]])])
+    draws = []
+
+    def spy(*args):
+        out = init(*args)
+        draws.append(out[1])
+        return out
+
+    init = cl._kmeanspp_init
+    monkeypatch.setattr(cl, "_kmeanspp_init", spy)
+    cfg = cl.ClusterConfig(k=2, depth=1, em_steps=3, batch_per_step=4, balance_limit=1.0, seed=0)
+    tree = cl.train_tree(pts, cfg)
+    assert draws == [True]
+    assert tree.levels[0].shape == (2, 2) and np.isfinite(tree.levels[0]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), m=st.integers(1, 60), dim=st.integers(2, 9), seed=st.integers(0, 2**16))
+def test_add_rows_matches_add_at_bitwise(k, m, dim, seed):
+    rng = np.random.default_rng(seed)
+    sums = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    rows = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    a = rng.integers(k, size=m)
+    expect = sums.copy()
+    np.add.at(expect, a, rows)
+    cl._add_rows(sums, rows, a, np.bincount(a, minlength=k), np.empty((m + k, dim)))
+    assert sums.tobytes() == expect.tobytes()
+
+
+def test_tree_bytes_are_pinned(tmp_path):
+    """A change to the bytes a seeded tree trains to must re-pin this digest on purpose."""
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.normal(c, 0.4, size=(40, 3))
+                          for c in ((4, 0, 0), (0, 4, 0), (0, 0, 4), (-4, -4, 0))]).astype(np.float32)
+    cfg = cl.ClusterConfig(k=3, depth=2, em_steps=6, batch_per_step=50, balance_limit=0.5, seed=7)
+    p = tmp_path / "tree.bin"
+    cl.save_tree(cl.train_tree(pts, cfg), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "eef3f9866f3748be54523fe467a076ee4d954672223a1530be4a3f7311da5565")
 
 
 def test_config_bounds():

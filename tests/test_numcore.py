@@ -174,6 +174,15 @@ def test_cross_entropy_matches_manual_and_weights():
         nc.cross_entropy(t, targets, np.zeros(5))
 
 
+def test_cross_entropy_weight_must_match_targets():
+    logits = nc.Tensor(np.zeros((2, 3, 5)))
+    targets = np.zeros((2, 3), dtype=np.int64)
+    assert np.isclose(float(nc.cross_entropy(logits, targets, np.ones((2, 3))).data), np.log(5))
+    for weight in (np.ones(1), np.ones(4), np.ones((3, 2, 1, 2))):  # broadcast, short, too many
+        with pytest.raises(nc.ShapeError, match="weight"):
+            nc.cross_entropy(logits, targets, weight)
+
+
 def test_embedding_scatter_grad():
     table = rng.normal(size=(6, 3))
     ids = np.array([[0, 2, 2], [5, 0, 1]])

@@ -126,27 +126,21 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> tuple[n
     return centers, drew_at_zero
 
 
-def _add_rows(sums: np.ndarray, rows: np.ndarray, a: np.ndarray, counts: np.ndarray,
-              seeded: np.ndarray) -> None:
+def _add_rows(sums: np.ndarray, rows: np.ndarray, a: np.ndarray, counts: np.ndarray) -> None:
     """``sums[j] += rows[i]`` for every row i with ``a[i] == j``, in row order.
 
-    ``counts`` is ``bincount(a)``. The rows are grouped by a stable sort
-    into ``seeded`` (at least ``len(rows) + k`` rows), each cluster's group
-    behind its current sum, and each group is reduced down its rows. That
-    adds them one after another, as ``np.add.at`` does, so the float64
-    sums agree bit for bit; ``np.add.reduceat`` would sum each group
-    pairwise. (With one column, where ``reduce`` may go pairwise, the
-    normalised rows are ±1 or 0 and every order is exact.)
+    ``counts`` is ``bincount(a)``. A stable sort groups each cluster's rows,
+    and each group, stacked under the cluster's current sum, is reduced
+    down its rows. That adds them one after another, as ``np.add.at``
+    does, so the float64 sums agree bit for bit; ``np.add.reduceat`` would
+    sum each group pairwise. (With one column, where ``reduce`` may go
+    pairwise, the normalised rows are ±1 or 0 and every order is exact.)
     """
     order = np.argsort(a, kind="stable")
-    ends = np.cumsum(counts + 1)
-    starts = ends - counts - 1
-    pos = np.empty_like(order)
-    pos[order] = np.arange(a.shape[0]) + a[order] + 1
-    seeded[starts] = sums
-    seeded[pos] = rows
+    bounds = np.cumsum(counts)
     for j in np.flatnonzero(counts):
-        sums[j] = np.add.reduce(seeded[starts[j] : ends[j]], axis=0)
+        group = order[bounds[j] - counts[j] : bounds[j]]
+        sums[j] = np.add.reduce(np.vstack((sums[j], rows[group])), axis=0)
 
 
 def _train_node(
@@ -172,7 +166,6 @@ def _train_node(
     sums = np.zeros((k, dim), dtype=np.float64)
     pool = np.empty((cfg.em_steps * m, dim), dtype=np.float64)  # cumulative sample pool, filled in order
     pool_assign = np.empty(cfg.em_steps * m, dtype=np.int64)
-    seeded = np.empty((m + k, dim), dtype=np.float64)  # scratch of _add_rows
     balanced = True
 
     def rebalance(pool: np.ndarray, pool_assign: np.ndarray) -> bool:
@@ -210,7 +203,7 @@ def _train_node(
         batch[:] = pts[members[batch_idx]]
         a[:] = np.argmin(_sq_dists(batch, centers), axis=1)  # ties: lowest index
         step_counts = np.bincount(a, minlength=k)
-        _add_rows(sums, batch, a, step_counts, seeded)
+        _add_rows(sums, batch, a, step_counts)
         counts += step_counts
         nz = counts > 0
         centers[nz] = sums[nz] / counts[nz, None]

@@ -6,11 +6,15 @@ then L2-normalized. Deterministic across processes and platforms: the
 hash is a vectorized 64-bit polynomial over raw bytes with a splitmix64
 finisher, nothing drawn from Python's randomized ``hash``.
 
-``embed_batch`` works in chunks of ``_CHUNK_DOCS`` documents: it hashes
-every window of a chunk's joined bytes at once, drops the windows that
-cross a document's end, and sums the ±1 signs of each (document, bucket)
-with one ``bincount``. The sums are integers, so neither the order of the
-additions nor the chunk a document falls in changes its vector.
+``embed_batch`` works in chunks of at most ``_CHUNK_DOCS`` documents and,
+unless a chunk is one document, at most ``_CHUNK_BYTES`` normalised bytes:
+it hashes every window of a chunk's joined bytes at once, drops the
+windows that cross a document's end, and sums the ±1 signs of each
+(document, bucket) with one ``bincount``. The sums are integers, so
+neither the order of the additions nor the chunk a document falls in
+changes its vector. A chunk holds about 110 bytes of index, hash and sign
+arrays per byte of text, which the byte budget keeps under 30 MiB unless
+one document alone is longer.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 _P = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
 _CHUNK_DOCS = 1024  # documents hashed together; bounds the (chunk, dim) float64 sums
+_CHUNK_BYTES = 1 << 18  # text bytes hashed together; bounds the per-window arrays
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,7 @@ def _ngram_hashes(data: np.ndarray, n: int, seed: int) -> np.ndarray:
         return _splitmix64(h)
 
 
-def _embed_chunk(texts: list[str], cfg: EmbedderConfig) -> np.ndarray:
-    docs = [_normalize_text(t) for t in texts]
+def _embed_chunk(docs: list[bytes], cfg: EmbedderConfig) -> np.ndarray:
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     ends = np.cumsum(lengths)
     data = np.frombuffer(b"".join(docs), dtype=np.uint8)
@@ -92,6 +96,13 @@ def embed_batch(texts: list[str], cfg: EmbedderConfig) -> np.ndarray:
     Empty or too-short text gives the zero vector.
     """
     out = np.empty((len(texts), cfg.dim), dtype=np.float32)
-    for lo in range(0, len(texts), _CHUNK_DOCS):
-        out[lo : lo + _CHUNK_DOCS] = _embed_chunk(texts[lo : lo + _CHUNK_DOCS], cfg)
+    docs, size, lo = [], 0, 0
+    for doc in map(_normalize_text, texts):
+        if docs and (len(docs) == _CHUNK_DOCS or size + len(doc) > _CHUNK_BYTES):
+            out[lo : lo + len(docs)] = _embed_chunk(docs, cfg)
+            docs, size, lo = [], 0, lo + len(docs)
+        docs.append(doc)
+        size += len(doc)
+    if docs:
+        out[lo:] = _embed_chunk(docs, cfg)
     return out

@@ -65,10 +65,11 @@ TEXTS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(texts=st.lists(TEXTS, max_size=12), chunk=st.sampled_from([1, 2, 5, em._CHUNK_DOCS]),
-       sizes=st.sampled_from([(3, 4, 5), (1, 2), (6,)]))
-def test_batch_matches_oracle(texts, chunk, sizes):
+       budget=st.sampled_from([1, 40, em._CHUNK_BYTES]), sizes=st.sampled_from([(3, 4, 5), (1, 2), (6,)]))
+def test_batch_matches_oracle(texts, chunk, budget, sizes):
     cfg = em.EmbedderConfig(dim=16, ngram_sizes=sizes, seed=2)
-    with mock.patch.object(em, "_CHUNK_DOCS", chunk):  # small chunks: batches span several
+    # small chunks: batches span several
+    with mock.patch.object(em, "_CHUNK_DOCS", chunk), mock.patch.object(em, "_CHUNK_BYTES", budget):
         got = em.embed_batch(texts, cfg)
     assert got.dtype == np.float32
     assert got.tobytes() == rc.oracle_embed(texts, cfg).value.tobytes()
@@ -80,6 +81,20 @@ def test_batch_larger_than_a_chunk_matches_oracle():
     texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 5)))) for _ in range(em._CHUNK_DOCS + 37)]
     got = em.embed_batch(texts, CFG)
     assert got.tobytes() == rc.oracle_embed(texts, CFG).value.tobytes()
+
+
+def test_long_documents_split_by_bytes_match_oracle():
+    rng = np.random.default_rng(1)
+    words = ["alpha", "beta", "gamma", "δέλτα", "日本語"]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 900)))) for _ in range(9)]
+    calls = []
+    real = em._embed_chunk
+    with mock.patch.object(em, "_CHUNK_BYTES", 4096), \
+         mock.patch.object(em, "_embed_chunk", lambda docs, cfg: calls.append(docs) or real(docs, cfg)):
+        got = em.embed_batch(texts, CFG)
+    assert got.tobytes() == rc.oracle_embed(texts, CFG).value.tobytes()
+    assert len(calls) > 1  # the budget, not the document count, ended the chunks
+    assert all(len(docs) == 1 or sum(map(len, docs)) <= 4096 for docs in calls)
 
 
 def test_large_counts_take_the_float32_dot_norm():

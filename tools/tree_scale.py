@@ -1,8 +1,8 @@
 """Time one ``train_tree`` at the paper's branching factor on synthetic vectors.
 
-    python3 tools/tree_scale.py N D [--seed S]
+    python3 tools/tree_scale.py N D
 
-Draws N 384-d vectors from a seeded Gaussian mixture (one centre per 16
+Draws N 384-d vectors from a Gaussian mixture of seed 0 (one centre per 16
 vectors, at most 4096 centres, unit-variance centres plus noise of
 standard deviation 0.3), trains ``train_tree(k=16, depth=D)`` with the
 other ``ClusterConfig`` defaults, and prints one JSON line: the inputs,
@@ -36,8 +36,8 @@ from hiermem import cluster as cl  # noqa: E402
 DIM = 384
 
 
-def mixture(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def mixture(n: int) -> np.ndarray:
+    rng = np.random.default_rng(0)
     n_centres = max(1, min(4096, n // 16))
     centres = rng.standard_normal((n_centres, DIM), dtype=np.float32)
     pick = rng.integers(n_centres, size=n)
@@ -48,10 +48,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="number of vectors")
     ap.add_argument("depth", type=int, help="tree depth")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the mixture")
     args = ap.parse_args()
-    vecs = mixture(args.n, args.seed)
-    out = {"n": args.n, "depth": args.depth, "seed": args.seed, "k": 16}
+    vecs = mixture(args.n)
+    out = {"n": args.n, "depth": args.depth, "k": 16}
     t0 = time.perf_counter()
     try:
         tree = cl.train_tree(vecs, cl.ClusterConfig(k=16, depth=args.depth))

@@ -2,8 +2,8 @@
 
 The tree has a fixed branching factor k and depth p. It is trained level
 by level from the root: each node runs a sampled EM loop (k-means++ init,
-then per-step batches written into a pool preallocated for all steps,
-with cumulative per-cluster counters), re-balancing whenever a child's
+then per-step batches whose row ids fill a pool preallocated for all
+steps, with cumulative per-cluster counters), re-balancing whenever a child's
 share of the pool exceeds ``balance_limit`` by moving a random half of
 the largest cluster into the smallest. Parents are frozen before their
 children train. A node needs k distinct vectors; the costly check of its
@@ -164,7 +164,8 @@ def _train_node(
 
     counts = np.zeros(k, dtype=np.int64)
     sums = np.zeros((k, dim), dtype=np.float64)
-    pool = np.empty((cfg.em_steps * m, dim), dtype=np.float64)  # cumulative sample pool, filled in order
+    # cumulative sample pool: the rows of pts drawn so far, filled in order
+    pool = np.empty(cfg.em_steps * m, dtype=np.int64)
     pool_assign = np.empty(cfg.em_steps * m, dtype=np.int64)
     balanced = True
 
@@ -188,7 +189,7 @@ def _train_node(
             if counts[b] > 0 and max(counts[a] - move.size, counts[b] + move.size) >= counts[a]:
                 return False
             pool_assign[move] = b
-            moved_sum = pool[move].sum(axis=0)
+            moved_sum = pts[pool[move]].astype(np.float64).sum(axis=0)
             counts[a] -= move.size
             counts[b] += move.size
             sums[a] -= moved_sum
@@ -199,8 +200,8 @@ def _train_node(
     for step in range(cfg.em_steps):
         batch_idx = rng.choice(n, size=m, replace=False)
         used = (step + 1) * m
-        batch, a = pool[used - m : used], pool_assign[used - m : used]
-        batch[:] = pts[members[batch_idx]]
+        pool[used - m : used] = members[batch_idx]
+        batch, a = pts[pool[used - m : used]].astype(np.float64), pool_assign[used - m : used]
         a[:] = np.argmin(_sq_dists(batch, centers), axis=1)  # ties: lowest index
         step_counts = np.bincount(a, minlength=k)
         _add_rows(sums, batch, a, step_counts)

@@ -7,7 +7,7 @@ never silently ignored — a typo'd key must not produce a differently
 configured run.
 One seed drives every random stage: [run] seed (or --seed) becomes the
 seed of the embedder, the cluster tree and the training run, and a seed
-key in any other section is refused.
+key in any other section is refused. It must lie in 0..2**32-1.
 A value that an input fixes is not a key: the tree records its embedder,
 a bank is laid out for its model, a report has a row per bucket its facts
 carry, and the masked-block policy is a setting of [eval], not of the bank.
@@ -68,6 +68,9 @@ class RunConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        # the embedder's hash starts from seed * 0x9E3779B9 as a uint64
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"[run] seed {self.seed} is outside 0..2**32-1")
         for name in ("embedder", "cluster", "train"):
             object.__setattr__(self, name, replace(getattr(self, name), seed=self.seed))
 

@@ -2,13 +2,34 @@
 
 Tensors wrap numpy arrays; differentiable ops record onto an explicit Tape
 and ``backward`` replays the tape in reverse execution order exactly once.
-``backward`` consumes the tape: it pops each node and clears the gradient
-of the node's non-leaf outputs before running it, so an activation or an
-intermediate gradient is freed as soon as no remaining node needs it.
-Only leaves (``requires_grad=True``) keep their ``.grad``.
 The op set is exactly what a decoder-only transformer with attachable
 memories needs — nothing more. With no tape active, ops are plain forward
 computations (inference mode).
+
+What a tape node keeps. A recorded op gives each output a gradient slot.
+Its node holds the output slots, one gradient target per input (a leaf,
+``requires_grad=True``, is its own target; any other input's target is its
+slot, or None when no gradient flows to it) and a backward closure that
+captures only the arrays that backward reads. No node holds a Tensor or
+its array, so an activation is freed once the forward and every backward
+that reads it are done:
+- a product with a frozen weight keeps the weight only, not its input;
+- ``add``, ``reshape``, ``transpose`` and ``split`` keep shapes or axes,
+  and ``rope`` its cosine and sine tables;
+- ``cross_entropy`` keeps the max-shifted logits, not the logits.
+``backward`` consumes the tape: it pops each node and takes its output
+slots' gradients before running it, so an intermediate gradient is freed
+as soon as no remaining node needs it. Only leaves get a ``.grad``.
+
+Where step buffers come from. While a ``StepBuffers`` pool is open (a
+training run opens one for its length), ops take their outputs and their
+large forward and backward temporaries from the pool through ``out=``,
+each one of at least ``_POOL_MIN_BYTES``. A request is rounded up to a
+size class, a multiple of ``_POOL_GRAIN``, and gets a pool buffer of its
+class that no array refers to any more, or a new one. Step t+1 so reuses
+the pages of step t instead of faulting in fresh ones. The arithmetic is
+the same with or without a pool. Inference opens none, and its ops
+allocate as numpy does.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.
@@ -17,6 +38,7 @@ is how gradients are verified against central finite differences.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +47,11 @@ DEFAULT_DTYPE = np.float32
 # Additive attention masks use true -inf; exp(-inf) == 0.0 exactly, and the
 # backward of the attention softmax keeps those slots at an exact zero.
 NEG_INF = -np.inf
+
+# arrays smaller than this come from numpy even while a pool is open;
+# pool buffers come in sizes that are multiples of the grain
+_POOL_MIN_BYTES = 1 << 18
+_POOL_GRAIN = 1 << 18
 
 
 class ShapeError(ValueError):
@@ -38,12 +65,12 @@ class GradError(RuntimeError):
 class Tensor:
     """A numpy array plus gradient bookkeeping.
 
-    ``requires_grad`` marks trainable leaves. ``_rec`` marks tensors produced
-    by a recorded op on the currently active tape, so gradient flow continues
+    ``requires_grad`` marks trainable leaves. ``_slot`` is the gradient
+    slot of a tensor produced by a recorded op, so gradient flow continues
     through intermediates even when some inputs are frozen.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_rec", "_pointwise")
+    __slots__ = ("data", "requires_grad", "grad", "_slot", "_pointwise")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -57,7 +84,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._rec = False
+        self._slot = None
 
     @property
     def shape(self):
@@ -75,10 +102,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class _Slot:
+    """The gradient of one recorded output, held apart from its Tensor."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class _Node:
-    """One recorded op. ``out`` is a Tensor, or a tuple of Tensors for an op
+    """One recorded op. ``out`` is a slot, or a tuple of slots for an op
     with several outputs, whose ``bwd`` then takes a list of their gradients
-    (None for an output that received none)."""
+    (None for an output that received none). ``inputs`` holds each input's
+    gradient target: a leaf Tensor, a slot, or None."""
 
     __slots__ = ("out", "inputs", "bwd")
 
@@ -89,6 +126,7 @@ class _Node:
 
 
 _ACTIVE: Tape | None = None
+_POOL: StepBuffers | None = None
 
 
 class Tape:
@@ -111,27 +149,109 @@ class Tape:
         return False
 
 
+class StepBuffers:
+    """Reusable buffers for the large arrays of a training run's ops.
+
+    At most one pool is open at a time. Every array ``take`` hands out is a
+    view whose ``base`` is one of the pool's buffers, so a buffer that
+    nothing but the pool refers to is free. Closing the pool drops its
+    buffers; an array still alive keeps its own.
+    """
+
+    def __init__(self):
+        self.classes: dict[int, list[np.ndarray]] = {}  # buffer size -> buffers
+        self.created = 0
+
+    def __enter__(self):
+        global _POOL
+        if _POOL is not None:
+            raise RuntimeError("a buffer pool is already open; pools do not nest")
+        _POOL = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        global _POOL
+        _POOL = None
+        self.classes.clear()
+        return False
+
+    def take(self, shape, dtype) -> np.ndarray | None:
+        """An uninitialised ``shape`` array in a free buffer, or None below
+        ``_POOL_MIN_BYTES``."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < _POOL_MIN_BYTES:
+            return None
+        size = -(-nbytes // _POOL_GRAIN) * _POOL_GRAIN
+        bufs = self.classes.setdefault(size, [])
+        for buf in bufs:
+            if sys.getrefcount(buf) == 3:  # the list, the loop variable and this call
+                break
+        else:
+            buf = np.empty(size, dtype=np.uint8)
+            bufs.append(buf)
+            self.created += 1
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _out(shape, *operands) -> np.ndarray | None:
+    """An ``out=`` array from the open pool for a result of ``shape`` and of
+    the operands' result type, or None to let numpy allocate."""
+    return None if _POOL is None else _POOL.take(shape, np.result_type(*operands))
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul(x, y)``, into a pool buffer when both are at least 2-D."""
+    if _POOL is None or x.ndim < 2 or y.ndim < 2:
+        return np.matmul(x, y)
+    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+    return np.matmul(x, y, out=_POOL.take(shape, np.result_type(x, y)))
+
+
+def _reshaped(arr: np.ndarray, shape) -> np.ndarray:
+    """``arr.reshape(shape)``; a copy it needs goes into a pool buffer."""
+    if _POOL is None:
+        return arr.reshape(shape)
+    try:
+        return np.reshape(arr, shape, copy=False)
+    except ValueError:  # needs a copy (or cannot be reshaped; the copy's reshape raises then)
+        buf = _POOL.take(arr.shape, arr.dtype)
+        if buf is None:
+            return arr.reshape(shape)
+        np.copyto(buf, arr)
+        return buf.reshape(shape)
+
+
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient flows to ``t``: a leaf, or recorded on a tape."""
+    return t.requires_grad or t._slot is not None
+
+
 def _record(out, inputs: list[Tensor], bwd):
-    if _ACTIVE is not None and any(t.requires_grad or t._rec for t in inputs):
-        for t in out if isinstance(out, tuple) else (out,):
-            t._rec = True
-        _ACTIVE.nodes.append(_Node(out, inputs, bwd))
+    if _ACTIVE is None:
+        return out
+    targets = [t if t.requires_grad else t._slot for t in inputs]
+    if any(x is not None for x in targets):
+        outs = out if isinstance(out, tuple) else (out,)
+        slots = tuple(_Slot() for _ in outs)
+        for t, s in zip(outs, slots):
+            t._slot = s
+        _ACTIVE.nodes.append(_Node(slots if isinstance(out, tuple) else slots[0], targets, bwd))
     return out
 
 
-def _take_grad(t: Tensor):
-    """``t.grad``, cleared on ``t`` unless ``t`` is a leaf."""
-    g = t.grad
-    if not t.requires_grad:
-        t.grad = None
+def _take_grad(slot: _Slot):
+    g = slot.grad
+    slot.grad = None
     return g
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t, g: np.ndarray) -> None:
+    """Add ``g`` into the gradient of a target (a leaf Tensor or a slot)."""
     if t.grad is None:
         t.grad = g
     else:
-        t.grad = t.grad + g
+        t.grad = np.add(t.grad, g, out=_out(g.shape, t.grad, g))
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -139,7 +259,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     ``loss`` must be a scalar produced on this tape (or a leaf, in which
     case there is nothing to do). The tape is consumed: afterwards it holds
-    no nodes, every non-leaf ``.grad`` is None, and a second call raises
+    no nodes, no slot holds a gradient, and a second call raises
     ``GradError``.
     """
     if loss.data.size != 1:
@@ -147,12 +267,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if tape.consumed:
         raise GradError("backward: this tape was already consumed by an earlier backward")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    root = loss if loss.requires_grad else loss._slot
+    if root is not None:
+        root.grad = np.ones_like(loss.data)
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
         if isinstance(node.out, tuple):
-            og = [_take_grad(t) for t in node.out]
+            og = [_take_grad(s) for s in node.out]
             if all(g is None for g in og):
                 continue
         else:
@@ -160,7 +282,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if og is None:
                 continue
         for t, g in zip(node.inputs, node.bwd(og)):
-            if g is not None and (t.requires_grad or t._rec):
+            if g is not None and t is not None:
                 _accumulate(t, g)
 
 
@@ -182,27 +304,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
     try:
-        out = Tensor(a.data + b.data)
+        buf = None if _POOL is None else _out(np.broadcast_shapes(sa, sb), a.data, b.data)
+        out = Tensor(np.add(a.data, b.data, out=buf))
     except ValueError:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
-
-    na, nb = (a.requires_grad or a._rec), (b.requires_grad or b._rec)
+        raise ShapeError(f"add: shapes {sa} and {sb} do not broadcast")
+    na, nb = _tracked(a), _tracked(b)
 
     def bwd(g):
         return (
-            _unbroadcast(g, a.data.shape) if na else None,
-            _unbroadcast(g, b.data.shape) if nb else None,
+            _unbroadcast(g, sa) if na else None,
+            _unbroadcast(g, sb) if nb else None,
         )
 
     return _record(out, [a, b], bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
+    out = Tensor(np.multiply(x.data, c, out=_out(x.data.shape, x.data, c)))
 
     def bwd(g):
-        return (g * c,)
+        return (np.multiply(g, c, out=_out(g.shape, g, c)),)
 
     return _record(out, [x], bwd)
 
@@ -213,27 +336,28 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
     silu(a) = a * sigmoid(a) is not kept: the backward recomputes it from
     the sigmoid, which it keeps.
     """
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"swiglu: shapes {a.data.shape} and {b.data.shape} differ")
-    s = np.negative(a.data)
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"swiglu: shapes {ad.shape} and {bd.shape} differ")
+    s = np.negative(ad, out=_out(ad.shape, ad))
     np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    out = a.data * s
-    out *= b.data
-    na, nb = (a.requires_grad or a._rec), (b.requires_grad or b._rec)
+    out = np.multiply(ad, s, out=_out(ad.shape, ad))
+    out *= bd
+    na, nb = _tracked(a), _tracked(b)
 
     def bwd(g):
         ga = gb = None
         if nb:
-            gb = a.data * s
+            gb = np.multiply(ad, s, out=_out(ad.shape, ad))
             gb *= g
         if na:
-            ga = 1.0 - s
-            ga *= a.data
+            ga = np.subtract(1.0, s, out=_out(s.shape, s))
+            ga *= ad
             ga += 1.0
             ga *= s
-            ga *= g * b.data
+            ga *= np.multiply(g, bd, out=_out(g.shape, g, bd))
         return (ga, gb)
 
     return _record(Tensor(out), [a, b], bwd)
@@ -245,28 +369,29 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     ``gain`` may be any shape broadcastable against ``x`` (a plain (d,)
     vector, or (heads, head_dim) for per-head query/key norms).
     """
-    n = x.data.shape[-1]
-    ms = np.add.reduce(np.square(x.data), axis=-1, keepdims=True)
+    xd, gd = x.data, gain.data
+    n = xd.shape[-1]
+    ms = np.add.reduce(np.square(xd, out=_out(xd.shape, xd)), axis=-1, keepdims=True)
     ms /= n
     inv = 1.0 / np.sqrt(ms + eps)
-    out = x.data * inv
-    out *= gain.data
-    nx, ng = (x.requires_grad or x._rec), (gain.requires_grad or gain._rec)
+    out = np.multiply(xd, inv, out=_out(xd.shape, xd, inv))
+    out *= gd
+    nx, ng = _tracked(x), _tracked(gain)
 
     def bwd(g):
         dx = dgain = None
         if nx:
             # inv * gy - x * (inv**3 * sum(gy * x) / n), in gy and one scratch
-            dx = g * gain.data
-            t = dx * x.data
+            dx = np.multiply(g, gd, out=_out(g.shape, g, gd))
+            t = np.multiply(dx, xd, out=_out(dx.shape, dx, xd))
             c = inv ** 3 * np.add.reduce(t, axis=-1, keepdims=True) / n
-            np.multiply(x.data, c, out=t)
+            np.multiply(xd, c, out=t)
             dx *= inv
             dx -= t
         if ng:
-            xhat = x.data * inv
+            xhat = np.multiply(xd, inv, out=_out(xd.shape, xd, inv))
             xhat *= g
-            dgain = _unbroadcast(xhat, gain.data.shape)
+            dgain = _unbroadcast(xhat, gd.shape)
         return (dx, dgain)
 
     return _record(Tensor(out), [x, gain], bwd)
@@ -274,14 +399,17 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+    td = table.data
+    if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
         raise ShapeError(
-            f"embedding: id out of range [0, {table.data.shape[0]}) in lookup of shape {ids.shape}"
+            f"embedding: id out of range [0, {td.shape[0]}) in lookup of shape {ids.shape}"
         )
-    out = Tensor(table.data[ids])
+    # ids are in range, so "clip" changes none; it spares take a buffered copy into out
+    out = Tensor(np.take(td, ids, axis=0, out=_out(ids.shape + td.shape[1:], td), mode="clip"))
+    tshape, tdtype = td.shape, td.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(tshape, dtype=tdtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -291,30 +419,33 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def split(x: Tensor, sizes: list[int], axis: int = -1) -> list[Tensor]:
     """Views of consecutive ``sizes``-long slices of ``x`` along ``axis``,
     recorded as one node whose backward concatenates the pieces' gradients."""
-    ax = axis % x.data.ndim
-    if sum(sizes) != x.data.shape[ax]:
-        raise ShapeError(f"split: sizes {sizes} do not sum to axis {axis} of {x.data.shape}")
+    xd = x.data
+    ax = axis % xd.ndim
+    if sum(sizes) != xd.shape[ax]:
+        raise ShapeError(f"split: sizes {sizes} do not sum to axis {axis} of {xd.shape}")
     offsets = np.cumsum([0] + list(sizes))
     outs = []
     for i in range(len(sizes)):
-        idx = [slice(None)] * x.data.ndim
+        idx = [slice(None)] * xd.ndim
         idx[ax] = slice(offsets[i], offsets[i + 1])
-        outs.append(Tensor(x.data[tuple(idx)]))
+        outs.append(Tensor(xd[tuple(idx)]))
     shapes = [t.data.shape for t in outs]
+    xshape, dtype = xd.shape, xd.dtype
 
     def bwd(gs):
         # a piece that got no gradient contributes zeros
-        parts = [np.zeros(sh, dtype=x.data.dtype) if g is None else g for g, sh in zip(gs, shapes)]
-        return (np.concatenate(parts, axis=ax),)
+        parts = [np.zeros(sh, dtype=dtype) if g is None else g for g, sh in zip(gs, shapes)]
+        return (np.concatenate(parts, axis=ax, out=_out(xshape, *parts)),)
 
     return list(_record(tuple(outs), [x], bwd))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
+    xshape = x.data.shape
+    out = Tensor(_reshaped(x.data, shape))
 
     def bwd(g):
-        return (g.reshape(x.data.shape),)
+        return (_reshaped(g, xshape),)
 
     return _record(out, [x], bwd)
 
@@ -343,36 +474,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     product per leading index. A stacked ``b`` — per-sequence memory
     weights (B, k, n) — uses ``np.matmul`` and its broadcasting.
     """
-    sa, sb = a.data.shape, b.data.shape
-    shared = b.data.ndim == 2
+    ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
+    shared = bd.ndim == 2
     if shared:
-        if a.data.ndim == 0 or sa[-1] != sb[0]:
+        if ad.ndim == 0 or sa[-1] != sb[0]:
             raise ShapeError(f"matmul: shapes {sa} @ {sb}")
-        a2 = a.data.reshape(-1, sb[0])
-        out = Tensor((a2 @ b.data).reshape(sa[:-1] + sb[1:]))
+        ad = ad.reshape(-1, sb[0])
+        out = np.matmul(ad, bd, out=_out((ad.shape[0], sb[1]), ad, bd))
+        out = Tensor(out.reshape(sa[:-1] + sb[1:]))
     else:
         try:
-            out = Tensor(np.matmul(a.data, b.data))
+            out = Tensor(_mm(ad, bd))
         except ValueError:
             raise ShapeError(f"matmul: shapes {sa} @ {sb}")
     # captured now: a frozen operand (requires_grad off, not produced on a
-    # tape) skips its gradient gemm entirely
-    na = a.requires_grad or a._rec
-    nb = b.requires_grad or b._rec
+    # tape) skips its gradient gemm, and the other operand is kept only
+    # for that gemm
+    na, nb = _tracked(a), _tracked(b)
+    bk = bd if na else None
+    ak = ad if nb else None
 
     def bwd(g):
         ga = gb = None
         if shared:
-            g2 = g.reshape(-1, sb[1])
+            g2 = _reshaped(g, (-1, sb[1]))
             if na:
-                ga = (g2 @ b.data.T).reshape(sa)
+                ga = np.matmul(g2, bk.T, out=_out((g2.shape[0], sb[0]), g2, bk))
+                ga = ga.reshape(sa)
             if nb:
-                gb = a2.T @ g2
+                gb = np.matmul(ak.T, g2, out=_out(sb, ak, g2))
             return (ga, gb)
         if na:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), sa)
+            ga = _unbroadcast(_mm(g, np.swapaxes(bk, -1, -2)), sa)
         if nb:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), sb)
+            gb = _unbroadcast(_mm(np.swapaxes(ak, -1, -2), g), sb)
         return (ga, gb)
 
     return _record(out, [a, b], bwd)
@@ -389,11 +525,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     (..., Sq, Sk) score matrix and uses -inf for disallowed slots. The
     score scale is 1/sqrt(dh).
     """
-    dh = q.data.shape[-1]
-    if k.data.shape[-1] != dh or v.data.shape[-2] != k.data.shape[-2]:
-        raise ShapeError(f"attention: q{q.data.shape} k{k.data.shape} v{v.data.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    dh = qd.shape[-1]
+    if kd.shape[-1] != dh or vd.shape[-2] != kd.shape[-2]:
+        raise ShapeError(f"attention: q{qd.shape} k{kd.shape} v{vd.shape}")
     sc = 1.0 / math.sqrt(dh)
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scores = _mm(qd, np.swapaxes(kd, -1, -2))
     scores *= sc
     if mask is not None:
         scores += mask
@@ -402,25 +539,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     p = scores
-    out = Tensor(np.matmul(p, v.data))
-    nq, nk, nv = (q.requires_grad or q._rec), (k.requires_grad or k._rec), (v.requires_grad or v._rec)
+    out = Tensor(_mm(p, vd))
+    nq, nk, nv = _tracked(q), _tracked(k), _tracked(v)
+    # the score gradient reads v; the query's reads k, the key's reads q
+    vk = vd if nq or nk else None
+    kk = kd if nq else None
+    qk = qd if nk else None
+    qshape, kshape, vshape = qd.shape, kd.shape, vd.shape
 
     def bwd(g):
         gq = gk = gv = None
         if nv:
-            gv = _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.data.shape)
+            gv = _unbroadcast(_mm(np.swapaxes(p, -1, -2), g), vshape)
         if nq or nk:
-            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            ds = _mm(g, np.swapaxes(vk, -1, -2))
+            ds -= np.sum(np.multiply(ds, p, out=_out(ds.shape, ds, p)), axis=-1, keepdims=True)
             ds *= p
             if nq:
-                gq = np.matmul(ds, k.data)
+                gq = _mm(ds, kk)
                 gq *= sc
-                gq = _unbroadcast(gq, q.data.shape)
+                gq = _unbroadcast(gq, qshape)
             if nk:
-                gk = np.matmul(np.swapaxes(ds, -1, -2), q.data)
+                gk = _mm(np.swapaxes(ds, -1, -2), qk)
                 gk *= sc
-                gk = _unbroadcast(gk, k.data.shape)
+                gk = _unbroadcast(gk, kshape)
         return (gq, gk, gv)
 
     return _record(out, [q, k, v], bwd)
@@ -432,29 +574,46 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     x: (..., S, dh) with dh even; pair (2i, 2i+1) rotates by angle
     pos * base^(-2i/dh). Norm-preserving; position 0 is the identity.
     """
-    dh = x.data.shape[-1]
+    xd = x.data
+    dh = xd.shape[-1]
     if dh % 2:
-        raise ShapeError(f"rope: head dim must be even, got {x.data.shape}")
+        raise ShapeError(f"rope: head dim must be even, got {xd.shape}")
     positions = np.asarray(positions, dtype=np.float64)
     half = dh // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / dh)
     ang = positions[:, None] * inv_freq[None, :]            # (S, dh/2)
-    cos = np.cos(ang).astype(x.data.dtype)
-    sin = np.sin(ang).astype(x.data.dtype)
-    xp = x.data.reshape(x.data.shape[:-1] + (half, 2))
+    cos = np.cos(ang).astype(xd.dtype)
+    sin = np.sin(ang).astype(xd.dtype)
+    xshape = xd.shape
+    xp = xd.reshape(xshape[:-1] + (half, 2))
     xe, xo = xp[..., 0], xp[..., 1]
-    out_p = np.empty_like(xp)
-    out_p[..., 0] = xe * cos - xo * sin
-    out_p[..., 1] = xe * sin + xo * cos
-    out = Tensor(out_p.reshape(x.data.shape))
+    out_p = _out(xp.shape, xd)
+    out_p = np.empty_like(xp) if out_p is None else out_p
+    oe, oo = out_p[..., 0], out_p[..., 1]
+    # even: xe * cos - xo * sin; odd: xe * sin + xo * cos
+    np.multiply(xe, cos, out=oe)
+    t = np.multiply(xo, sin, out=_out(xe.shape, xd))
+    np.subtract(oe, t, out=oe)
+    np.multiply(xe, sin, out=oo)
+    np.multiply(xo, cos, out=t)
+    np.add(oo, t, out=oo)
+    out = Tensor(out_p.reshape(xshape))
 
     def bwd(g):
         gp = g.reshape(g.shape[:-1] + (half, 2))
         ge, go = gp[..., 0], gp[..., 1]
-        gx = np.empty_like(gp)
-        gx[..., 0] = ge * cos + go * sin
-        gx[..., 1] = -ge * sin + go * cos
-        return (gx.reshape(x.data.shape),)
+        gx = _out(gp.shape, g)
+        gx = np.empty_like(gp) if gx is None else gx
+        xe_, xo_ = gx[..., 0], gx[..., 1]
+        # even: ge * cos + go * sin; odd: -ge * sin + go * cos
+        np.multiply(ge, cos, out=xe_)
+        u = np.multiply(go, sin, out=_out(ge.shape, g))
+        np.add(xe_, u, out=xe_)
+        np.negative(ge, out=xo_)
+        np.multiply(xo_, sin, out=xo_)
+        np.multiply(go, cos, out=u)
+        np.add(xo_, u, out=xo_)
+        return (gx.reshape(xshape),)
 
     return _record(out, [x], bwd)
 
@@ -467,20 +626,22 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     positions. Returns a scalar; the pointwise NLL array is stashed on the
     result as ``_pointwise`` for metric reporting (not differentiable).
     """
-    V = logits.data.shape[-1]
+    lshape = logits.data.shape
+    V = lshape[-1]
     flat = logits.data.reshape(-1, V)
     t = np.asarray(targets).reshape(-1)
     if t.shape[0] != flat.shape[0]:
-        raise ShapeError(f"cross_entropy: logits {logits.data.shape} vs targets {np.asarray(targets).shape}")
+        raise ShapeError(f"cross_entropy: logits {lshape} vs targets {np.asarray(targets).shape}")
     if t.size and (t.min() < 0 or t.max() >= V):
         raise ShapeError(f"cross_entropy: target id out of range [0, {V})")
     w = np.asarray(weight, dtype=flat.dtype).reshape(-1)
     if w.shape != t.shape:  # a broadcast weight would turn the mean into a sum
         raise ShapeError(f"cross_entropy: weight {np.shape(weight)} vs targets {np.asarray(targets).shape}")
     m = flat.max(axis=-1, keepdims=True)
-    z = flat - m
-    lse = np.log(np.exp(z).sum(axis=-1))
-    nll = lse - z[np.arange(flat.shape[0]), t]
+    z = np.subtract(flat, m, out=_out(flat.shape, flat))
+    lse = np.log(np.exp(z, out=_out(z.shape, z)).sum(axis=-1))
+    rows = np.arange(flat.shape[0])
+    nll = lse - z[rows, t]
     denom = w.sum()
     if denom <= 0:
         raise ShapeError("cross_entropy: weight mask selects no positions")
@@ -488,10 +649,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     out._pointwise = nll  # type: ignore[attr-defined]
 
     def bwd(g):
-        p = np.exp(z - lse[:, None])
-        p[np.arange(flat.shape[0]), t] -= 1.0
-        gl = p * (w * float(g) / denom)[:, None]
-        return (gl.reshape(logits.data.shape),)
+        p = np.subtract(z, lse[:, None], out=_out(z.shape, z))
+        np.exp(p, out=p)
+        p[rows, t] -= 1.0
+        p *= (w * float(g) / denom)[:, None]
+        return (p.reshape(lshape),)
 
     return _record(out, [logits], bwd)
 

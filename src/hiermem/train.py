@@ -239,6 +239,17 @@ def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: in
     p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + wd * p)
 
 
+def _step_loss(model: mdl.TransformerModel, bank: mb.MemoryBank | None, batch: dict,
+               level_tensors: list[nc.Tensor]) -> nc.Tensor:
+    """The step's loss on the active tape. The logits and the attached
+    memories go out of scope here, so backward does not keep them."""
+    mems = None
+    if bank is not None:
+        mems = mdl.AttachedMemories(bank.cfg, model.cfg, level_tensors)
+    logits = mdl.forward(model, batch["inputs"], doc_mask=batch["mask"], mems=mems)
+    return nc.cross_entropy(logits, batch["targets"], batch["weights"])
+
+
 def train_step(
     model: mdl.TransformerModel,
     bank: mb.MemoryBank | None,
@@ -260,11 +271,7 @@ def train_step(
         level_tensors = [nc.Tensor(rows.astype(model.dtype, copy=False), requires_grad=True) for rows in fm.levels]
 
     with nc.Tape() as tape:
-        mems = None
-        if bank is not None:
-            mems = mdl.AttachedMemories(bank.cfg, model.cfg, level_tensors)
-        logits = mdl.forward(model, batch["inputs"], doc_mask=batch["mask"], mems=mems)
-        loss = nc.cross_entropy(logits, batch["targets"], batch["weights"])
+        loss = _step_loss(model, bank, batch, level_tensors)
     loss_val = float(loss.data)
 
     ntok = float(batch["weights"].sum())
@@ -450,23 +457,26 @@ def train_run(
     else:
         state = TrainState(cfg)
     n = len(sequences)
-    while state.step < cfg.total_steps:
-        if state.epoch_pos + cfg.batch_size > len(state.epoch_order):
-            state.epoch_order = state.rng.permutation(n)
-            # epochs shorter than a batch cycle immediately
-            while len(state.epoch_order) < cfg.batch_size:
-                state.epoch_order = np.concatenate([state.epoch_order, state.rng.permutation(n)])
-            state.epoch_pos = 0
-        idx = state.epoch_order[state.epoch_pos : state.epoch_pos + cfg.batch_size]
-        state.epoch_pos += cfg.batch_size
-        batch = build_batch([sequences[i] for i in idx], dtype=model.dtype)
-        metrics = train_step(model, bank, batch, state, cfg)
-        if cfg.log_interval and state.step % cfg.log_interval == 0:
-            log(
-                f"step {metrics['step']}/{cfg.total_steps} "
-                f"lr {metrics['lr']:.3e} loss {metrics['loss']:.4f}"
-            )
-        if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0 and state.step < cfg.total_steps:
-            save_checkpoint(run_dir, f"step{state.step}", model, bank, state, extra_meta)
+    # every step has the same shapes, so from the second on the ops reuse
+    # the first step's buffers
+    with nc.StepBuffers():
+        while state.step < cfg.total_steps:
+            if state.epoch_pos + cfg.batch_size > len(state.epoch_order):
+                state.epoch_order = state.rng.permutation(n)
+                # epochs shorter than a batch cycle immediately
+                while len(state.epoch_order) < cfg.batch_size:
+                    state.epoch_order = np.concatenate([state.epoch_order, state.rng.permutation(n)])
+                state.epoch_pos = 0
+            idx = state.epoch_order[state.epoch_pos : state.epoch_pos + cfg.batch_size]
+            state.epoch_pos += cfg.batch_size
+            batch = build_batch([sequences[i] for i in idx], dtype=model.dtype)
+            metrics = train_step(model, bank, batch, state, cfg)
+            if cfg.log_interval and state.step % cfg.log_interval == 0:
+                log(
+                    f"step {metrics['step']}/{cfg.total_steps} "
+                    f"lr {metrics['lr']:.3e} loss {metrics['loss']:.4f}"
+                )
+            if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0 and state.step < cfg.total_steps:
+                save_checkpoint(run_dir, f"step{state.step}", model, bank, state, extra_meta)
     save_checkpoint(run_dir, "final", model, bank, state, extra_meta)
     return state

@@ -638,6 +638,29 @@ def test_run_seed_seeds_cluster_and_train(ws, tmp_path):
     assert tr.load_state(out / "ckpt_final" / "trainstate.bin").cfg.seed == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 2**40])
+def test_seed_outside_uint32_exits_2(ws, trained, tmp_path, capsys, seed):
+    corpus = str(ws / "corpus.txt")
+    ini = tmp_path / "seed.ini"
+    ini.write_text(BASE_INI.replace("seed = 7", f"seed = {seed}"))
+    for cmd in (["cluster", corpus], ["train", corpus, str(trained["tree"])]):
+        for how in (["--config", str(ws / "run.ini"), "--seed", str(seed)], ["--config", str(ini)]):
+            assert cli.main(cmd + how + ["--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "0..2**32-1" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_seed_at_the_uint32_bounds_runs(ws, tmp_path, seed):
+    corpus = str(ws / "corpus.txt")
+    out = tmp_path / "out"
+    flags = ["--config", str(ws / "run.ini"), "--seed", str(seed), "--out", str(out)]
+    assert cli.main(["cluster", corpus] + flags) == 0
+    assert cli.main(["train", corpus, str(out / "tree.bin")] + flags) == 0
+    assert tr.load_state(out / "ckpt_final" / "trainstate.bin").cfg.seed == seed
+
+
 @pytest.mark.parametrize("section, key", [
     ("embedder", "seed"), ("cluster", "seed"), ("train", "seed"),
     *(("train", key) for key in ("beta1", "beta2", "adam_eps", "grad_clip", "anchor_wd", "memory_wd")),

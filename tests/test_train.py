@@ -7,6 +7,7 @@ import pytest
 from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
+from hiermem import numcore as nc
 from hiermem import train as tr
 
 ACFG = mdl.AnchorConfig(num_layers=2, dim=16, num_heads=2, head_dim=8,
@@ -270,6 +271,85 @@ def test_resume_is_bit_exact(tmp_path, regime):
     assert model_digest(model_a) == model_digest(model_c)
     if bank_a is not None:
         assert bank_digest(bank_a) == bank_digest(bank_c)
+
+
+# sha256 of the model and of the bank after six toy_setup steps. A change
+# to the order of any operation in numcore, the model or the optimizer
+# changes them, and must re-pin them on purpose.
+PINNED = {
+    "memory": ("9b9a8563cbfbde65a0edf80b5c0f2000bc4174243267205754d299b4b7d6bf38",
+               "4ec1505f0d072cbf9202641fc505a90bbdd595698511cbe4d58e5a64ba27078f"),
+    "cotrain": ("118f72353b7added9410b6710983cb61770cbfed59f25aba2cef77017163aca8",
+                "e6f7bdf8c19e51c851d08def29b4b69658ac8b36ecafe86cb3bf77b6cdd1d647"),
+    "scratch": ("276c893ebee6c95cc589fa5049edf2bf6619ce78e3c6612b0c318c66c45ad823", None),
+}
+
+
+def pool_every_array(monkeypatch):
+    """Make the step buffers serve every array of the toy runs, which are
+    all smaller than the real minimum."""
+    monkeypatch.setattr(nc, "_POOL_MIN_BYTES", 1)
+    monkeypatch.setattr(nc, "_POOL_GRAIN", 64)
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
+def test_trained_bytes_are_pinned(tmp_path, monkeypatch, regime, pooled):
+    if pooled:
+        pool_every_array(monkeypatch)
+    model, bank, seqs, cfg = toy_setup(regime)
+    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    assert (model_digest(model), bank and bank_digest(bank)) == PINNED[regime]
+
+
+class RecordedBuffers(nc.StepBuffers):
+    """Step buffers that remember each pool a run opened."""
+
+    opened: list = []
+
+    def __enter__(self):
+        RecordedBuffers.opened.append(self)
+        return super().__enter__()
+
+
+@pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
+def test_second_step_takes_no_new_buffers(tmp_path, monkeypatch, regime):
+    pool_every_array(monkeypatch)
+    model, bank, seqs, cfg = toy_setup(regime, steps=3)
+    created = []
+    step = tr.train_step
+
+    def counted(*args, **kwargs):
+        out = step(*args, **kwargs)
+        created.append(nc._POOL.created)
+        return out
+
+    monkeypatch.setattr(tr, "train_step", counted)
+    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    assert created[0] > 0 and created == [created[0]] * 3
+
+
+def test_run_releases_its_buffers_when_it_returns_or_raises(tmp_path, monkeypatch):
+    pool_every_array(monkeypatch)
+    monkeypatch.setattr(nc, "StepBuffers", RecordedBuffers)
+    monkeypatch.setattr(RecordedBuffers, "opened", [])
+    model, bank, seqs, cfg = toy_setup(steps=2)
+    tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
+    step = tr.train_step
+
+    def failing(*args, **kwargs):
+        step(*args, **kwargs)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(tr, "train_step", failing)
+    with pytest.raises(RuntimeError, match="stop"):
+        tr.train_run(model, bank, seqs, cfg, tmp_path / "b", log=lambda m: None)
+    assert len(RecordedBuffers.opened) == 2
+    for pool in RecordedBuffers.opened:
+        assert pool.created > 0 and pool.classes == {}
+    assert nc._POOL is None
+    with nc.StepBuffers():  # and a new run can open one
+        pass
 
 
 def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):

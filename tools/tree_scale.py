@@ -7,8 +7,9 @@ vectors, at most 4096 centres, unit-variance centres plus noise of
 standard deviation 0.3), trains ``train_tree(k=16, depth=D)`` with the
 other ``ClusterConfig`` defaults, and prints one JSON line: the inputs,
 the wall time of ``train_tree`` alone, the process's peak resident set
-(``ru_maxrss``, which includes drawing the vectors) and the sha256 of the
-centre arrays, so runs of two versions can be checked for equal trees.
+(``ru_maxrss``; the vectors are drawn in row chunks, so the peak is
+``train_tree``'s, not the draw's) and the sha256 of the centre arrays, so
+runs of two versions can be checked for equal trees.
 A tree that fails (a node with fewer than k vectors) gives its error and
 time to failure instead of the digest, and exit status 1. It imports
 ``hiermem`` from the ``src/`` beside it and gives OpenBLAS one thread, as
@@ -34,14 +35,22 @@ import numpy as np  # noqa: E402
 from hiermem import cluster as cl  # noqa: E402
 
 DIM = 384
+CHUNK_ROWS = 8192
 
 
 def mixture(n: int) -> np.ndarray:
+    """The vectors, drawn in row chunks so that the draw's temporaries stay
+    small beside ``train_tree``'s; the chunks continue one random stream, so
+    the array equals a single draw's."""
     rng = np.random.default_rng(0)
     n_centres = max(1, min(4096, n // 16))
     centres = rng.standard_normal((n_centres, DIM), dtype=np.float32)
     pick = rng.integers(n_centres, size=n)
-    return centres[pick] + np.float32(0.3) * rng.standard_normal((n, DIM), dtype=np.float32)
+    out = np.empty((n, DIM), dtype=np.float32)
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(n, lo + CHUNK_ROWS)
+        out[lo:hi] = centres[pick[lo:hi]] + np.float32(0.3) * rng.standard_normal((hi - lo, DIM), dtype=np.float32)
+    return out
 
 
 def main() -> int:

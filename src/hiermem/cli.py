@@ -238,13 +238,12 @@ def cmd_inspect(args) -> int:
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
     if magic == tr.STATE_MAGIC:
         print(f"  step {loaded.step}, aborted {loaded.aborted}")
-        updates: dict[int, list[int]] = {}
-        for key, st in loaded.opt.items():
-            owner, block = key.split(".", 1)  # anchor.<param>, l<level>.<block id or generic>
-            if owner != "anchor" and block != "generic":
-                updates.setdefault(int(owner[1:]), []).append(st.steps)
-        for level, n in sorted(updates.items()):
-            print(f"  level {level}: {len(n)} blocks trained, updates min {min(n)} max {max(n)}")
+        level = 1  # a step that fetches trains a block on every level
+        while (st := loaded.opt.get(f"level{level}")) is not None:
+            n = st.steps[st.steps > 0]
+            span = f", updates min {n.min()} max {n.max()}" if n.size else ""
+            print(f"  level {level}: {n.size} blocks trained{span}")
+            level += 1
     return 0
 
 

@@ -301,6 +301,17 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
     return FetchedMemory(levels=levels, blocks=blocks)
 
 
+def bank_arrays(levels, generic) -> dict:
+    """The bank's arrays by their names in ``bank.bin``, in file order:
+    ``level<l>`` for ``levels[l-1]``, then ``generic.l<l>`` for ``generic[l-1]``.
+
+    Callers pass a bank's ``levels`` and ``generic``; ``load_bank`` passes
+    their shapes instead, to get the layout a file must have.
+    """
+    return ({f"level{l}": a for l, a in enumerate(levels, 1)}
+            | {f"generic.l{l}": g for l, g in enumerate(generic, 1)})
+
+
 def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
     meta = {
         "config": asdict(bank.cfg),
@@ -310,12 +321,7 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    arrays = {}
-    for l in range(1, bank.depth + 1):
-        arrays[f"level{l}"] = bank.levels[l - 1]
-    for l in range(1, bank.depth + 1):
-        arrays[f"generic.l{l}"] = bank.generic[l - 1]
-    fileio.write_artifact(path, BANK_MAGIC, meta, arrays)
+    fileio.write_artifact(path, BANK_MAGIC, meta, bank_arrays(bank.levels, bank.generic))
 
 
 def load_bank(path) -> MemoryBank:
@@ -326,8 +332,8 @@ def load_bank(path) -> MemoryBank:
         sizes = bank_accounting(cfg, k=k, **dims)["level_sizes"]
     except (TypeError, ValueError) as e:
         raise fileio.ArtifactError(f"{path}: stored k {k!r} and dims {dims!r} give no bank layout ({e})") from None
-    levels = range(1, cfg.depth + 1)
-    fileio.check_layout(path, arrays, {f"level{l}": (k**l, sizes[l - 1]) for l in levels}
-                        | {f"generic.l{l}": (sizes[l - 1],) for l in levels}, np.float32)
-    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=[arrays[f"level{l}"] for l in levels],
-                      generic=[arrays[f"generic.l{l}"] for l in levels], meta=meta.get("bank_meta", {}))
+    layout = bank_arrays([(k**l, s) for l, s in enumerate(sizes, 1)], [(s,) for s in sizes])
+    fileio.check_layout(path, arrays, layout, np.float32)
+    named = [arrays[name] for name in layout]
+    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=named[: cfg.depth], generic=named[cfg.depth :],
+                      meta=meta.get("bank_meta", {}))

@@ -10,16 +10,24 @@ closes it; nothing is predicted across an EOT and padding carries no loss.
 Each training step fetches the memory path for every sequence's leaf; a
 sequence flips to the shared generic block with probability 1/(k+1).
 AdamW updates touch the anchor (unless frozen) and exactly the fetched
-blocks. Every trained array (an anchor parameter, a block, a level's
-generic block) has one optimizer state, made on its first update, with its
-own step counter for bias correction, so untouched blocks are never read
-or written.
+blocks. Every trained array has one optimizer state, made on its first
+update and keyed by the array's name in ``model.ckpt`` or ``bank.bin``: an
+anchor parameter, a bank level ``level<l>`` or a level's generic block
+``generic.l<l>``. A state holds AdamW's ``m`` and ``v``, shaped like the
+array, and an int64 ``steps`` for bias correction: one count per block,
+shape (k^l,), for a bank level, and a single count, shape (), for any other
+array. A level is updated block by block, on row views of the level and of
+its state, each with its block's own count, so blocks that were never
+fetched are never read or written. ``m`` and ``v`` start on fresh
+anonymous pages, which take memory only once a row on them is written: the
+state of a level costs what its trained blocks need, not twice the level.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -204,9 +212,18 @@ def cosine_lr(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class _AdamState:
-    m: np.ndarray
+    m: np.ndarray             # shaped like the trained array
     v: np.ndarray
-    steps: int = 0            # updates applied, for bias correction
+    steps: np.ndarray         # int64 updates applied: (k^l,) for a bank level, () otherwise
+
+
+def _fresh_zeros(like: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` on fresh anonymous pages, none of them
+    resident until written. ``np.zeros`` is no substitute: numpy asks for
+    huge pages for arrays of 4 MiB or more, and a level's state then turns
+    resident in 2-MiB steps after a few of its rows are touched."""
+    buf = mmap.mmap(-1, max(like.nbytes, 1))  # an empty map is an error
+    return np.frombuffer(buf, dtype=like.dtype, count=like.size).reshape(like.shape)
 
 
 class TrainState:
@@ -221,8 +238,10 @@ class TrainState:
         self.epoch_order = np.empty(0, dtype=np.int64)
         self.epoch_pos = 0
         self.metrics = []  # rows of METRIC_COLUMNS
-        # one entry per trained array, keyed anchor.<param>, l<level>.<block id>
-        # or l<level>.generic, made on the array's first update
+        # one entry per trained array, keyed by its name in model.ckpt or
+        # bank.bin and made on the array's first update: m and v shaped like
+        # the array, on fresh pages that take memory only once written, and
+        # steps, one count per block of a bank level (see the module doc)
         self.opt: dict[str, _AdamState] = {}
 
 
@@ -300,41 +319,47 @@ def train_step(
 
     nc.backward(tape, loss)
 
-    # (state key, array, gradient, weight decay), in the order the clip sums
-    updates: list[tuple[str, np.ndarray, np.ndarray, float]] = []
+    # (state name, array, the indices its gradients update, the gradients,
+    # weight decay), in the order the clip sums. A bank level's gradients are
+    # one row per fetched block; any other array takes one gradient at ``whole``.
+    whole = [()]
+    updates: list[tuple[str, np.ndarray, list, list, float]] = []
     if cfg.regime != "memory":
         for name, p in model.named_params():
             if p.grad is not None:
                 wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
-                updates.append((f"anchor.{name}", p.data, p.grad, wd))
+                updates.append((name, p.data, whole, [p.grad], wd))
 
     # scatter per-sequence memory row gradients into per-block sums
     if bank is not None:
-        for l in range(1, bank.depth + 1):
-            g = level_tensors[l - 1].grad
+        named = list(mb.bank_arrays(bank.levels, bank.generic).items())  # the levels, then the generic blocks
+        for l in range(bank.depth):
+            g = level_tensors[l].grad
             if g is None:
                 continue
-            fetched = fm.blocks[l - 1] >= 0
+            (name, lvl), (gname, gen) = named[l], named[bank.depth + l]
+            fetched = fm.blocks[l] >= 0
             if fetched.any():
-                ids, inv = np.unique(fm.blocks[l - 1][fetched], return_inverse=True)
+                ids, inv = np.unique(fm.blocks[l][fetched], return_inverse=True)
                 gsum = np.zeros((ids.shape[0], g.shape[1]), dtype=np.float32)
                 # row by row in batch order: the sums np.add.at gives, without its per-element loop
                 for j, row in zip(inv, g[fetched].astype(np.float32, copy=False)):
                     gsum[j] += row
-                lvl = bank.levels[l - 1]
-                updates += [(f"l{l}.{i}", lvl[i], gsum[j], MEMORY_WD) for j, i in enumerate(ids)]
+                updates.append((name, lvl, ids, gsum, MEMORY_WD))
             if generic_rows.any():
-                ggen = g[generic_rows].sum(axis=0).astype(np.float32)
-                updates.append((f"l{l}.generic", bank.generic[l - 1], ggen, MEMORY_WD))
+                updates.append((gname, gen, whole, [g[generic_rows].sum(axis=0).astype(np.float32)], MEMORY_WD))
 
-    metrics["grad_norm"] = nc.clip_global_norm([u[2] for u in updates], GRAD_CLIP)
+    metrics["grad_norm"] = nc.clip_global_norm([g for u in updates for g in u[3]], GRAD_CLIP)
 
-    for key, p, g, wd in updates:
-        st = state.opt.get(key)
+    for name, p, at, grads, wd in updates:
+        st = state.opt.get(name)
         if st is None:
-            st = state.opt[key] = _AdamState(np.zeros_like(p), np.zeros_like(p))
-        st.steps += 1
-        _adamw(p, g, st.m, st.v, st.steps, lr, wd)
+            steps = np.zeros(p.shape[:1] if at is not whole else (), dtype=np.int64)
+            st = state.opt[name] = _AdamState(_fresh_zeros(p), _fresh_zeros(p), steps)
+        # in place on views: a level's block rows, or a whole array at ()
+        for i, g in zip(at, grads):
+            st.steps[i] += 1
+            _adamw(p[i], g, st.m[i], st.v[i], int(st.steps[i]), lr, wd)
 
     # drop step gradients
     for _, p in model.named_params():
@@ -350,8 +375,10 @@ def train_step(
 # state serialization
 # ---------------------------------------------------------------------------
 
+OPT_PARTS = ("m", "v", "steps")  # the arrays opt.<name>.<part> of one state
+
+
 def save_state(state: TrainState, path) -> None:
-    keys = sorted(state.opt)
     meta = {
         "config": asdict(state.cfg),
         "step": state.step,
@@ -359,18 +386,37 @@ def save_state(state: TrainState, path) -> None:
         "tokens_seen": state.tokens_seen,
         "epoch_pos": state.epoch_pos,
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
-        "opt_steps": {key: state.opt[key].steps for key in keys},
     }
     arrays: dict[str, np.ndarray] = {"sched.order": state.epoch_order.astype(np.int64)}
     arrays["metrics.rows"] = np.asarray(state.metrics, dtype=np.float64).reshape(-1, len(METRIC_COLUMNS))
-    for key in keys:
-        arrays[f"opt.{key}.m"] = state.opt[key].m
-        arrays[f"opt.{key}.v"] = state.opt[key].v
+    for name in sorted(state.opt):
+        st = state.opt[name]
+        arrays |= {f"opt.{name}.{part}": getattr(st, part) for part in OPT_PARTS}
     fileio.write_artifact(path, STATE_MAGIC, meta, arrays)
 
 
 def load_state(path) -> TrainState:
+    """The state a ``trainstate.bin`` holds. A file whose arrays are not
+    ``sched.order``, ``metrics.rows`` and complete ``opt.<name>.m``, ``.v``
+    and int64 ``.steps`` triples, such as one with per-block state, is an
+    ``ArtifactError``. Whether the states fit a model and bank is checked
+    when a run resumes."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
+    if "opt_steps" in meta:
+        raise fileio.ArtifactError(f"{path}: per-block optimizer state from an older version, which is not read")
+    parts: dict[str, dict[str, np.ndarray]] = {}
+    for key, arr in arrays.items():
+        if key in ("sched.order", "metrics.rows"):
+            continue
+        name, _, part = key.removeprefix("opt.").rpartition(".")
+        if not key.startswith("opt.") or not name or part not in OPT_PARTS:
+            raise fileio.ArtifactError(f"{path}: unknown array {key!r}")
+        parts.setdefault(name, {})[part] = arr
+    for name, have in parts.items():
+        if len(have) < len(OPT_PARTS):
+            raise fileio.ArtifactError(f"{path}: optimizer state {name!r} has {sorted(have)}, not {list(OPT_PARTS)}")
+        if have["steps"].dtype != np.int64:
+            raise fileio.ArtifactError(f"{path}: opt.{name}.steps is {have['steps'].dtype}, expected int64")
     if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
         raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
     state = TrainState(fileio.stored_config(TrainConfig, meta["config"], path))
@@ -382,8 +428,7 @@ def load_state(path) -> TrainState:
     state.metrics = [list(r) for r in arrays["metrics.rows"]]
     state.rng = np.random.default_rng()
     state.rng.bit_generator.state = meta["rng_state"]
-    state.opt = {key: _AdamState(arrays[f"opt.{key}.m"], arrays[f"opt.{key}.v"], steps)
-                 for key, steps in meta["opt_steps"].items()}
+    state.opt = {name: _AdamState(**have) for name, have in parts.items()}
     return state
 
 
@@ -391,33 +436,32 @@ def load_state(path) -> TrainState:
 # run loop
 # ---------------------------------------------------------------------------
 
-def _check_resume(state: TrainState, model: mdl.TransformerModel, bank: mb.MemoryBank | None) -> None:
-    """Refuse a state whose optimizer entries do not fit the arrays they update.
+# TrainConfig fields a resumed run may change: none of them alters a step
+RESUMABLE_CHANGES = ("total_steps", "checkpoint_interval", "log_interval")
 
-    Every ``opt`` key must name an existing anchor parameter, bank block or
-    generic block whose shape equals its ``m`` and ``v`` shapes.
-    """
-    params = dict(model.named_params())
-    for key, st in state.opt.items():
-        target = None
-        head, _, rest = key.partition(".")
-        if head == "anchor":
-            if rest in params:
-                target = params[rest].data
-        elif bank is not None and head[:1] == "l" and head[1:].isdigit():
-            level = int(head[1:])
-            if 1 <= level <= bank.depth:
-                if rest == "generic":
-                    target = bank.generic[level - 1]
-                elif rest.isdigit() and int(rest) < bank.k ** level:
-                    target = bank.levels[level - 1][int(rest)]
-        if target is None:
-            raise TrainError(f"resume state: optimizer key {key!r} names no trained array")
-        if st.m.shape != target.shape or st.v.shape != target.shape:
-            raise TrainError(
-                f"resume state: optimizer key {key!r} holds shape {st.m.shape}/{st.v.shape}, "
-                f"its array is {target.shape}"
-            )
+
+def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerModel,
+                  bank: mb.MemoryBank | None) -> None:
+    """Refuse a state that was trained under another config, or whose optimizer
+    states do not fit the arrays of the same names: ``m`` and ``v`` shaped like
+    the array and of its dtype, ``steps`` one count per block of a bank level
+    and a single count otherwise."""
+    stored, run = asdict(state.cfg), asdict(cfg)
+    differ = [f for f in stored if f not in RESUMABLE_CHANGES and stored[f] != run[f]]
+    if differ:
+        raise TrainError("resume state was trained with another config: "
+                         + ", ".join(f"{f} {stored[f]!r}, this run {run[f]!r}" for f in differ))
+    trained = {name: (t.data, ()) for name, t in model.named_params()}
+    if bank is not None:
+        trained |= {name: (a, a.shape[:-1]) for name, a in mb.bank_arrays(bank.levels, bank.generic).items()}
+    for name, st in state.opt.items():
+        if name not in trained:
+            raise TrainError(f"resume state: optimizer state {name!r} names no trained array")
+        p, steps = trained[name]
+        got = (st.m.shape, st.m.dtype, st.v.shape, st.v.dtype, st.steps.shape)
+        if got != (p.shape, p.dtype, p.shape, p.dtype, steps):
+            raise TrainError(f"resume state: opt.{name} holds m/v {got[0]} {got[1]}/{got[2]} {got[3]} and steps "
+                             f"{got[4]}; {name} needs {p.shape} {p.dtype} and steps {steps}")
 
 
 def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> Path:
@@ -452,7 +496,7 @@ def train_run(
     if not sequences:
         raise TrainError("no packed sequences to train on")
     if resume_state is not None:
-        _check_resume(resume_state, model, bank)
+        _check_resume(resume_state, cfg, model, bank)
         state = resume_state
     else:
         state = TrainState(cfg)

@@ -146,6 +146,8 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
     no_level2 = damaged(trained["bank"], "no_level2.bin", lambda meta, arrays: arrays.pop("level2"))
     no_k = damaged(trained["bank"], "no_k.bin", lambda meta, arrays: meta.pop("k"))
     narrow = damaged(trained["state"], "narrow.bin", narrow_metrics)
+    no_steps = damaged(trained["state"], "no_steps.bin", lambda meta, arrays: arrays.pop("opt.level1.steps"))
+    old_state = damaged(trained["state"], "old_state.bin", lambda meta, arrays: meta.update(opt_steps={}))
 
     def config_set(key, value):
         def change(meta, arrays):
@@ -181,6 +183,8 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
           "--tree", trained["tree"], *common], "level2"),
         (["inspect", no_k], "'k'"),
         (["inspect", narrow], "columns"),
+        (["inspect", no_steps], "'level1'"),
+        (["inspect", old_state], "older version"),
         (["eval", warp_model, trained["facts"], "--mode", "none", *common], "warp"),
         (["eval", no_layers, trained["facts"], "--mode", "none", *common], "num_layers"),
         (["eval", word_base, trained["facts"], "--mode", "none", *common], "big"),
@@ -562,10 +566,12 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
     assert cli.main(["inspect", str(trained["state"])]) == 0
     out = capsys.readouterr().out
     assert "HMSTATE" in out and "step 5, aborted 0" in out
-    opt_steps = fileio.read_artifact(trained["state"])[1]["opt_steps"]
+    arrays = fileio.read_artifact(trained["state"])[2]
     for level in (1, 2):
-        n = [v for key, v in opt_steps.items() if key.startswith(f"l{level}.") and key[3:] != "generic"]
-        assert f"level {level}: {len(n)} blocks trained, updates min {min(n)} max {max(n)}" in out
+        n = arrays[f"opt.level{level}.steps"]
+        n = n[n > 0]
+        assert f"level {level}: {n.size} blocks trained, updates min {n.min()} max {n.max()}" in out
+    assert "level 3" not in out
 
 
 def test_inspect_tree_shows_embedder_and_balance(trained, capsys):

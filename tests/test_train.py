@@ -178,22 +178,35 @@ def test_memory_step_touches_only_fetched_and_generic_blocks():
     assert touched or gen_changed
 
 
-def test_memory_step_keeps_state_only_for_fetched_and_generic_blocks():
-    model, bank, seqs, cfg = toy_setup(steps=1)
+def test_memory_step_keeps_state_only_for_fetched_and_generic_blocks(monkeypatch):
+    model, bank, seqs, cfg = toy_setup(steps=1, k=3)
     state = tr.TrainState(cfg)
     batch = tr.build_batch(seqs[:4])
+    fetch, fetched_ids = mb.fetch, []
+
+    def recorded(*args, **kwargs):
+        out = fetch(*args, **kwargs)
+        fetched_ids.extend(out.blocks)  # -1 on a generic row
+        return out
+
+    monkeypatch.setattr(mb, "fetch", recorded)
     tr.train_step(model, bank, batch, state, cfg)
-    k = bank.k
-    allowed = {f"l{l}.generic" for l in range(1, bank.depth + 1)}
-    for lf in batch["leaf_flats"]:
-        for l in range(1, bank.depth + 1):
-            allowed.add(f"l{l}.{int(lf) // k ** (bank.depth - l)}")
-    assert state.opt and set(state.opt) <= allowed  # no anchor.* key: the anchor is frozen
-    for key, st in state.opt.items():
-        assert st.steps == 1
-        lvl, which = key.split(".")
-        target = bank.generic[int(lvl[1:]) - 1] if which == "generic" else bank.levels[int(lvl[1:]) - 1][int(which)]
-        assert st.m.shape == st.v.shape == target.shape
+    generic = fetched_ids[0] < 0
+    # no anchor parameter has a state: the anchor is frozen
+    assert set(state.opt) == {"level1", "level2"} | ({"generic.l1", "generic.l2"} if generic.any() else set())
+    for l, ids in enumerate(fetched_ids, 1):
+        st = state.opt[f"level{l}"]
+        fetched = np.zeros(bank.k**l, dtype=bool)
+        fetched[ids[ids >= 0]] = True
+        assert st.m.shape == st.v.shape == bank.levels[l - 1].shape and st.m.dtype == np.float32
+        assert st.steps.dtype == np.int64 and np.array_equal(st.steps, fetched.astype(np.int64))
+        assert st.m[fetched].any() and st.v[fetched].any()
+        assert not st.m[~fetched].any() and not st.v[~fetched].any()
+        if generic.any():
+            st = state.opt[f"generic.l{l}"]
+            assert st.steps.shape == () and st.steps == 1
+            assert st.m.shape == st.v.shape == bank.generic[l - 1].shape
+    assert not fetched.all()  # 4 rows reach at most 4 of the 9 level-2 blocks
 
 
 def test_scratch_regime_updates_anchor_and_no_bank():
@@ -355,23 +368,105 @@ def test_run_releases_its_buffers_when_it_returns_or_raises(tmp_path, monkeypatc
 def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
     model, bank, seqs, cfg = toy_setup(steps=2, rs=(2, 2))
     state = tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
-    assert any(key.startswith("l2.") for key in state.opt)
+    assert "level2" in state.opt
+    saved = tmp_path / "a" / "ckpt_final" / "trainstate.bin"
     cfg4 = replace(cfg, total_steps=4)
     # level 2 is rank 3 here: its blocks are longer than the state's m and v
     model_b, bank_b, _, _ = toy_setup(steps=4, rs=(2, 3))
     before = bank_digest(bank_b), model_digest(model_b)
-    with pytest.raises(tr.TrainError, match="'l2"):
+    with pytest.raises(tr.TrainError, match="l2 holds"):
         tr.train_run(model_b, bank_b, seqs, cfg4, tmp_path / "b",
-                     resume_state=tr.load_state(tmp_path / "a" / "ckpt_final" / "trainstate.bin"),
-                     log=lambda m: None)
+                     resume_state=tr.load_state(saved), log=lambda m: None)
     assert (bank_digest(bank_b), model_digest(model_b)) == before
-    # keys that name no array: an unknown parameter, a level past the
-    # bank's depth, a block id past k**level, and an unknown prefix
-    for key in ("anchor.warp", "l3.0", "l1.2", "l1.-1", "x1.0"):
-        bad = tr.load_state(tmp_path / "a" / "ckpt_final" / "trainstate.bin")
-        bad.opt[key] = next(iter(bad.opt.values()))
-        with pytest.raises(tr.TrainError, match=repr(key)):
-            tr.train_run(model, bank, seqs, cfg4, tmp_path / "c", resume_state=bad, log=lambda m: None)
+    # a tree of k=3 has 3 level-1 blocks, one count each; the state has 2
+    model_c, bank_c, _, _ = toy_setup(steps=4, k=3)
+    with pytest.raises(tr.TrainError, match=r"level1 needs \(3, \d+\) float32 and steps \(3,\)"):
+        tr.train_run(model_c, bank_c, seqs, cfg4, tmp_path / "c", resume_state=tr.load_state(saved),
+                     log=lambda m: None)
+    # names that fit no array: an unknown parameter, a level past the
+    # bank's depth, and a bare word
+    for name in ("anchor.warp", "level3", "x"):
+        bad = tr.load_state(saved)
+        bad.opt[name] = bad.opt["level1"]
+        with pytest.raises(tr.TrainError, match=f"optimizer state '{name}' names no trained array"):
+            tr.train_run(model, bank, seqs, cfg4, tmp_path / "d", resume_state=bad, log=lambda m: None)
+    # the right names with the wrong shapes or dtype
+    for name, part, value in [("level1", "steps", np.zeros((), np.int64)),
+                              ("level1", "steps", np.zeros(3, np.int64)),
+                              ("generic.l1", "steps", np.zeros(1, np.int64)),
+                              ("level2", "m", np.zeros((4, 1), np.float32)),
+                              ("generic.l2", "v", np.zeros(bank.generic[1].shape, np.float64))]:
+        bad = tr.load_state(saved)
+        setattr(bad.opt[name], part, value)
+        with pytest.raises(tr.TrainError, match=f"opt.{name} holds"):
+            tr.train_run(model, bank, seqs, cfg4, tmp_path / "d", resume_state=bad, log=lambda m: None)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("regime", "cotrain"), ("batch_size", 3), ("seq_len", 64), ("warmup_steps", 1),
+    ("lr_max", 2e-3), ("lr_min", 1e-6), ("seed", 6),
+])
+def test_resume_under_another_config_is_refused(tmp_path, field, value):
+    model, bank, seqs, cfg = toy_setup(steps=2)
+    tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
+    saved = tmp_path / "a" / "ckpt_final" / "trainstate.bin"
+    # these may change: they alter no step
+    free = replace(cfg, total_steps=3, checkpoint_interval=2, log_interval=5)
+    tr.train_run(model, bank, seqs, free, tmp_path / "b", resume_state=tr.load_state(saved), log=lambda m: None)
+    before = bank_digest(bank), model_digest(model)
+    with pytest.raises(tr.TrainError, match=f"another config: {field} .*, this run {value!r}"):
+        tr.train_run(model, bank, seqs, replace(free, **{field: value}), tmp_path / "c",
+                     resume_state=tr.load_state(saved), log=lambda m: None)
+    assert (bank_digest(bank), model_digest(model)) == before
+
+
+@pytest.mark.parametrize("regime, trained", [
+    ("memory", {"level1", "level2", "generic.l1", "generic.l2"}),
+    ("cotrain", {"level1", "level2", "generic.l1", "generic.l2"} | set(mdl._anchor_layout(ACFG))),
+    ("scratch", set(mdl._anchor_layout(ACFG))),
+])
+@pytest.mark.parametrize("k", [2, 4])
+def test_state_file_holds_three_arrays_per_trained_array(tmp_path, regime, trained, k):
+    model, bank, seqs, cfg = toy_setup(regime, k=k, steps=3)
+    state = tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    assert set(state.opt) == trained
+    arrays = fileio.read_artifact(tmp_path / "ckpt_final" / "trainstate.bin")[2]
+    # however many blocks were trained: a level's blocks share its arrays
+    assert len(arrays) == 2 + 3 * len(trained)
+    assert set(arrays) == {"sched.order", "metrics.rows"} | {f"opt.{name}.{part}" for name in trained
+                                                             for part in ("m", "v", "steps")}
+    if bank is not None:
+        assert arrays["opt.level2.steps"].shape == (k**2,) and 0 < arrays["opt.level2.steps"].max() <= 3
+    assert all(arrays[f"opt.{name}.steps"].dtype == np.int64 for name in trained)
+
+
+def test_malformed_or_old_state_files_are_refused(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=2)
+    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    magic, meta, arrays = fileio.read_artifact(tmp_path / "ckpt_final" / "trainstate.bin")
+    m = arrays["opt.level1.m"]
+    steps = np.zeros(2, np.int64)
+    cases = {
+        # the layout before one state per array: per-block m and v, counts in the metadata
+        "per-block": ({"opt.l1.0.m": m[0], "opt.l1.0.v": m[0]}, {"opt_steps": {"l1.0": 2}}, "older version"),
+        "opt_steps": ({}, {"opt_steps": {}}, "older version"),
+        "per-block names": ({"opt.l1.3.m": m[0], "opt.l1.3.v": m[0]}, {}, "'l1.3' has ['m', 'v'], not"),
+        "no v": ({"opt.level3.m": m, "opt.level3.steps": steps}, {}, "'level3' has ['m', 'steps'], not"),
+        "float steps": ({"opt.level3.m": m, "opt.level3.v": m, "opt.level3.steps": steps * 1.0}, {},
+                        "opt.level3.steps is float64, expected int64"),
+        "int32 steps": ({"opt.level3.m": m, "opt.level3.v": m, "opt.level3.steps": steps.astype(np.int32)}, {},
+                        "opt.level3.steps is int32"),
+        "unknown part": ({"opt.level1.w": m}, {}, "unknown array 'opt.level1.w'"),
+        "no name": ({"opt.m": m}, {}, "unknown array 'opt.m'"),
+        "unknown array": ({"extra": m}, {}, "unknown array 'extra'"),
+    }
+    for case, (more_arrays, more_meta, match) in cases.items():
+        path = tmp_path / f"{case}.bin"
+        fileio.write_artifact(path, magic, dict(meta) | more_meta, dict(arrays) | more_arrays)
+        with pytest.raises(fileio.ArtifactError) as err:
+            tr.load_state(path)
+        message = str(err.value)
+        assert message.startswith(str(path)) and match in message and "\n" not in message, case
 
 
 def test_metrics_csv_and_checkpoint_files(tmp_path):

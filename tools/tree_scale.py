@@ -13,7 +13,7 @@ runs of two versions can be checked for equal trees.
 A tree that fails (a node with fewer than k vectors) gives its error and
 time to failure instead of the digest, and exit status 1. It imports
 ``hiermem`` from the ``src/`` beside it and gives OpenBLAS one thread, as
-the benchmark does. It is not part of the test suite.
+the benchmark does.
 """
 
 from __future__ import annotations

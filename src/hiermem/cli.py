@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -47,8 +48,13 @@ def _outdir(rc: hc.RunConfig) -> Path:
 
 
 def _read_corpus(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        docs = [line.rstrip("\n") for line in fh]
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ev.EvalError(f"corpus {path} is not UTF-8: byte {e.start} is {raw[e.start]:#04x}") from None
+    # lines split as a text-mode file splits them: at \n, \r\n and \r
+    docs = [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
     docs = [d for d in docs if d]
     if not docs:
         raise ev.EvalError(f"corpus {path} has no documents")
@@ -214,6 +220,9 @@ _LOADERS = {cl.TREE_MAGIC: cl.load_tree, mdl.MODEL_MAGIC: mdl.load_model,
 
 def cmd_inspect(args) -> int:
     magic, meta, arrays = fileio.read_artifact(args.artifact)
+    listing = [(name, arr.dtype, arr.shape) for name, arr in arrays.items()]
+    total = sum(arr.size for arr in arrays.values())
+    del arrays  # the loader reads the file again; hold its arrays only once
     # an artifact is shown only if the command that reads it would accept it
     loaded = _LOADERS[magic](args.artifact) if magic in _LOADERS else None
     print(f"{args.artifact}: {magic} v{fileio.FORMAT_VERSION}")
@@ -224,10 +233,8 @@ def cmd_inspect(args) -> int:
         if key == "tree_meta":  # one stats dict per node; the balance line sums them up
             val = {name: v for name, v in val.items() if name != "node_stats"}
         print(f"  {key}: {val}")
-    total = 0
-    for name, arr in arrays.items():
-        total += arr.size
-        print(f"  array {name}: {arr.dtype} {arr.shape}")
+    for name, dtype, shape in listing:
+        print(f"  array {name}: {dtype} {shape}")
     print(f"  total elements: {total:,}")
     if magic == cl.TREE_MAGIC:
         stats = loaded.meta["node_stats"].values()

@@ -237,8 +237,8 @@ _FACT_FIELD_TYPES = {"entity": int, "name": str, "topic": int, "attribute": str,
 def load_facts(path) -> list[Fact]:
     """The fact table a JSON file holds: a list of objects with ``Fact``'s fields.
 
-    A file that is not such a list, a row missing a field or holding an
-    unknown one, or a field of the wrong type is an ``EvalError``.
+    A file that is not such a list, an empty list, a row missing a field or
+    holding an unknown one, or a field of the wrong type is an ``EvalError``.
     """
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -246,6 +246,8 @@ def load_facts(path) -> list[Fact]:
         raise EvalError(f"{path}: not a JSON fact table ({e})") from None
     if not isinstance(rows, list):
         raise EvalError(f"{path}: a fact table is a JSON list, not {type(rows).__name__}")
+    if not rows:
+        raise EvalError(f"{path}: the fact table holds no facts")
     out = []
     for i, r in enumerate(rows):
         try:

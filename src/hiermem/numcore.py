@@ -21,15 +21,11 @@ that reads it are done:
 slots' gradients before running it, so an intermediate gradient is freed
 as soon as no remaining node needs it. Only leaves get a ``.grad``.
 
-Where step buffers come from. While a ``StepBuffers`` pool is open (a
-training run opens one for its length), ops take their outputs and their
-large forward and backward temporaries from the pool through ``out=``,
-each one of at least ``_POOL_MIN_BYTES``. A request is rounded up to a
-size class, a multiple of ``_POOL_GRAIN``, and gets a pool buffer of its
-class that no array refers to any more, or a new one. Step t+1 so reuses
-the pages of step t instead of faulting in fresh ones. The arithmetic is
-the same with or without a pool. Inference opens none, and its ops
-allocate as numpy does.
+Where arrays come from. Ops allocate their outputs and temporaries as numpy
+does, in training and inference alike, and then work in place on them. A
+training run sets the C allocator to keep freed heap pages (see
+``train._keep_freed_pages``), so each step reuses the memory the last one
+freed instead of faulting in fresh pages.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.
@@ -38,7 +34,6 @@ is how gradients are verified against central finite differences.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -47,11 +42,6 @@ DEFAULT_DTYPE = np.float32
 # Additive attention masks use true -inf; exp(-inf) == 0.0 exactly, and the
 # backward of the attention softmax keeps those slots at an exact zero.
 NEG_INF = -np.inf
-
-# arrays smaller than this come from numpy even while a pool is open;
-# pool buffers come in sizes that are multiples of the grain
-_POOL_MIN_BYTES = 1 << 18
-_POOL_GRAIN = 1 << 18
 
 
 class ShapeError(ValueError):
@@ -126,7 +116,6 @@ class _Node:
 
 
 _ACTIVE: Tape | None = None
-_POOL: StepBuffers | None = None
 
 
 class Tape:
@@ -147,79 +136,6 @@ class Tape:
         global _ACTIVE
         _ACTIVE = None
         return False
-
-
-class StepBuffers:
-    """Reusable buffers for the large arrays of a training run's ops.
-
-    At most one pool is open at a time. Every array ``take`` hands out is a
-    view whose ``base`` is one of the pool's buffers, so a buffer that
-    nothing but the pool refers to is free. Closing the pool drops its
-    buffers; an array still alive keeps its own.
-    """
-
-    def __init__(self):
-        self.classes: dict[int, list[np.ndarray]] = {}  # buffer size -> buffers
-        self.created = 0
-
-    def __enter__(self):
-        global _POOL
-        if _POOL is not None:
-            raise RuntimeError("a buffer pool is already open; pools do not nest")
-        _POOL = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _POOL
-        _POOL = None
-        self.classes.clear()
-        return False
-
-    def take(self, shape, dtype) -> np.ndarray | None:
-        """An uninitialised ``shape`` array in a free buffer, or None below
-        ``_POOL_MIN_BYTES``."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes < _POOL_MIN_BYTES:
-            return None
-        size = -(-nbytes // _POOL_GRAIN) * _POOL_GRAIN
-        bufs = self.classes.setdefault(size, [])
-        for buf in bufs:
-            if sys.getrefcount(buf) == 3:  # the list, the loop variable and this call
-                break
-        else:
-            buf = np.empty(size, dtype=np.uint8)
-            bufs.append(buf)
-            self.created += 1
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def _out(shape, *operands) -> np.ndarray | None:
-    """An ``out=`` array from the open pool for a result of ``shape`` and of
-    the operands' result type, or None to let numpy allocate."""
-    return None if _POOL is None else _POOL.take(shape, np.result_type(*operands))
-
-
-def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.matmul(x, y)``, into a pool buffer when both are at least 2-D."""
-    if _POOL is None or x.ndim < 2 or y.ndim < 2:
-        return np.matmul(x, y)
-    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
-    return np.matmul(x, y, out=_POOL.take(shape, np.result_type(x, y)))
-
-
-def _reshaped(arr: np.ndarray, shape) -> np.ndarray:
-    """``arr.reshape(shape)``; a copy it needs goes into a pool buffer."""
-    if _POOL is None:
-        return arr.reshape(shape)
-    try:
-        return np.reshape(arr, shape, copy=False)
-    except ValueError:  # needs a copy (or cannot be reshaped; the copy's reshape raises then)
-        buf = _POOL.take(arr.shape, arr.dtype)
-        if buf is None:
-            return arr.reshape(shape)
-        np.copyto(buf, arr)
-        return buf.reshape(shape)
 
 
 def _tracked(t: Tensor) -> bool:
@@ -251,7 +167,7 @@ def _accumulate(t, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = g
     else:
-        t.grad = np.add(t.grad, g, out=_out(g.shape, t.grad, g))
+        t.grad = t.grad + g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -306,8 +222,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     try:
-        buf = None if _POOL is None else _out(np.broadcast_shapes(sa, sb), a.data, b.data)
-        out = Tensor(np.add(a.data, b.data, out=buf))
+        out = Tensor(np.add(a.data, b.data))
     except ValueError:
         raise ShapeError(f"add: shapes {sa} and {sb} do not broadcast")
     na, nb = _tracked(a), _tracked(b)
@@ -322,10 +237,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(np.multiply(x.data, c, out=_out(x.data.shape, x.data, c)))
+    out = Tensor(np.multiply(x.data, c))
 
     def bwd(g):
-        return (np.multiply(g, c, out=_out(g.shape, g, c)),)
+        return (np.multiply(g, c),)
 
     return _record(out, [x], bwd)
 
@@ -339,25 +254,25 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"swiglu: shapes {ad.shape} and {bd.shape} differ")
-    s = np.negative(ad, out=_out(ad.shape, ad))
+    s = np.negative(ad)
     np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    out = np.multiply(ad, s, out=_out(ad.shape, ad))
+    out = np.multiply(ad, s)
     out *= bd
     na, nb = _tracked(a), _tracked(b)
 
     def bwd(g):
         ga = gb = None
         if nb:
-            gb = np.multiply(ad, s, out=_out(ad.shape, ad))
+            gb = np.multiply(ad, s)
             gb *= g
         if na:
-            ga = np.subtract(1.0, s, out=_out(s.shape, s))
+            ga = np.subtract(1.0, s)
             ga *= ad
             ga += 1.0
             ga *= s
-            ga *= np.multiply(g, bd, out=_out(g.shape, g, bd))
+            ga *= np.multiply(g, bd)
         return (ga, gb)
 
     return _record(Tensor(out), [a, b], bwd)
@@ -371,10 +286,10 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """
     xd, gd = x.data, gain.data
     n = xd.shape[-1]
-    ms = np.add.reduce(np.square(xd, out=_out(xd.shape, xd)), axis=-1, keepdims=True)
+    ms = np.add.reduce(np.square(xd), axis=-1, keepdims=True)
     ms /= n
     inv = 1.0 / np.sqrt(ms + eps)
-    out = np.multiply(xd, inv, out=_out(xd.shape, xd, inv))
+    out = np.multiply(xd, inv)
     out *= gd
     nx, ng = _tracked(x), _tracked(gain)
 
@@ -382,14 +297,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         dx = dgain = None
         if nx:
             # inv * gy - x * (inv**3 * sum(gy * x) / n), in gy and one scratch
-            dx = np.multiply(g, gd, out=_out(g.shape, g, gd))
-            t = np.multiply(dx, xd, out=_out(dx.shape, dx, xd))
+            dx = np.multiply(g, gd)
+            t = np.multiply(dx, xd)
             c = inv ** 3 * np.add.reduce(t, axis=-1, keepdims=True) / n
             np.multiply(xd, c, out=t)
             dx *= inv
             dx -= t
         if ng:
-            xhat = np.multiply(xd, inv, out=_out(xd.shape, xd, inv))
+            xhat = np.multiply(xd, inv)
             xhat *= g
             dgain = _unbroadcast(xhat, gd.shape)
         return (dx, dgain)
@@ -404,8 +319,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(
             f"embedding: id out of range [0, {td.shape[0]}) in lookup of shape {ids.shape}"
         )
-    # ids are in range, so "clip" changes none; it spares take a buffered copy into out
-    out = Tensor(np.take(td, ids, axis=0, out=_out(ids.shape + td.shape[1:], td), mode="clip"))
+    out = Tensor(np.take(td, ids, axis=0))
     tshape, tdtype = td.shape, td.dtype
 
     def bwd(g):
@@ -435,17 +349,17 @@ def split(x: Tensor, sizes: list[int], axis: int = -1) -> list[Tensor]:
     def bwd(gs):
         # a piece that got no gradient contributes zeros
         parts = [np.zeros(sh, dtype=dtype) if g is None else g for g, sh in zip(gs, shapes)]
-        return (np.concatenate(parts, axis=ax, out=_out(xshape, *parts)),)
+        return (np.concatenate(parts, axis=ax),)
 
     return list(_record(tuple(outs), [x], bwd))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     xshape = x.data.shape
-    out = Tensor(_reshaped(x.data, shape))
+    out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
-        return (_reshaped(g, xshape),)
+        return (g.reshape(xshape),)
 
     return _record(out, [x], bwd)
 
@@ -481,11 +395,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if ad.ndim == 0 or sa[-1] != sb[0]:
             raise ShapeError(f"matmul: shapes {sa} @ {sb}")
         ad = ad.reshape(-1, sb[0])
-        out = np.matmul(ad, bd, out=_out((ad.shape[0], sb[1]), ad, bd))
-        out = Tensor(out.reshape(sa[:-1] + sb[1:]))
+        out = Tensor(np.matmul(ad, bd).reshape(sa[:-1] + sb[1:]))
     else:
         try:
-            out = Tensor(_mm(ad, bd))
+            out = Tensor(np.matmul(ad, bd))
         except ValueError:
             raise ShapeError(f"matmul: shapes {sa} @ {sb}")
     # captured now: a frozen operand (requires_grad off, not produced on a
@@ -498,17 +411,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         ga = gb = None
         if shared:
-            g2 = _reshaped(g, (-1, sb[1]))
+            g2 = g.reshape(-1, sb[1])
             if na:
-                ga = np.matmul(g2, bk.T, out=_out((g2.shape[0], sb[0]), g2, bk))
+                ga = np.matmul(g2, bk.T)
                 ga = ga.reshape(sa)
             if nb:
-                gb = np.matmul(ak.T, g2, out=_out(sb, ak, g2))
+                gb = np.matmul(ak.T, g2)
             return (ga, gb)
         if na:
-            ga = _unbroadcast(_mm(g, np.swapaxes(bk, -1, -2)), sa)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bk, -1, -2)), sa)
         if nb:
-            gb = _unbroadcast(_mm(np.swapaxes(ak, -1, -2), g), sb)
+            gb = _unbroadcast(np.matmul(np.swapaxes(ak, -1, -2), g), sb)
         return (ga, gb)
 
     return _record(out, [a, b], bwd)
@@ -530,7 +443,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     if kd.shape[-1] != dh or vd.shape[-2] != kd.shape[-2]:
         raise ShapeError(f"attention: q{qd.shape} k{kd.shape} v{vd.shape}")
     sc = 1.0 / math.sqrt(dh)
-    scores = _mm(qd, np.swapaxes(kd, -1, -2))
+    scores = np.matmul(qd, np.swapaxes(kd, -1, -2))
     scores *= sc
     if mask is not None:
         scores += mask
@@ -539,7 +452,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     p = scores
-    out = Tensor(_mm(p, vd))
+    out = Tensor(np.matmul(p, vd))
     nq, nk, nv = _tracked(q), _tracked(k), _tracked(v)
     # the score gradient reads v; the query's reads k, the key's reads q
     vk = vd if nq or nk else None
@@ -550,17 +463,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     def bwd(g):
         gq = gk = gv = None
         if nv:
-            gv = _unbroadcast(_mm(np.swapaxes(p, -1, -2), g), vshape)
+            gv = _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), vshape)
         if nq or nk:
-            ds = _mm(g, np.swapaxes(vk, -1, -2))
-            ds -= np.sum(np.multiply(ds, p, out=_out(ds.shape, ds, p)), axis=-1, keepdims=True)
+            ds = np.matmul(g, np.swapaxes(vk, -1, -2))
+            ds -= np.sum(np.multiply(ds, p), axis=-1, keepdims=True)
             ds *= p
             if nq:
-                gq = _mm(ds, kk)
+                gq = np.matmul(ds, kk)
                 gq *= sc
                 gq = _unbroadcast(gq, qshape)
             if nk:
-                gk = _mm(np.swapaxes(ds, -1, -2), qk)
+                gk = np.matmul(np.swapaxes(ds, -1, -2), qk)
                 gk *= sc
                 gk = _unbroadcast(gk, kshape)
         return (gq, gk, gv)
@@ -587,12 +500,11 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     xshape = xd.shape
     xp = xd.reshape(xshape[:-1] + (half, 2))
     xe, xo = xp[..., 0], xp[..., 1]
-    out_p = _out(xp.shape, xd)
-    out_p = np.empty_like(xp) if out_p is None else out_p
+    out_p = np.empty_like(xp)
     oe, oo = out_p[..., 0], out_p[..., 1]
     # even: xe * cos - xo * sin; odd: xe * sin + xo * cos
     np.multiply(xe, cos, out=oe)
-    t = np.multiply(xo, sin, out=_out(xe.shape, xd))
+    t = np.multiply(xo, sin)
     np.subtract(oe, t, out=oe)
     np.multiply(xe, sin, out=oo)
     np.multiply(xo, cos, out=t)
@@ -602,12 +514,11 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     def bwd(g):
         gp = g.reshape(g.shape[:-1] + (half, 2))
         ge, go = gp[..., 0], gp[..., 1]
-        gx = _out(gp.shape, g)
-        gx = np.empty_like(gp) if gx is None else gx
+        gx = np.empty_like(gp)
         xe_, xo_ = gx[..., 0], gx[..., 1]
         # even: ge * cos + go * sin; odd: -ge * sin + go * cos
         np.multiply(ge, cos, out=xe_)
-        u = np.multiply(go, sin, out=_out(ge.shape, g))
+        u = np.multiply(go, sin)
         np.add(xe_, u, out=xe_)
         np.negative(ge, out=xo_)
         np.multiply(xo_, sin, out=xo_)
@@ -638,8 +549,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     if w.shape != t.shape:  # a broadcast weight would turn the mean into a sum
         raise ShapeError(f"cross_entropy: weight {np.shape(weight)} vs targets {np.asarray(targets).shape}")
     m = flat.max(axis=-1, keepdims=True)
-    z = np.subtract(flat, m, out=_out(flat.shape, flat))
-    lse = np.log(np.exp(z, out=_out(z.shape, z)).sum(axis=-1))
+    z = np.subtract(flat, m)
+    lse = np.log(np.exp(z).sum(axis=-1))
     rows = np.arange(flat.shape[0])
     nll = lse - z[rows, t]
     denom = w.sum()
@@ -649,7 +560,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     out._pointwise = nll  # type: ignore[attr-defined]
 
     def bwd(g):
-        p = np.subtract(z, lse[:, None], out=_out(z.shape, z))
+        p = np.subtract(z, lse[:, None])
         np.exp(p, out=p)
         p[rows, t] -= 1.0
         p *= (w * float(g) / denom)[:, None]

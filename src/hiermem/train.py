@@ -25,6 +25,7 @@ state of a level costs what its trained blocks need, not twice the level.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import mmap
@@ -478,6 +479,35 @@ def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> P
     return d
 
 
+def _keep_freed_pages() -> bool:
+    """Make the C allocator keep the pages of freed step arrays for reuse.
+
+    Every step allocates arrays of the same shapes. By default glibc maps an
+    array of 128 KiB or more on its own and unmaps it when it is freed, and
+    it gives the free top of its heap back to the system once that passes
+    its trim threshold; both thresholds rise on the fly, up to 32 MiB and
+    64 MiB. So a step faults in fresh zeroed pages for what the last step
+    freed. With every array under 32 MiB on the heap and the heap never
+    trimmed, freed step arrays stay on the heap for the next step and the
+    next run, in glibc's free lists, with no size classes to fill. Setting
+    either threshold switches off glibc's dynamic mmap threshold, so both
+    are set: one alone would leave the other at 128 KiB.
+
+    The setting is process-wide and permanent: it holds for every later
+    allocation in the process, and the heap does not shrink again. Where
+    the C library has no ``mallopt`` nothing is set, and training runs the
+    same without the page reuse. Returns whether both settings took; the
+    first one the library refuses ends the calls.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # glibc's M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to the largest int
+    return all(mallopt(param, value) == 1 for param, value in ((-3, 32 << 20), (-1, 2**31 - 1)))
+
+
 def train_run(
     model: mdl.TransformerModel,
     bank: mb.MemoryBank | None,
@@ -495,32 +525,34 @@ def train_run(
     """
     if not sequences:
         raise TrainError("no packed sequences to train on")
+    if (bank is None) != (cfg.regime == "scratch"):
+        raise TrainError(f"regime {cfg.regime!r} trains "
+                         + ("a memory bank, and this run has none" if bank is None
+                            else "no memory bank, and this run was given one"))
+    _keep_freed_pages()  # every step has the same shapes: the next one reuses what this one frees
     if resume_state is not None:
         _check_resume(resume_state, cfg, model, bank)
         state = resume_state
     else:
         state = TrainState(cfg)
     n = len(sequences)
-    # every step has the same shapes, so from the second on the ops reuse
-    # the first step's buffers
-    with nc.StepBuffers():
-        while state.step < cfg.total_steps:
-            if state.epoch_pos + cfg.batch_size > len(state.epoch_order):
-                state.epoch_order = state.rng.permutation(n)
-                # epochs shorter than a batch cycle immediately
-                while len(state.epoch_order) < cfg.batch_size:
-                    state.epoch_order = np.concatenate([state.epoch_order, state.rng.permutation(n)])
-                state.epoch_pos = 0
-            idx = state.epoch_order[state.epoch_pos : state.epoch_pos + cfg.batch_size]
-            state.epoch_pos += cfg.batch_size
-            batch = build_batch([sequences[i] for i in idx], dtype=model.dtype)
-            metrics = train_step(model, bank, batch, state, cfg)
-            if cfg.log_interval and state.step % cfg.log_interval == 0:
-                log(
-                    f"step {metrics['step']}/{cfg.total_steps} "
-                    f"lr {metrics['lr']:.3e} loss {metrics['loss']:.4f}"
-                )
-            if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0 and state.step < cfg.total_steps:
-                save_checkpoint(run_dir, f"step{state.step}", model, bank, state, extra_meta)
+    while state.step < cfg.total_steps:
+        if state.epoch_pos + cfg.batch_size > len(state.epoch_order):
+            state.epoch_order = state.rng.permutation(n)
+            # epochs shorter than a batch cycle immediately
+            while len(state.epoch_order) < cfg.batch_size:
+                state.epoch_order = np.concatenate([state.epoch_order, state.rng.permutation(n)])
+            state.epoch_pos = 0
+        idx = state.epoch_order[state.epoch_pos : state.epoch_pos + cfg.batch_size]
+        state.epoch_pos += cfg.batch_size
+        batch = build_batch([sequences[i] for i in idx], dtype=model.dtype)
+        metrics = train_step(model, bank, batch, state, cfg)
+        if cfg.log_interval and state.step % cfg.log_interval == 0:
+            log(
+                f"step {metrics['step']}/{cfg.total_steps} "
+                f"lr {metrics['lr']:.3e} loss {metrics['loss']:.4f}"
+            )
+        if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0 and state.step < cfg.total_steps:
+            save_checkpoint(run_dir, f"step{state.step}", model, bank, state, extra_meta)
     save_checkpoint(run_dir, "final", model, bank, state, extra_meta)
     return state

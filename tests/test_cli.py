@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -252,14 +253,29 @@ def test_artifact_of_another_dtype_exits_1(trained, tmp_path, capsys):
     ([{"entity": 1}], "missing"),
     ([{"entity": 1, "name": "a", "topic": 0, "attribute": "b", "value": "7", "mentions": 1}],
      "value"),
+    ([], "no facts"),
 ])
 def test_malformed_fact_table_exits_1(trained, tmp_path, capsys, table, named):
     facts = tmp_path / "facts.json"
     facts.write_text(json.dumps(table))
-    assert cli.main(["eval", str(trained["model"]), str(facts), "--mode", "none",
-                     "--config", trained["ini"], "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+    common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
+    for argv in (["eval", str(trained["model"]), str(facts), "--mode", "none", *common],
+                 ["block", str(trained["model"]), str(facts), "1", "--bank", str(trained["bank"]),
+                  "--tree", trained["tree"], *common]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+
+
+def test_corpus_that_is_not_utf8_exits_1(trained, tmp_path, capsys):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes(b"one doc\ncaf\xe9\n")
+    common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
+    for argv in (["cluster", str(corpus), *common], ["train", str(corpus), trained["tree"], *common]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(corpus) in err and "byte 11 is 0xe9" in err, err
 
 
 def test_cluster_writes_tree_and_index(ws, trained, capsys):
@@ -572,6 +588,25 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
         n = n[n > 0]
         assert f"level {level}: {n.size} blocks trained, updates min {n.min()} max {n.max()}" in out
     assert "level 3" not in out
+
+
+def test_inspect_holds_each_array_once(trained, tmp_path, capsys):
+    state = tr.load_state(trained["state"])
+    for name in ("level1", "level2"):  # 12 MiB of m and v, so the arrays outweigh the rest
+        st = state.opt[name]
+        st.m = st.v = np.ones((st.steps.size, 1 << 18), dtype=np.float32)
+    path = tmp_path / "big_state.bin"
+    tr.save_state(state, path)
+    del state, st
+    array_bytes = sum(a.nbytes for a in fileio.read_artifact(path)[2].values())
+    tracemalloc.start()
+    try:
+        assert cli.main(["inspect", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "array opt.level2.m: float32 (4, 262144)" in capsys.readouterr().out
+    assert peak < 1.5 * array_bytes, (peak, array_bytes)
 
 
 def test_inspect_tree_shows_embedder_and_balance(trained, capsys):

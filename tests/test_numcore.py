@@ -291,56 +291,6 @@ def test_frozen_gemm_input_is_freed_after_the_forward():
     fd_check(build, [x, tensors[1].data])
 
 
-def test_step_buffers_hand_out_only_free_buffers(monkeypatch):
-    monkeypatch.setattr(nc, "_POOL_MIN_BYTES", 64)
-    monkeypatch.setattr(nc, "_POOL_GRAIN", 64)
-    with nc.StepBuffers() as pool:
-        assert pool.take((3,), np.float32) is None  # below the minimum: numpy allocates
-        a = pool.take((4, 5), np.float32)
-        b = pool.take((80,), np.uint8)     # same 128-byte class, while a lives
-        assert a.shape == (4, 5) and a.dtype == np.float32 and not np.shares_memory(a, b)
-        addr = a.ctypes.data
-        del a
-        c = pool.take((2, 10), np.float32)
-        assert c.ctypes.data == addr and pool.created == 2  # a's buffer, free again
-        c[...] = 1.0
-        with pytest.raises(RuntimeError, match="already open"):
-            with nc.StepBuffers():
-                pass
-    assert nc._POOL is None and pool.classes == {}
-    assert c.sum() == 20.0  # a live array keeps its buffer after the pool closes
-
-
-def test_pooled_ops_match_unpooled_bitwise(monkeypatch):
-    x = rng.normal(size=(2, 5, 8)).astype(np.float32)
-    w = rng.normal(size=(8, 8)).astype(np.float32)
-    gain = (rng.normal(size=(8,)) + 1.0).astype(np.float32)
-    g = rng.normal(size=(2, 5, 8)).astype(np.float32)
-    mask = np.triu(np.full((5, 5), -np.inf, dtype=np.float32), k=1)
-
-    def run():
-        leaves = [nc.Tensor(p.copy(), requires_grad=True) for p in (x, w, gain)]
-        with nc.Tape() as tape:
-            h = nc.rms_norm(leaves[0], leaves[2])
-            q = nc.transpose(nc.reshape(nc.matmul(h, leaves[1]), (2, 5, 2, 4)), (0, 2, 1, 3))
-            r = nc.rope(q, np.arange(5), 100.0)
-            a = nc.attention(r, r, q, mask)
-            o = nc.reshape(nc.transpose(a, (0, 2, 1, 3)), (2, 5, 8))
-            y = nc.add(nc.swiglu(o, h), nc.scale(leaves[0], 0.5))
-            loss = nc.add(dot(y, nc.Tensor(g)), nc.cross_entropy(y, np.zeros((2, 5), dtype=np.int64),
-                                                                 np.ones((2, 5))))
-        nc.backward(tape, loss)
-        return [loss.data.tobytes()] + [t.grad.tobytes() for t in leaves]
-
-    plain = run()
-    monkeypatch.setattr(nc, "_POOL_MIN_BYTES", 1)
-    monkeypatch.setattr(nc, "_POOL_GRAIN", 64)
-    with nc.StepBuffers() as pool:
-        assert run() == plain
-        created = pool.created
-        assert run() == plain and pool.created == created
-
-
 def test_tapes_do_not_nest():
     x = nc.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     with nc.Tape() as tape:

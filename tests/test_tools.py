@@ -3,21 +3,28 @@ import subprocess
 import sys
 from pathlib import Path
 
-TREE_SCALE = Path(__file__).resolve().parents[1] / "tools" / "tree_scale.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def tree_scale(*args):
-    run = subprocess.run([sys.executable, str(TREE_SCALE), *map(str, args)],
+def tool(name, *args):
+    run = subprocess.run([sys.executable, str(TOOLS / name), *map(str, args)],
                          capture_output=True, text=True, timeout=60)
     return run.returncode, json.loads(run.stdout.splitlines()[-1])
 
 
 def test_tree_scale_reports_a_digest_or_the_error():
-    code, out = tree_scale(512, 1)
+    code, out = tool("tree_scale.py", 512, 1)
     assert code == 0 and "error" not in out
     assert (out["n"], out["depth"], out["k"]) == (512, 1, 16)
     assert len(out["levels_sha256"]) == 64 and out["train_tree_s"] >= 0 and out["ru_maxrss_mib"] > 0
     # 256 vectors give level-2 nodes of about 16, some fewer than k
-    code, out = tree_scale(256, 2)
+    code, out = tool("tree_scale.py", 256, 2)
     assert code == 1 and "levels_sha256" not in out
     assert "< k=16" in out["error"] and out["train_tree_s"] >= 0
+
+
+def test_train_faults_reports_each_round():
+    code, out = tool("train_faults.py", 2)
+    assert code == 0 and (out["rounds"], out["seed"]) == (2, 1)
+    assert len(out["minflt"]) == len(out["round_s"]) == 2 and out["failed"] == [0, 0]
+    assert all(n >= 0 for n in out["minflt"]) and all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0

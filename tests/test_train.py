@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,6 @@ import pytest
 from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
-from hiermem import numcore as nc
 from hiermem import train as tr
 
 ACFG = mdl.AnchorConfig(num_layers=2, dim=16, num_heads=2, head_dim=8,
@@ -220,6 +224,19 @@ def test_scratch_regime_updates_anchor_and_no_bank():
     assert np.isfinite(m["loss"])
 
 
+@pytest.mark.parametrize("regime, with_bank, named", [
+    ("memory", False, "has none"), ("cotrain", False, "has none"), ("scratch", True, "was given one"),
+])
+def test_regime_that_does_not_fit_the_bank_is_refused(tmp_path, monkeypatch, regime, with_bank, named):
+    model, bank, seqs, cfg = toy_setup(regime="memory" if with_bank else "scratch", steps=2)
+    cfg = replace(cfg, regime=regime, checkpoint_interval=1)
+    steps = []
+    monkeypatch.setattr(tr, "train_step", lambda *args: steps.append(args))
+    with pytest.raises(tr.TrainError, match=f"regime {regime!r} .*{named}"):
+        tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    assert steps == [] and not any(tmp_path.iterdir())
+
+
 def test_nonfinite_loss_aborts_step():
     model, bank, seqs, cfg = toy_setup(steps=1)
     bank.levels[0][:] = np.inf  # poisoned block must not move any parameter
@@ -298,71 +315,11 @@ PINNED = {
 }
 
 
-def pool_every_array(monkeypatch):
-    """Make the step buffers serve every array of the toy runs, which are
-    all smaller than the real minimum."""
-    monkeypatch.setattr(nc, "_POOL_MIN_BYTES", 1)
-    monkeypatch.setattr(nc, "_POOL_GRAIN", 64)
-
-
-@pytest.mark.parametrize("pooled", [False, True])
 @pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
-def test_trained_bytes_are_pinned(tmp_path, monkeypatch, regime, pooled):
-    if pooled:
-        pool_every_array(monkeypatch)
+def test_trained_bytes_are_pinned(tmp_path, regime):
     model, bank, seqs, cfg = toy_setup(regime)
     tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
     assert (model_digest(model), bank and bank_digest(bank)) == PINNED[regime]
-
-
-class RecordedBuffers(nc.StepBuffers):
-    """Step buffers that remember each pool a run opened."""
-
-    opened: list = []
-
-    def __enter__(self):
-        RecordedBuffers.opened.append(self)
-        return super().__enter__()
-
-
-@pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
-def test_second_step_takes_no_new_buffers(tmp_path, monkeypatch, regime):
-    pool_every_array(monkeypatch)
-    model, bank, seqs, cfg = toy_setup(regime, steps=3)
-    created = []
-    step = tr.train_step
-
-    def counted(*args, **kwargs):
-        out = step(*args, **kwargs)
-        created.append(nc._POOL.created)
-        return out
-
-    monkeypatch.setattr(tr, "train_step", counted)
-    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
-    assert created[0] > 0 and created == [created[0]] * 3
-
-
-def test_run_releases_its_buffers_when_it_returns_or_raises(tmp_path, monkeypatch):
-    pool_every_array(monkeypatch)
-    monkeypatch.setattr(nc, "StepBuffers", RecordedBuffers)
-    monkeypatch.setattr(RecordedBuffers, "opened", [])
-    model, bank, seqs, cfg = toy_setup(steps=2)
-    tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
-    step = tr.train_step
-
-    def failing(*args, **kwargs):
-        step(*args, **kwargs)
-        raise RuntimeError("stop")
-
-    monkeypatch.setattr(tr, "train_step", failing)
-    with pytest.raises(RuntimeError, match="stop"):
-        tr.train_run(model, bank, seqs, cfg, tmp_path / "b", log=lambda m: None)
-    assert len(RecordedBuffers.opened) == 2
-    for pool in RecordedBuffers.opened:
-        assert pool.created > 0 and pool.classes == {}
-    assert nc._POOL is None
-    with nc.StepBuffers():  # and a new run can open one
-        pass
 
 
 def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
@@ -504,3 +461,45 @@ def test_config_validation():
         tr.TrainConfig(total_steps=0)
     with pytest.raises(ValueError):
         tr.TrainConfig(warmup_steps=11, total_steps=10)
+
+
+# A step's churn: twelve 1-MiB and four 4-MiB float32 arrays made, then freed
+# newest first with a 4-MiB temporary made at each free; minor faults per round.
+CHURN = """
+import json, resource, sys
+import numpy as np
+from hiermem import train as tr
+if not tr._keep_freed_pages():
+    sys.exit(3)
+MIB = 1 << 20
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(MIB // 4, np.float32) for _ in range(12)] + [np.ones(MIB, np.float32) for _ in range(4)]
+    while arrays:
+        arrays.pop()
+        np.ones(MIB, np.float32)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_freed_step_arrays_keep_their_pages():
+    # a subprocess: the allocator setting holds for the rest of a process
+    src = str(Path(tr.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", CHURN], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    if run.returncode == 3:
+        pytest.skip("the C library takes no mallopt settings")
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout)
+    assert all(f < 100 for f in faults[1:]), faults
+
+
+def test_keep_freed_pages_does_nothing_without_mallopt(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(tr.ctypes, "CDLL", NoMallopt)
+    assert tr._keep_freed_pages() is False

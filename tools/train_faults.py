@@ -1,0 +1,58 @@
+"""Count the page faults of repeated benchmark ``train`` rounds in one process.
+
+    python3 tools/train_faults.py R
+
+Sets up the benchmark's ``train`` workload from ``hmbench/workloads.py``
+(default ``Sizes()``, seed 1, a temporary work directory) and runs R of its
+rounds one after another in this process. Prints one JSON line: for each
+round its minor page faults (the ``ru_minflt`` delta over the round), its
+wall time inside hiermem and its failed operations, then the process's
+peak resident set (``ru_maxrss``). Rounds after the first show whether a
+training run's freed arrays are reused or faulted in again. A round with a
+failed operation gives exit status 1. It imports ``hiermem`` from the
+``src/`` beside it and gives OpenBLAS one thread, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from hmbench.workloads import Sizes, Train  # noqa: E402
+
+SEED = 1
+
+
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rounds", type=int, help="train rounds to run")
+    args = ap.parse_args()
+    out = {"rounds": args.rounds, "seed": SEED, "minflt": [], "round_s": [], "failed": []}
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = Train(Sizes(), SEED, Path(workdir))
+        for _ in range(args.rounds):
+            before = minflt()
+            r = workload.round()
+            out["minflt"].append(minflt() - before)
+            out["round_s"].append(round(r.wall, 3))
+            out["failed"].append(r.failed)
+    out["ru_maxrss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps(out))
+    return 1 if any(out["failed"]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

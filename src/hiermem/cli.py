@@ -10,10 +10,12 @@ setting a command does not read never changes its output bytes.
 Besides [run], each command reads only the sections that no input fixes:
 `cluster` [embedder] and [cluster] (tree.bin records the embedder);
 `train` [train], [anchor] without --init and [memory] without --bank;
-`eval` and `block` [eval]; `simulate` [anchor], [memory] and [cluster].
+`eval` and `block` [eval]; `simulate` [anchor], [memory] (its rs sets the
+bank's depth) and k from [cluster].
 `train` embeds with the tree's embedder and lays a new bank out for the
-model it trains. A tree that records no embedder, or a bank that does not
-fit the tree or the model, is refused.
+model it trains. A tree that records no embedder, a bank that does not
+fit the tree or the model, or a --bank under [train] regime = scratch is
+refused.
 Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 """
 
@@ -120,11 +122,12 @@ def cmd_train(args) -> int:
         )
     # the bank is checked against the tree and the model before the corpus is embedded
     bank = None
-    with_bank = rc.train.regime in ("memory", "cotrain")
-    if with_bank and args.bank:
+    if args.bank:
+        if rc.train.regime == "scratch":
+            raise hc.ConfigError("--bank was given but [train] regime = scratch trains no bank")
         bank = mb.load_bank(args.bank)
         _check_bank(bank, tree, model)
-    elif with_bank:
+    elif rc.train.regime != "scratch":
         if len(rc.memory.rs) != tree.depth:
             raise hc.ConfigError(
                 f"[memory] rs has {len(rc.memory.rs)} levels but the tree has depth {tree.depth}"
@@ -188,8 +191,7 @@ def cmd_simulate(args) -> int:
         r = ts.load_latency(sizes, placement, mode=mode)
         rows.append({"kind": "load", "mode": mode, "total_s": r["total"],
                      "per_level_s": r["per_level"]})
-    queries = ts.sample_zipf_paths(args.queries, rc.cluster.k, rc.cluster.depth,
-                                   args.zipf, seed=rc.seed)
+    queries = ts.sample_zipf_paths(args.queries, rc.cluster.k, len(sizes), args.zipf, seed=rc.seed)
     sess = ts.session_latency(sizes, placement, queries)
     rows.append({"kind": "session", "mode": "parallel", "total_s": sess["total"],
                  "per_level_s": sess["reloads_per_level"]})

@@ -366,7 +366,12 @@ def fact_recall(
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
     prompts = [fact_prompt(f) for f in facts]
-    paths = route_texts(prompts, tree, ecfg) if mode == "fetched" else None
+    paths = None
+    if mode == "fetched":
+        # a tree that records its embedder routes only with that one
+        if tree.embedder is not None and ecfg != tree.embedder:
+            raise EvalError(f"the tree was built with embedder {tree.embedder} but routing was asked with {ecfg}")
+        paths = route_texts(prompts, tree, ecfg)
 
     # group by prompt length so a batch decodes in lockstep without padding
     groups: dict[int, list[int]] = {}

@@ -10,6 +10,10 @@ and is trained on a sampled fraction of sequences; ``fetch`` serves it to
 the rows marked generic and, under a ``BlockMask`` whose policy is
 "generic", to rows whose path enters a masked subtree.
 
+The three LoRA types are one rule: at each site (projection) that
+``LORA_SITES`` names for the type, a layer holds a low-rank pair, an
+input-side (in, r) matrix and an output-side (r, out) one.
+
 Block sizes per memory type, with r the width multiplier, d the model
 width, H = heads * head_dim, d_f the FFN width, and l the number of
 layers the memory is placed on:
@@ -36,7 +40,10 @@ from . import fileio
 
 BANK_MAGIC = "HMBANK"
 
-MEMORY_TYPES = ("ffn", "lora_qk", "lora_ov", "lora_ffn", "kv")
+# the projections, or sites, each LoRA type adapts; a site's pair is
+# <site>a (in, r), kaiming init, then <site>b (r, out), zero init
+LORA_SITES = {"lora_qk": ("q", "k"), "lora_ov": ("v", "o"), "lora_ffn": ("f1", "f2", "f3")}
+MEMORY_TYPES = ("ffn", *LORA_SITES, "kv")
 PLACEMENTS = ("uniform", "early", "mid", "late")
 MASKED_POLICIES = ("generic", "zero")  # what a blocked fetch substitutes
 
@@ -104,6 +111,9 @@ class Slot:
 def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_dim: int, layers: list[int]) -> list[Slot]:
     """Flat slot layout of one block; concatenation order is the layout."""
     H = heads * head_dim
+    # each LoRA site's (input, output) width
+    widths = {"q": (dim, H), "k": (dim, H), "v": (dim, H), "o": (H, dim),
+              "f1": (dim, ffn_dim), "f2": (dim, ffn_dim), "f3": (ffn_dim, dim)}
     out: list[Slot] = []
     for li in layers:
         if mem_type == "ffn":
@@ -112,29 +122,10 @@ def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_
                 Slot(li, "m2", (dim, r), "tn"),
                 Slot(li, "m3", (r, dim), "zero"),
             ]
-        elif mem_type == "lora_qk":
-            out += [
-                Slot(li, "qa", (dim, r), "kaiming"),
-                Slot(li, "qb", (r, H), "zero"),
-                Slot(li, "ka", (dim, r), "kaiming"),
-                Slot(li, "kb", (r, H), "zero"),
-            ]
-        elif mem_type == "lora_ov":
-            out += [
-                Slot(li, "va", (dim, r), "kaiming"),
-                Slot(li, "vb", (r, H), "zero"),
-                Slot(li, "oa", (H, r), "kaiming"),
-                Slot(li, "ob", (r, dim), "zero"),
-            ]
-        elif mem_type == "lora_ffn":
-            out += [
-                Slot(li, "f1a", (dim, r), "kaiming"),
-                Slot(li, "f1b", (r, ffn_dim), "zero"),
-                Slot(li, "f2a", (dim, r), "kaiming"),
-                Slot(li, "f2b", (r, ffn_dim), "zero"),
-                Slot(li, "f3a", (ffn_dim, r), "kaiming"),
-                Slot(li, "f3b", (r, dim), "zero"),
-            ]
+        elif mem_type in LORA_SITES:
+            for site in LORA_SITES[mem_type]:
+                d_in, d_out = widths[site]
+                out += [Slot(li, site + "a", (d_in, r), "kaiming"), Slot(li, site + "b", (r, d_out), "zero")]
         elif mem_type == "kv":
             out += [
                 Slot(li, "mk", (r, H), "tn"),

@@ -8,9 +8,7 @@ and the attention width heads*head_dim are decoupled.
 Memory blocks fetched from a bank attach as additive deltas:
 
     ffn       extra SwiGLU branch  silu(x M1) * (x M2) @ M3   added to FFN out
-    lora_qk   low-rank updates to the q and k projections
-    lora_ov   low-rank updates to the v projection and attention output
-    lora_ffn  low-rank updates to all three FFN matrices
+    lora_*    low-rank updates to the projections ``membank.LORA_SITES`` names
     kv        r learned key/value head vectors cross-attended by the
               (normed, un-rotated) queries, added to self-attention output
 
@@ -195,7 +193,10 @@ def causal_mask(S: int, dtype=np.float32, past: int = 0) -> np.ndarray:
 
 
 def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str, sc: float) -> nc.Tensor:
-    """x + sc * (inp @ A @ B) with the low-rank pair ``site + "a"``, ``site + "b"``."""
+    """x + sc * (inp @ A @ B) with the low-rank pair ``site + "a"``, ``site + "b"``,
+    or ``x`` itself where the level has no pair at ``site``."""
+    if site + "a" not in sl:
+        return x
     return nc.add(x, nc.scale(nc.matmul(nc.matmul(inp, sl[site + "a"]), sl[site + "b"]), sc))
 
 
@@ -245,11 +246,9 @@ def forward(
         v = nc.matmul(h, p[pre + "wv"])
         for lv, sl in enumerate(layer_mems):
             sc = mems.scales[lv]
-            if "qa" in sl:
-                q = _lora(q, h, sl, "q", sc)
-                k = _lora(k, h, sl, "k", sc)
-            if "va" in sl:
-                v = _lora(v, h, sl, "v", sc)
+            q = _lora(q, h, sl, "q", sc)
+            k = _lora(k, h, sl, "k", sc)
+            v = _lora(v, h, sl, "v", sc)
 
         q4 = nc.rms_norm(nc.reshape(q, (B, S, heads, dh)), nc.reshape(p[pre + "q_norm.gain"], (heads, dh)), cfg.norm_eps)
         k4 = nc.rms_norm(nc.reshape(k, (B, S, heads, dh)), nc.reshape(p[pre + "k_norm.gain"], (heads, dh)), cfg.norm_eps)
@@ -278,8 +277,7 @@ def forward(
         am = nc.reshape(nc.transpose(att, (0, 2, 1, 3)), (B, S, heads * dh))
         out = nc.matmul(am, p[pre + "wo"])
         for lv, sl in enumerate(layer_mems):
-            if "oa" in sl:
-                out = _lora(out, am, sl, "o", mems.scales[lv])
+            out = _lora(out, am, sl, "o", mems.scales[lv])
         x = nc.add(x, out)
 
         h2 = nc.rms_norm(x, p[pre + "ffn_norm.gain"], cfg.norm_eps)
@@ -287,14 +285,12 @@ def forward(
         pre_u = nc.matmul(h2, p[pre + "w2"])
         for lv, sl in enumerate(layer_mems):
             sc = mems.scales[lv]
-            if "f1a" in sl:
-                pre_g = _lora(pre_g, h2, sl, "f1", sc)
-                pre_u = _lora(pre_u, h2, sl, "f2", sc)
+            pre_g = _lora(pre_g, h2, sl, "f1", sc)
+            pre_u = _lora(pre_u, h2, sl, "f2", sc)
         inner = nc.swiglu(pre_g, pre_u)
         down = nc.matmul(inner, p[pre + "w3"])
         for lv, sl in enumerate(layer_mems):
-            if "f3a" in sl:
-                down = _lora(down, inner, sl, "f3", mems.scales[lv])
+            down = _lora(down, inner, sl, "f3", mems.scales[lv])
             if "m1" in sl:
                 mg = nc.swiglu(nc.matmul(h2, sl["m1"]), nc.matmul(h2, sl["m2"]))
                 down = nc.add(down, nc.matmul(mg, sl["m3"]))

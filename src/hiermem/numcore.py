@@ -37,8 +37,6 @@ import math
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float32
-
 # Additive attention masks use true -inf; exp(-inf) == 0.0 exactly, and the
 # backward of the attention softmax keeps those slots at an exact zero.
 NEG_INF = -np.inf
@@ -62,31 +60,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_slot", "_pointwise")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
-        elif arr.dtype == np.float64 and dtype is None and not isinstance(data, (np.ndarray, np.generic)):
-            # Python floats/lists default to the package dtype, but an
-            # explicitly float64 ndarray or numpy scalar is left alone
-            # (gradient-check mode).
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._slot = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

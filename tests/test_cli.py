@@ -342,6 +342,29 @@ def test_train_checks_level_count_before_embedding(ws, trained, tmp_path, capsys
     assert "rs has 3 levels but the tree has depth 2" in capsys.readouterr().err
 
 
+def test_train_refuses_a_bank_under_scratch_before_embedding(ws, trained, tmp_path, capsys, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before --bank was checked")
+
+    monkeypatch.setattr(em, "embed_batch", no_embedding)
+    out = tmp_path / "o"
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ws / "run.ini"),
+                     "--out", str(out), "--bank", str(trained["bank"])]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--bank" in err and "scratch" in err
+    assert not (out / "ckpt_final").exists()
+
+
+def test_fact_recall_refuses_an_embedder_the_tree_did_not_use(trained):
+    tree = cl.load_tree(trained["tree"])
+    other = em.EmbedderConfig(dim=64, ngram_sizes=(2, 3), seed=7)
+    model, _ = mdl.load_model(trained["model"])
+    with pytest.raises(ev.EvalError) as e:
+        ev.fact_recall(model, mb.load_bank(trained["bank"]), tree, other, tr.ByteTokenizer(),
+                       ev.load_facts(trained["facts"]), mode="fetched")
+    assert str(tree.embedder) in str(e.value) and str(other) in str(e.value)
+
+
 def test_bank_k_must_match_tree_k(ws, trained, tmp_path, capsys):
     # a k=3 bank on the k=2 tree would decode the tree's leaf ids as other blocks
     bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=(2, 2)), dim=16, heads=2,
@@ -562,6 +585,13 @@ def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):
     assert cli.main(["simulate", str(one), "--config", trained["ini"],
                      "--out", str(out)]) == 2
     assert "tier spec" in capsys.readouterr().err
+
+
+def test_simulate_runs_on_the_default_config(ws, tmp_path):
+    # [memory] rs alone sets the bank's depth; [cluster] depth does not enter
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(ws / "tiers.ini"), "--queries", "50", "--out", str(out)]) == 0
+    assert len((out / "latency.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):

@@ -1,5 +1,13 @@
+import math
+import os
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import cluster as cl
 from hiermem import fileio
@@ -125,3 +133,49 @@ def test_failed_write_leaves_previous_artifact_and_no_temp_file(tmp_path):
         fileio.write_csv(c, ["step"], rows())
     assert c.read_bytes() == before
     assert sorted(q.name for q in tmp_path.iterdir()) == ["a.bin", "m.csv"]
+
+
+_DTYPES = [np.dtype(bo + code) for code in ("i2", "i4", "i8", "u2", "u4", "u8", "f2", "f4", "f8")
+           for bo in "<>"] + [np.dtype(np.bool_), np.dtype(np.int8), np.dtype(np.uint8)]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _arrays(draw):
+    names = draw(st.lists(st.text(max_size=6), unique=True, max_size=4))
+    out = {}
+    for name in names:
+        dtype = draw(st.sampled_from(_DTYPES))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        n = math.prod(shape) * dtype.itemsize
+        raw = draw(st.binary(min_size=n, max_size=n))
+        if dtype == np.bool_:
+            raw = bytes(b & 1 for b in raw)
+        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(magic=st.text(alphabet=string.ascii_uppercase, max_size=8),
+       meta=st.dictionaries(st.text(max_size=6), _JSON, max_size=4), arrays=_arrays())
+def test_any_artifact_round_trips_and_every_cut_is_an_artifact_error(magic, meta, arrays):
+    with tempfile.TemporaryDirectory() as d:
+        p, q = Path(d) / "a.bin", Path(d) / "b.bin"
+        fileio.write_artifact(p, magic, meta, arrays)
+        got_magic, got_meta, got = fileio.read_artifact(p)
+        assert (got_magic, got_meta) == (magic, meta)
+        assert list(got) == list(arrays)
+        for name, arr in arrays.items():
+            assert (got[name].dtype.str, got[name].shape) == (arr.dtype.str, arr.shape), name
+            assert got[name].tobytes() == arr.tobytes(), name
+        fileio.write_artifact(q, got_magic, got_meta, got)
+        raw = p.read_bytes()
+        assert q.read_bytes() == raw
+        for n in reversed(range(len(raw))):  # q holds raw[:n]
+            os.truncate(q, n)
+            with pytest.raises(fileio.ArtifactError):
+                fileio.read_artifact(q)

@@ -9,14 +9,14 @@ from hiermem import refcheck as rc
 
 def fd_check(build, params, rel=1e-6, h=1e-5):
     """Analytic grads of scalar build(tensors) vs central differences."""
-    tensors = [nc.Tensor(p.copy(), requires_grad=True, dtype=np.float64) for p in params]
+    tensors = [nc.Tensor(p.astype(np.float64), requires_grad=True) for p in params]
     with nc.Tape() as tape:
         loss = build(tensors)
     nc.backward(tape, loss)
     assert tape.nodes == []
 
     def f(ps):
-        ts = [nc.Tensor(p, dtype=np.float64) for p in ps]
+        ts = [nc.Tensor(p.astype(np.float64)) for p in ps]
         return float(build(ts).data)
 
     ref = rc.oracle_grad(f, [p.copy() for p in params], h=h).value
@@ -218,7 +218,7 @@ def test_backward_consumes_the_tape():
         p1, p2 = nc.split(h, [4, 4], axis=-1)
         return dot(nc.swiglu(nc.rms_norm(p1, ts[2]), p2), p1)
 
-    leaves = [nc.Tensor(p.copy(), requires_grad=True, dtype=np.float64) for p in (x, w, gain)]
+    leaves = [nc.Tensor(p.astype(np.float64), requires_grad=True) for p in (x, w, gain)]
     with nc.Tape() as tape:
         loss = build(leaves)
     outs = [t for node in tape.nodes for t in (node.out if isinstance(node.out, tuple) else (node.out,))]
@@ -281,7 +281,7 @@ def test_frozen_gemm_input_is_freed_after_the_forward():
         kept["y"] = memory(y)
         return dot(z, z)
 
-    tensors = [nc.Tensor(p.copy(), requires_grad=True, dtype=np.float64) for p in (x, rng.normal(size=(8, 4)))]
+    tensors = [nc.Tensor(p.astype(np.float64), requires_grad=True) for p in (x, rng.normal(size=(8, 4)))]
     with nc.Tape() as tape:
         loss = build(tensors)
     assert kept["h"]() is None    # no node keeps the frozen product's input
@@ -308,8 +308,8 @@ def test_zero_dim_float64_result_is_not_downcast():
     # numpy scalars coming out of 0-d arithmetic must keep their dtype
     a = nc.Tensor(np.float64(2.0))
     out = nc.add(a, a)
-    assert out.dtype == np.float64
-    assert nc.Tensor(np.float64(1.5)).dtype == np.float64
+    assert out.data.dtype == np.float64
+    assert nc.Tensor(np.float64(1.5)).data.dtype == np.float64
 
 
 def test_clip_global_norm_scales_in_place():

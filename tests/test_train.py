@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import fileio
 from hiermem import membank as mb
@@ -140,6 +142,71 @@ def test_batch_doc_mask_blocks_cross_document_attention():
     assert m[s2, s1] < -1e30  # second doc cannot read the first
     assert m[s2, s2] == 0.0
     assert m[e1 - 1, s1] == 0.0  # within a document, causal lookback is open
+
+
+def _packed_by_rule(docs, leaves, seq_len, k, eot):
+    """(leaf_flat, tokens, spans) per sequence, from the documented packing rule.
+
+    Per leaf, its documents in corpus order form one stream of L = seq_len - 1
+    wide sequences: each document is followed by one EOT unless it ends exactly
+    at a sequence end, a longer one runs on into the leaf's next sequence, and
+    the last sequence is padded with EOT.
+    """
+    L = seq_len - 1
+    out = []
+    for leaf in dict.fromkeys(leaves):
+        flat = sum((i - 1) * k ** (len(leaf) - 1 - j) for j, i in enumerate(leaf))
+        stream, owner = [], []  # token and the document it belongs to, None for EOT
+        for di, (doc, lf) in enumerate(zip(docs, leaves)):
+            if lf != leaf:
+                continue
+            stream += list(doc)
+            owner += [di] * len(doc)
+            if len(stream) % L:
+                stream.append(eot)
+                owner.append(None)
+        pad = -len(stream) % L
+        stream += [eot] * pad
+        owner += [None] * pad
+        for a in range(0, len(stream), L):
+            spans, own = [], owner[a : a + L]
+            for j, di in enumerate(own):
+                if di is not None and (j == 0 or own[j - 1] != di):
+                    spans.append((j, j))
+                if di is not None:
+                    spans[-1] = (spans[-1][0], j + 1)
+            out.append((flat, tuple(stream[a : a + L]), tuple(spans)))
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), depth=st.integers(1, 3), seq_len=st.integers(3, 12))
+def test_pack_and_batch_follow_the_documented_rule(data, k, depth, seq_len):
+    tok = tr.ByteTokenizer()
+    leaf = st.tuples(*[st.integers(1, k)] * depth)
+    doc = st.lists(st.integers(0, tok.EOT - 1), min_size=1, max_size=3 * seq_len)
+    pairs = data.draw(st.lists(st.tuples(doc, leaf), min_size=1, max_size=10))
+    docs = [np.array(d, dtype=np.int32) for d, _ in pairs]
+    leaves = [lf for _, lf in pairs]
+    seqs = tr.pack_corpus(docs, leaves, seq_len, tok, k, seed=data.draw(st.integers(0, 99)))
+    got = sorted((s.leaf_flat, tuple(s.tokens.tolist()), tuple(s.spans)) for s in seqs)
+    assert got == _packed_by_rule(docs, leaves, seq_len, k, tok.EOT)
+
+    batch = tr.build_batch(seqs)
+    inputs = batch["inputs"]
+    B, S = inputs.shape
+    assert np.array_equal(batch["targets"], np.concatenate([inputs[:, 1:], np.full((B, 1), tok.EOT)], axis=1))
+    content = inputs < tok.EOT
+    assert np.array_equal(batch["weights"] == 1, content & (np.arange(S) < S - 1))
+    assert np.isin(batch["weights"], (0, 1)).all()
+    i, j = np.arange(S)[:, None], np.arange(S)[None, :]
+    for b, s in enumerate(seqs):
+        same_span = np.zeros((S, S), dtype=bool)
+        for a, e in s.spans:
+            same_span |= (a <= i) & (i < e) & (a <= j) & (j < e)
+        open_ = ((j <= i) & same_span) | (i == j)
+        assert np.array_equal(batch["mask"][b, 0] == 0, open_)
+        assert (batch["mask"][b, 0][~open_] == -np.inf).all()
 
 
 # --- schedule ---

@@ -8,7 +8,8 @@ Each artifact records the configs it was built from and the names and
 sha256 of its input files, and nothing else of the run config, so a
 setting a command does not read never changes its output bytes.
 Besides [run], each command reads only the sections that no input fixes:
-`cluster` [embedder] and [cluster] (tree.bin records the embedder);
+`cluster` [embedder], [cluster] (tree.bin records the embedder) and the
+number of [memory] rs values, which is the tree's depth;
 `train` [train], [anchor] without --init and [memory] without --bank;
 `eval` and `block` [eval]; `simulate` [anchor], [memory] (its rs sets the
 bank's depth) and k from [cluster].
@@ -247,12 +248,13 @@ def cmd_inspect(args) -> int:
         print(f"  fetch {acc['fetch_params']:,} / bank {acc['bank_params']:,}")
     if magic == tr.STATE_MAGIC:
         print(f"  step {loaded.step}, aborted {loaded.aborted}")
-        level = 1  # a step that fetches trains a block on every level
-        while (st := loaded.opt.get(f"level{level}")) is not None:
+        # a width-0 level trains nothing, so the levels with state need not be 1..n
+        levels = {int(name[5:]): st for name, st in loaded.opt.items()
+                  if name.startswith("level") and name[5:].isdigit()}
+        for level, st in sorted(levels.items()):
             n = st.steps[st.steps > 0]
             span = f", updates min {n.min()} max {n.max()}" if n.size else ""
             print(f"  level {level}: {n.size} blocks trained{span}")
-            level += 1
     return 0
 
 

@@ -8,6 +8,9 @@ configured run.
 One seed drives every random stage: [run] seed (or --seed) becomes the
 seed of the embedder, the cluster tree and the training run, and a seed
 key in any other section is refused. It must lie in 0..2**32-1.
+The tree's depth is derived the same way: [memory] rs holds one width
+per level, so the number of rs values becomes [cluster] depth, and a
+depth key is refused.
 A value that an input fixes is not a key: the tree records its embedder,
 a bank is laid out for its model, a report has a row per bucket its facts
 carry, and the masked-block policy is a setting of [eval], not of the bank.
@@ -17,12 +20,12 @@ config, so a section a command does not read cannot change its output.
 
 from __future__ import annotations
 
-import configparser
 import typing
 from dataclasses import dataclass, fields, replace
 
 from . import cluster as cl
 from . import embed as em
+from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import train as tr
@@ -73,32 +76,35 @@ class RunConfig:
             raise ConfigError(f"[run] seed {self.seed} is outside 0..2**32-1")
         for name in ("embedder", "cluster", "train"):
             object.__setattr__(self, name, replace(getattr(self, name), seed=self.seed))
+        object.__setattr__(self, "cluster", replace(self.cluster, depth=self.memory.depth))
+
+
+def _parse(hint, raw: str):
+    raw = raw.strip()
+    if hint is bool:
+        low = raw.lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if hint is int:
+        return int(raw)
+    if hint is float:
+        return float(raw)
+    if hint is str:
+        return raw
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_parse(item, p) for p in raw.replace(",", " ").split())
+    raise ValueError(f"unsupported config type {hint}")
 
 
 def _convert(hint, raw: str, where: str):
-    raw = raw.strip()
-    origin = typing.get_origin(hint)
     try:
-        if hint is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if hint is int:
-            return int(raw)
-        if hint is float:
-            return float(raw)
-        if hint is str:
-            return raw
-        if origin is tuple:
-            item = typing.get_args(hint)[0]
-            parts = raw.replace(",", " ").split()
-            return tuple(_convert(item, p, where) for p in parts)
+        return _parse(hint, raw)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
-    raise ConfigError(f"{where}: unsupported config type {hint}")
 
 
 def _parse_section(cls, section: str, items: dict) -> object:
@@ -108,6 +114,8 @@ def _parse_section(cls, section: str, items: dict) -> object:
     for key, raw in items.items():
         if key == "seed":
             raise ConfigError(f"[{section}] seed: the one seed of a run is [run] seed (or --seed)")
+        if (section, key) == ("cluster", "depth"):
+            raise ConfigError("[cluster] depth: the tree has one level per [memory] rs value")
         if key not in known:
             raise ConfigError(f"[{section}] has no key {key!r}")
         kwargs[key] = _convert(hints[key], raw, f"[{section}] {key}")
@@ -123,20 +131,11 @@ def load_config(path=None, *, seed: int | None = None, out: str | None = None) -
     ``path=None`` yields the all-defaults config, so every command works
     without a file.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from None
-        except configparser.Error as e:
-            raise ConfigError(f"{path}: {e}") from None
-
+    sections = fileio.read_ini(path, ConfigError) if path is not None else {}
     kwargs: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section == "run":
-            for key, raw in parser["run"].items():
+            for key, raw in items.items():
                 if key not in _RUN_KEYS:
                     raise ConfigError(f"[run] has no key {key!r}")
                 kwargs[key] = _convert(int if key == "seed" else str, raw, f"[run] {key}")
@@ -144,7 +143,7 @@ def load_config(path=None, *, seed: int | None = None, out: str | None = None) -
         cls = _SECTIONS.get(section)
         if cls is None:
             raise ConfigError(f"unknown section [{section}]")
-        kwargs[section] = _parse_section(cls, section, dict(parser[section]))
+        kwargs[section] = _parse_section(cls, section, items)
 
     if seed is not None:
         kwargs["seed"] = seed

@@ -12,12 +12,14 @@ Layout (all integers little-endian):
 Identical inputs produce identical bytes (no timestamps, no compression),
 so sha256 digests of artifacts are stable across runs — that property is
 what the resume and determinism checks lean on. ``write_csv`` is the one
-writer of the package's CSV reports. Artifacts, CSVs and JSONL reports are
+writer of the package's CSV reports and ``read_ini`` the one reader of its
+INI files (run configs and tier specs). Artifacts, CSVs and JSONL reports are
 all written to a temporary file that then replaces the target.
 """
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import hashlib
 import itertools
@@ -46,6 +48,26 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_ini(path, error: type[Exception]) -> dict[str, dict[str, str]]:
+    """The sections of the UTF-8 INI file at ``path``, each a dict of its raw
+    values, in file order. Values are taken literally (no ``%`` interpolation),
+    and ``[DEFAULT]`` is an ordinary section, not one whose keys every other
+    section inherits. A file that cannot be read or parsed raises ``error``."""
+    # no header can name the empty section, so no section is the default
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: {e}") from None
+    except configparser.Error as e:
+        # configparser names the file itself, on up to three lines
+        raise error(" ".join(str(e).split())) from None
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
 def _csv_cell(v) -> str:

@@ -24,6 +24,10 @@ layers the memory is placed on:
     lora_ffn   3 * r * l * (d + d_f)
     kv         2 * r * l * H
 
+A level of width r = 0 has no slots: its blocks and its generic block
+are empty, a fetch gathers (B, 0) rows for it, and nothing attaches or
+trains there.
+
 The bank holds k^l blocks at level l; total bank size is sum_l s_l * k^l
 and a fetch touches sum_l s_l parameters regardless of which path is hit.
 """
@@ -58,7 +62,7 @@ class BankError(RuntimeError):
 @dataclass(frozen=True)
 class MemoryConfig:
     mem_type: str = "ffn"
-    rs: tuple[int, ...] = (16, 16)     # width multiplier per level, coarse to fine
+    rs: tuple[int, ...] = (16, 16)     # width multiplier per level, coarse to fine; one per tree level
     placement: str = "uniform"
 
     def __post_init__(self):
@@ -67,7 +71,7 @@ class MemoryConfig:
             raise ValueError(f"unknown memory type {self.mem_type!r}, expected one of {MEMORY_TYPES}")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}, expected one of {PLACEMENTS}")
-        # r_l = 0 marks a level holding no memories, e.g. single-level setups
+        # r_l = 0 marks a level with no slots, so no memories, e.g. single-level setups
         if not self.rs or any(r < 0 for r in self.rs):
             raise ValueError(f"width multipliers must be >= 0 per level, got {self.rs}")
 
@@ -114,6 +118,10 @@ def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_
     # each LoRA site's (input, output) width
     widths = {"q": (dim, H), "k": (dim, H), "v": (dim, H), "o": (H, dim),
               "f1": (dim, ffn_dim), "f2": (dim, ffn_dim), "f3": (ffn_dim, dim)}
+    if mem_type not in MEMORY_TYPES:
+        raise ValueError(f"unknown memory type {mem_type!r}")
+    if r == 0:
+        return []  # a width-0 level holds no memories
     out: list[Slot] = []
     for li in layers:
         if mem_type == "ffn":
@@ -126,13 +134,11 @@ def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_
             for site in LORA_SITES[mem_type]:
                 d_in, d_out = widths[site]
                 out += [Slot(li, site + "a", (d_in, r), "kaiming"), Slot(li, site + "b", (r, d_out), "zero")]
-        elif mem_type == "kv":
+        else:
             out += [
                 Slot(li, "mk", (r, H), "tn"),
                 Slot(li, "mv", (r, H), "zero"),
             ]
-        else:
-            raise ValueError(f"unknown memory type {mem_type!r}")
     return out
 
 

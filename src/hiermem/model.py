@@ -133,17 +133,16 @@ def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> Transforme
 class AttachedMemories:
     """Per-sequence memory weights organized for the forward pass.
 
-    Built from one (B, s_l) tensor per level; splitting/reshaping happens
-    through tape ops so gradients flow back to those row tensors, which
-    the trainer then scatters into bank blocks.
+    Built from one (B, s_l) tensor per level, and holding only each
+    layer's slots, level by level: a slot's shape carries its width, and
+    a width-0 level has no slots. Splitting/reshaping happens through
+    tape ops so gradients flow back to those row tensors, which the
+    trainer then scatters into bank blocks.
     """
 
     def __init__(self, mem_cfg: MemoryConfig, anchor: AnchorConfig, level_rows: list[nc.Tensor]):
         if len(level_rows) != mem_cfg.depth:
             raise ModelError(f"expected {mem_cfg.depth} level tensors, got {len(level_rows)}")
-        self.cfg = mem_cfg
-        self.level_rows = level_rows
-        self.scales = [LORA_ALPHA / r if r else 0.0 for r in mem_cfg.rs]
         layers = layer_subset(mem_cfg.placement, anchor.num_layers)
         self._by_layer: dict[int, list[dict[str, nc.Tensor]]] = {li: [] for li in layers}
         for lv, rows in enumerate(level_rows):
@@ -192,12 +191,14 @@ def causal_mask(S: int, dtype=np.float32, past: int = 0) -> np.ndarray:
     return m.reshape(1, 1, S, past + S)
 
 
-def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str, sc: float) -> nc.Tensor:
-    """x + sc * (inp @ A @ B) with the low-rank pair ``site + "a"``, ``site + "b"``,
-    or ``x`` itself where the level has no pair at ``site``."""
+def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str) -> nc.Tensor:
+    """x + (LORA_ALPHA / r) * (inp @ A @ B) with the low-rank pair ``site + "a"``
+    (in, r), ``site + "b"`` (r, out), or ``x`` itself where the level has no
+    pair at ``site``. The scale comes from the pair's own width r."""
     if site + "a" not in sl:
         return x
-    return nc.add(x, nc.scale(nc.matmul(nc.matmul(inp, sl[site + "a"]), sl[site + "b"]), sc))
+    a = sl[site + "a"]
+    return nc.add(x, nc.scale(nc.matmul(nc.matmul(inp, a), sl[site + "b"]), LORA_ALPHA / a.data.shape[-1]))
 
 
 def forward(
@@ -244,11 +245,10 @@ def forward(
         q = nc.matmul(h, p[pre + "wq"])
         k = nc.matmul(h, p[pre + "wk"])
         v = nc.matmul(h, p[pre + "wv"])
-        for lv, sl in enumerate(layer_mems):
-            sc = mems.scales[lv]
-            q = _lora(q, h, sl, "q", sc)
-            k = _lora(k, h, sl, "k", sc)
-            v = _lora(v, h, sl, "v", sc)
+        for sl in layer_mems:
+            q = _lora(q, h, sl, "q")
+            k = _lora(k, h, sl, "k")
+            v = _lora(v, h, sl, "v")
 
         q4 = nc.rms_norm(nc.reshape(q, (B, S, heads, dh)), nc.reshape(p[pre + "q_norm.gain"], (heads, dh)), cfg.norm_eps)
         k4 = nc.rms_norm(nc.reshape(k, (B, S, heads, dh)), nc.reshape(p[pre + "k_norm.gain"], (heads, dh)), cfg.norm_eps)
@@ -263,34 +263,31 @@ def forward(
             kr = nc.Tensor(cache.keys[i][:, :, :end])
             vh = nc.Tensor(cache.values[i][:, :, :end])
         att = nc.attention(qr, kr, vh, mask)
-        for lv, sl in enumerate(layer_mems):
+        for sl in layer_mems:
             if "mk" in sl:
-                r = mems.cfg.rs[lv]
-                if r == 0:
-                    continue  # attention over zero learned keys is undefined
-                # -1, not B: a generic row is one row that broadcasts over the batch
-                mk = nc.transpose(nc.reshape(sl["mk"], (-1, r, heads, dh)), (0, 2, 1, 3))
-                mv = nc.transpose(nc.reshape(sl["mv"], (-1, r, heads, dh)), (0, 2, 1, 3))
+                # (rows, r, H): a generic row is one row that broadcasts over the batch
+                rows, r, _ = sl["mk"].data.shape
+                mk = nc.transpose(nc.reshape(sl["mk"], (rows, r, heads, dh)), (0, 2, 1, 3))
+                mv = nc.transpose(nc.reshape(sl["mv"], (rows, r, heads, dh)), (0, 2, 1, 3))
                 # learned keys carry no positional encoding and no causal
                 # mask; queries are the normed, un-rotated ones
                 att = nc.add(att, nc.attention(qh, mk, mv, None))
         am = nc.reshape(nc.transpose(att, (0, 2, 1, 3)), (B, S, heads * dh))
         out = nc.matmul(am, p[pre + "wo"])
-        for lv, sl in enumerate(layer_mems):
-            out = _lora(out, am, sl, "o", mems.scales[lv])
+        for sl in layer_mems:
+            out = _lora(out, am, sl, "o")
         x = nc.add(x, out)
 
         h2 = nc.rms_norm(x, p[pre + "ffn_norm.gain"], cfg.norm_eps)
         pre_g = nc.matmul(h2, p[pre + "w1"])
         pre_u = nc.matmul(h2, p[pre + "w2"])
-        for lv, sl in enumerate(layer_mems):
-            sc = mems.scales[lv]
-            pre_g = _lora(pre_g, h2, sl, "f1", sc)
-            pre_u = _lora(pre_u, h2, sl, "f2", sc)
+        for sl in layer_mems:
+            pre_g = _lora(pre_g, h2, sl, "f1")
+            pre_u = _lora(pre_u, h2, sl, "f2")
         inner = nc.swiglu(pre_g, pre_u)
         down = nc.matmul(inner, p[pre + "w3"])
-        for lv, sl in enumerate(layer_mems):
-            down = _lora(down, inner, sl, "f3", mems.scales[lv])
+        for sl in layer_mems:
+            down = _lora(down, inner, sl, "f3")
             if "m1" in sl:
                 mg = nc.swiglu(nc.matmul(h2, sl["m1"]), nc.matmul(h2, sl["m2"]))
                 down = nc.add(down, nc.matmul(mg, sl["m3"]))

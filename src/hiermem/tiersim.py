@@ -13,12 +13,13 @@ costs nothing and Zipf-like locality mostly swaps the cheap deep levels.
 
 from __future__ import annotations
 
-import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cluster as cl
+from . import fileio
 
 MODES = ("parallel", "serial")
 
@@ -34,10 +35,10 @@ class Tier:
     fixed_latency: float    # seconds per request
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise TierError(f"tier {self.name!r}: bandwidth must be positive, got {self.bandwidth}")
-        if self.fixed_latency < 0:
-            raise TierError(f"tier {self.name!r}: fixed latency must be >= 0, got {self.fixed_latency}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise TierError(f"tier {self.name!r}: bandwidth must be positive and finite, got {self.bandwidth}")
+        if not (math.isfinite(self.fixed_latency) and self.fixed_latency >= 0):
+            raise TierError(f"tier {self.name!r}: fixed latency must be finite and >= 0, got {self.fixed_latency}")
 
 
 @dataclass(frozen=True)
@@ -127,28 +128,27 @@ def parse_tier_spec(path) -> TierPlacement:
     Sections [tier.<name>] define bandwidth/fixed_latency; [placement]
     assigns level<N> = <tier name>. Any other key is an error.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise TierError(f"cannot read tier spec {path}")
+    spec = fileio.read_ini(path, TierError)
     tiers: dict[str, Tier] = {}
-    for sec in cp.sections():
+    for sec, items in spec.items():
         if sec.startswith("tier."):
             name = sec[len("tier."):]
-            _check_keys(path, cp[sec], ("bandwidth", "fixed_latency"))
+            _check_keys(path, sec, items, ("bandwidth", "fixed_latency"))
             try:
                 tiers[name] = Tier(
                     name=name,
-                    bandwidth=cp.getfloat(sec, "bandwidth"),
-                    fixed_latency=cp.getfloat(sec, "fixed_latency"),
+                    bandwidth=float(items["bandwidth"]),
+                    fixed_latency=float(items["fixed_latency"]),
                 )
-            except (configparser.NoOptionError, ValueError) as e:
-                raise TierError(f"tier spec {path}: section [{sec}]: {e}")
-    if "placement" not in cp:
+            except KeyError as e:
+                raise TierError(f"tier spec {path}: section [{sec}]: no option {e}") from None
+            except ValueError as e:
+                raise TierError(f"tier spec {path}: section [{sec}]: {e}") from None
+    if "placement" not in spec:
         raise TierError(f"tier spec {path}: missing [placement] section")
-    pl = cp["placement"]
+    pl = spec["placement"]
     levels = sorted((key for key in pl if key.startswith("level")), key=lambda s: (len(s), s))
-    _check_keys(path, pl, levels)
+    _check_keys(path, "placement", pl, levels)
     ordered = []
     for i, key in enumerate(levels, start=1):
         if key != f"level{i}":
@@ -160,8 +160,8 @@ def parse_tier_spec(path) -> TierPlacement:
     return TierPlacement(tiers=tuple(ordered))
 
 
-def _check_keys(path, section, known) -> None:
-    unknown = sorted(set(section) - set(known))
+def _check_keys(path, name: str, items: dict, known) -> None:
+    unknown = sorted(set(items) - set(known))
     if unknown:
-        raise TierError(f"tier spec {path}: section [{section.name}] has unknown keys {unknown}")
+        raise TierError(f"tier spec {path}: section [{name}] has unknown keys {unknown}")
 

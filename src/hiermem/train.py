@@ -200,6 +200,9 @@ class TrainConfig:
             raise ValueError("total_steps and batch_size must be positive")
         if self.warmup_steps < 0 or self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
+        for f in ("lr_max", "lr_min"):
+            if not (math.isfinite(getattr(self, f)) and getattr(self, f) >= 0):
+                raise ValueError(f"{f} must be finite and >= 0, got {getattr(self, f)}")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

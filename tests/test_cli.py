@@ -21,7 +21,6 @@ dim = 64
 
 [cluster]
 k = 2
-depth = 2
 em_steps = 4
 batch_per_step = 64
 balance_limit = 0.75
@@ -114,6 +113,44 @@ def test_bad_config_exits_2(ws, tmp_path, capsys):
     bad.write_text("[cluster]\nwarp = 1\n")
     assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", str(bad)]) == 2
     assert "no key" in capsys.readouterr().err
+
+
+# (file, text, exit code, message): one INI file the CLI cannot use, and why
+BAD_INI = {
+    "tier spec with a repeated section": ("tiers", "[tier.ram]\nbandwidth = 1e9\nfixed_latency = 0\n"
+                                          "[tier.ram]\nbandwidth = 2e9\nfixed_latency = 0\n"
+                                          "[placement]\nlevel1 = ram\n", 1, "already exists"),
+    "tier spec with no section header": ("tiers", "bandwidth = 1e9\n", 1, "no section headers"),
+    "tier spec with % in a value": ("tiers", "[tier.ram]\nbandwidth = 1e9\nfixed_latency = 0\n"
+                                    "[placement]\nlevel1 = ram\nlevel2 = %(x)s\n", 1, "unknown tier '%(x)s'"),
+    "tier spec that is not UTF-8": ("tiers", b"[tier.r\xffm]\n", 1, "can't decode byte 0xff"),
+    "tier with a NaN bandwidth": ("tiers", "[tier.ram]\nbandwidth = nan\nfixed_latency = 0\n"
+                                  "[placement]\nlevel1 = ram\nlevel2 = ram\n", 1, "bandwidth must be"),
+    "tier with an infinite bandwidth": ("tiers", "[tier.ram]\nbandwidth = inf\nfixed_latency = 0\n"
+                                        "[placement]\nlevel1 = ram\nlevel2 = ram\n", 1, "bandwidth must be"),
+    "tier with a NaN latency": ("tiers", "[tier.ram]\nbandwidth = 1e9\nfixed_latency = nan\n"
+                                "[placement]\nlevel1 = ram\nlevel2 = ram\n", 1, "fixed latency must be"),
+    "run config with a [DEFAULT] section": ("config", "[DEFAULT]\nk = 4\n", 2, "unknown section [DEFAULT]"),
+    "run config that is not UTF-8": ("config", b"[train]\nregime = m\xe9mory\n", 2, "can't decode byte 0xe9"),
+    "NaN lr_max": ("config", BASE_INI.replace("lr_max = 1e-3", "lr_max = nan"), 2, "[train] lr_max must be"),
+    "negative lr_max": ("config", BASE_INI.replace("lr_max = 1e-3", "lr_max = -1e-3"), 2, "[train] lr_max must be"),
+    "infinite lr_min": ("config", BASE_INI.replace("lr_max = 1e-3", "lr_max = 1e-3\nlr_min = inf"), 2,
+                        "[train] lr_min must be"),
+    "[cluster] depth": ("config", BASE_INI.replace("k = 2\n", "k = 2\ndepth = 2\n"), 2,
+                        "[cluster] depth: the tree has one level per [memory] rs value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INI)
+def test_unusable_ini_file_is_a_typed_error(ws, tmp_path, capsys, case):
+    kind, text, code, message = BAD_INI[case]
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    tiers, config = (path, ws / "run.ini") if kind == "tiers" else (ws / "tiers.ini", path)
+    assert cli.main(["simulate", str(tiers), "--queries", "5", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "error:") and message in err, err
 
 
 def test_missing_artifact_exits_1(ws, tmp_path, capsys):
@@ -288,6 +325,14 @@ def test_cluster_writes_tree_and_index(ws, trained, capsys):
     for ln in lines[1:]:
         _, l1, l2 = ln.split(",")
         assert l1 in ("1", "2") and l2 in ("1", "2")
+
+
+def test_cluster_tree_has_one_level_per_rs_value(ws, tmp_path):
+    ini = tmp_path / "three.ini"
+    ini.write_text(BASE_INI.replace("rs = 2, 2", "rs = 2, 0, 2"))
+    assert cli.main(["cluster", str(ws / "corpus.txt"), "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert cl.load_tree(tmp_path / "tree.bin").depth == 3
+    assert (tmp_path / "doc_index.csv").read_text().startswith("doc,level1,level2,level3\n")
 
 
 def test_cluster_k1_yields_trivial_index(ws, tmp_path):
@@ -620,6 +665,21 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
     assert "level 3" not in out
 
 
+def test_inspect_lists_every_trained_level(ws, trained, tmp_path, capsys):
+    # a width-0 level trains nothing: the state holds level 2 but no level 1
+    ini = tmp_path / "kv.ini"
+    ini.write_text((ws / "run_mem.ini").read_text().replace("mem_type = ffn", "mem_type = kv")
+                   .replace("rs = 2, 2", "rs = 0, 2"))
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ini), "--out", str(tmp_path),
+                     "--init", str(ws / "runA" / "ckpt_final" / "model.ckpt")]) == 0
+    state = tmp_path / "ckpt_final" / "trainstate.bin"
+    assert cli.main(["inspect", str(state)]) == 0
+    out = capsys.readouterr().out
+    n = tr.load_state(state).opt["level2"].steps
+    assert f"level 2: {(n > 0).sum()} blocks trained" in out
+    assert "level 1:" not in out
+
+
 def test_inspect_holds_each_array_once(trained, tmp_path, capsys):
     state = tr.load_state(trained["state"])
     for name in ("level1", "level2"):  # 12 MiB of m and v, so the arrays outweigh the rest
@@ -747,9 +807,9 @@ def test_stage_seeds_and_optimizer_constants_are_not_keys(ws, tmp_path, capsys, 
 
 def test_unread_sections_leave_outputs_byte_identical(ws, trained, tmp_path):
     corpus = str(ws / "corpus.txt")
-    # cluster reads [embedder], [cluster] and [run] only
+    # cluster reads [embedder], [cluster], [run] and only the number of [memory] rs values
     other = tmp_path / "not_cluster.ini"
-    other.write_text(BASE_INI.replace("num_layers = 2", "num_layers = 1").replace("rs = 2, 2", "rs = 4, 4, 4")
+    other.write_text(BASE_INI.replace("num_layers = 2", "num_layers = 1").replace("rs = 2, 2", "rs = 4, 4")
                      .replace("total_steps = 5", "total_steps = 3")
                      + "\n[eval]\nmax_new = 2\nmasked_policy = zero\n")
     assert cli.main(["cluster", corpus, "--config", str(other), "--out", str(tmp_path / "c")]) == 0

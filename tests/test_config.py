@@ -11,6 +11,7 @@ def test_defaults_without_file():
     rc = hc.load_config(None)
     assert rc.seed == 0 and rc.out == "runs"
     assert rc.cluster.k == 16
+    assert rc.cluster.depth == len(rc.memory.rs)
     assert rc.train.regime == "memory"
     assert rc.eval.masked_policy == "generic"
 
@@ -18,7 +19,7 @@ def test_defaults_without_file():
 def test_file_values_and_flag_overrides(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(
-        "[cluster]\nk = 4\ndepth = 3\nbalance_limit = 0.5\n"
+        "[cluster]\nk = 4\nbalance_limit = 0.5\n"
         "[memory]\nrs = 4, 8, 8\nmem_type = kv\n"
         "[anchor]\ntied_head = false\n"
         "[train]\nlr_max = 5e-4\n"
@@ -26,6 +27,7 @@ def test_file_values_and_flag_overrides(tmp_path):
         "[run]\nseed = 11\nout = somewhere\n"
     )
     rc = hc.load_config(p)
+    # the tree has one level per rs value
     assert rc.cluster.k == 4 and rc.cluster.depth == 3
     assert rc.memory.rs == (4, 8, 8) and rc.memory.mem_type == "kv"
     assert rc.anchor.tied_head is False
@@ -52,6 +54,9 @@ def test_error_messages(tmp_path):
         hc.load_config(p)
     p.write_text("[cluster]\nk = banana\n")
     with pytest.raises(hc.ConfigError, match=r"\[cluster\] k"):
+        hc.load_config(p)
+    p.write_text("[memory]\nrs = 2, x\n")
+    with pytest.raises(hc.ConfigError, match=r"^\[memory\] rs: invalid literal"):
         hc.load_config(p)
     p.write_text("[anchor]\ntied_head = maybe\n")
     with pytest.raises(hc.ConfigError, match="not a boolean"):

@@ -85,6 +85,26 @@ def test_one_generic_row_broadcasts_over_the_batch():
         assert np.array_equal(one, rep), mem_type
 
 
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_width_0_level_runs_no_zero_size_op(monkeypatch, mem_type):
+    # a width-0 level has no slots, so forward computes nothing for it
+    rng = np.random.default_rng(8)
+    model = mdl.init_model(TOY, seed=5)
+    toks = rng.integers(0, TOY.vocab_size, size=(2, 6)).astype(np.int32)
+    bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(0, 3)), **TOY.bank_dims, k=2, seed=1)
+    bank.generic[1][:] = rng.normal(0, 0.3, size=bank.generic[1].shape)
+    base = mdl.forward(model, toks).data
+    sizes = []
+    for name in ("matmul", "scale", "add"):
+        def spy(*args, op=getattr(nc, name), name=name):
+            sizes.append((name, *(a.data.size for a in args if isinstance(a, nc.Tensor))))
+            return op(*args)
+        monkeypatch.setattr(nc, name, spy)
+    out = mdl.forward(model, toks, mems=attach_rows(bank, model, 2, model.dtype)).data
+    assert [s for s in sizes if 0 in s] == []
+    assert np.abs(out - base).max() > 1e-4  # level 2 still attaches
+
+
 def test_nonzero_memories_change_logits():
     rng = np.random.default_rng(4)
     model = mdl.init_model(TOY, seed=5)

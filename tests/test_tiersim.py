@@ -130,6 +130,9 @@ def test_validation_errors():
         ts.Tier("x", bandwidth=-1, fixed_latency=0)
     with pytest.raises(ts.TierError):
         ts.Tier("x", bandwidth=1, fixed_latency=-1)
+    for bandwidth, latency in ((float("nan"), 0), (float("inf"), 0), (1, float("nan")), (1, float("inf"))):
+        with pytest.raises(ts.TierError, match="finite"):
+            ts.Tier("x", bandwidth=bandwidth, fixed_latency=latency)
     with pytest.raises(ts.TierError):
         ts.TierPlacement(tiers=())
     pl = ts.TierPlacement(tiers=(RAM, SSD))

@@ -19,20 +19,21 @@ from hiermem import train as tr
 ACFG = mdl.AnchorConfig(num_layers=2, dim=16, num_heads=2, head_dim=8,
                         ffn_dim=32, vocab_size=262, tied_head=True,
                         context_length=64)
+ACFG4 = replace(ACFG, num_layers=4)
 
 
-def toy_setup(regime="memory", k=2, depth=2, steps=6, seed=0, rs=(2, 2)):
+def toy_setup(regime="memory", k=2, depth=2, steps=6, seed=0, rs=(2, 2), mem_type="ffn",
+              placement="uniform", acfg=ACFG):
     rng = np.random.default_rng(seed)
     tok = tr.ByteTokenizer()
     docs = ["".join(rng.choice(list("abcdef "), size=rng.integers(8, 30))) for _ in range(40)]
     leaves = [(int(rng.integers(1, k + 1)), int(rng.integers(1, k + 1))) for _ in docs]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], leaves, 32, tok, k, seed=1)
-    model = mdl.init_model(ACFG, seed=3)
+    model = mdl.init_model(acfg, seed=3)
     bank = None
     if regime != "scratch":
-        bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=rs),
-                            dim=ACFG.dim, heads=ACFG.num_heads, head_dim=ACFG.head_dim,
-                            ffn_dim=ACFG.ffn_dim, num_layers=ACFG.num_layers, k=k, seed=4)
+        bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=rs, placement=placement),
+                            **acfg.bank_dims, k=k, seed=4)
     cfg = tr.TrainConfig(regime=regime, batch_size=4, seq_len=32, total_steps=steps,
                          warmup_steps=min(2, steps), lr_max=1e-3, seed=5, log_interval=0)
     return model, bank, seqs, cfg
@@ -389,6 +390,97 @@ def test_trained_bytes_are_pinned(tmp_path, regime):
     assert (model_digest(model), bank and bank_digest(bank)) == PINNED[regime]
 
 
+# sha256 of model.ckpt, bank.bin and metrics.csv after four cotrain steps of
+# each memory type on a 4-layer anchor under placement "mid", with and without
+# a width-0 level. Re-pin them on purpose, as PINNED.
+TYPE_PINS = {
+    ("ffn", (2, 3)): (
+        "d4acaa4aa3ec4a83dcaac2ab76d22089b9af133975cd9ec6ed415f04a5d72092",
+        "66b7650d203b1ff70160c5b66d3d45bba0f03204d25acdf4980a95cefcb13cdb",
+        "c09dda3ade2db77102d4ad6acea20a77ce626004331ef9788609e9255a167ef0",
+    ),
+    ("ffn", (0, 3)): (
+        "37a3f3ba8e72dabf4928640af67e0b35e421ba8e1e6f344dcef002479258e1e1",
+        "3210cd02960ab3a273a37740dcc56594e128890018cc68cb3bf14599ca1573dc",
+        "8337caab93a12a8d48bab454df0c82bc6dce1d5cee21df5a5e08a941f2e4478a",
+    ),
+    ("lora_qk", (2, 3)): (
+        "67294343b59062b50e8f38657f6ba4dbc0c8c5966f4d1424f998abd212ec2e9b",
+        "3f5a612d6426f787078f9c1b2aa034cdf1253e1b4894913dd945d312caf2a425",
+        "0b4650ba3ff9780982cf55e90612e2b0e8ee6137fbf76233dfea9b1b40ba7d40",
+    ),
+    ("lora_qk", (0, 3)): (
+        "aff2ef778fa58e8bc65b5ac02a8d8a2093631809056d0fa044bb0ba577631dfa",
+        "ecbca6dd12f6e63b63aaf61019e7c67501018b8a22a9a94e8cb340d463bc32c7",
+        "4baade1438faa93382787c77eac4ac201df60f5f067fe286af5930b8c3513bc5",
+    ),
+    ("lora_ov", (2, 3)): (
+        "366a337f589167e50740311515fcb64a4b1ad930b4a6a5be3cb00a6505d645c1",
+        "8f0899201b045b2e0bcf18e9e6ef7d4eac89a9a60a9621a402d8e79ae75b5273",
+        "7d1d3d5755867aae1103963f3fb055ead8c7edaaa3541b4c1168b3e445aae477",
+    ),
+    ("lora_ov", (0, 3)): (
+        "5ce560e59914d97d18d6cd9f6bd2fdc64cf4aeba525d855957b192ddcfd4880d",
+        "200156dd3d3470ca8bd01b20bf07190c13d596189f2e7552dd48ec1e47269199",
+        "e10a8c64ab41afd219b8cc47d6091d41e68c5be7acab9b4d30fcbd1d44de19e5",
+    ),
+    ("lora_ffn", (2, 3)): (
+        "9cfc6b434b7e1fa3c4e3a467b1d3347477e1e38c23dbdcbab6718e50031f7f0c",
+        "4bd54161e5c17156d95ab4599b64bd187277c81eeeac555463d3fe7f9d3e462d",
+        "f965c9d08c33af3b5e57352fccb59cdd437772bad993cb2657cfe7439918797e",
+    ),
+    ("lora_ffn", (0, 3)): (
+        "b00122b8a7f1864c564a19e32e23c798b9acd99440e3de6276c1cfc82ee0f77b",
+        "fbcf26086a2853ec2b6cdce30bc9e62e376b778c7314d1743e0106f6339d63b7",
+        "884e29821bf188ce1f5700dd94a808a482e4c931b7ca1e21fd83b64b665e30b1",
+    ),
+    ("kv", (2, 3)): (
+        "5a17a796d0e8428ebc80b9eaae9485dee7b9ec96ce17812410c287f2ba0e24e9",
+        "e4348e58ab35482067ed830e7f3452d4740c97fa091f8d0fb53c5d9cca253e75",
+        "5af9eb371774f89f32fccbac7b88de2076643474ae12d31cc890973ef4a4a629",
+    ),
+    ("kv", (0, 3)): (
+        "fe157e8172b5ccdc5a584f5f4c3fa2eab80aa8aa1e94dce4d4fe5e19620efe01",
+        "c1355bc6347e4dddadc19f7f3023ea9fbdf7fb9bbe9e8b718aa1a0f5934881b9",
+        "8fce052d794348c47580284c07609116886fb957c426cad07efc1b35f5f48e7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("rs", [(2, 3), (0, 3)])
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_memory_type_bytes_are_pinned(tmp_path, mem_type, rs):
+    model, bank, seqs, cfg = toy_setup("cotrain", steps=4, rs=rs, mem_type=mem_type, placement="mid", acfg=ACFG4)
+    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    got = tuple(hashlib.sha256((tmp_path / "ckpt_final" / name).read_bytes()).hexdigest()
+                for name in ("model.ckpt", "bank.bin", "metrics.csv"))
+    assert got == TYPE_PINS[mem_type, rs]
+
+
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_width_0_level_trains_no_state(tmp_path, mem_type):
+    model, bank, seqs, cfg = toy_setup(steps=4, rs=(0, 3), mem_type=mem_type)
+    state = tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
+    assert {"level2", "generic.l2"} <= set(state.opt)
+    assert not {"level1", "generic.l1"} & set(state.opt)
+
+
+def test_state_with_width_0_levels_resumes_bit_exactly(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=4, rs=(0, 3), mem_type="lora_ffn")
+    tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=2), tmp_path, log=lambda m: None)
+    ck = tmp_path / "ckpt_step2"
+    state = tr.load_state(ck / "trainstate.bin")
+    # older versions kept zero-width state for a width-0 level; such a file still resumes
+    empty = np.zeros(0, np.float32)
+    state.opt["level1"] = tr._AdamState(empty.reshape(2, 0), empty.reshape(2, 0), np.full(2, 2, np.int64))
+    state.opt["generic.l1"] = tr._AdamState(empty, empty, np.full((), 2, np.int64))
+    tr.save_state(state, tmp_path / "old.bin")
+    model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+    tr.train_run(model_b, bank_b, seqs, cfg, tmp_path / "rest", resume_state=tr.load_state(tmp_path / "old.bin"),
+                 log=lambda m: None)
+    assert (model_digest(model_b), bank_digest(bank_b)) == (model_digest(model), bank_digest(bank))
+
+
 def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
     model, bank, seqs, cfg = toy_setup(steps=2, rs=(2, 2))
     state = tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
@@ -528,6 +620,11 @@ def test_config_validation():
         tr.TrainConfig(total_steps=0)
     with pytest.raises(ValueError):
         tr.TrainConfig(warmup_steps=11, total_steps=10)
+    for field in ("lr_max", "lr_min"):
+        for value in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+                tr.TrainConfig(**{field: value})
+    tr.TrainConfig(lr_max=0.0, lr_min=0.0)
 
 
 # A step's churn: twelve 1-MiB and four 4-MiB float32 arrays made, then freed

@@ -13,7 +13,9 @@ since otherwise it has already picked k distinct rows.
 Assignment (``assign_batch``) is a greedy root-to-leaf descent: k
 distance evaluations per level, p*k per vector, ties resolved toward the
 lowest index; training splits each node's vectors by the same step.
-Both find a node's rows from one stable sort of the rows' node ids. A
+Both find a node's rows from one stable sort of the rows' node ids, and
+take them in fixed blocks of rows, so the descent's float64 copies stay a
+few blocks in size however many vectors it routes. A
 path is 1-based, (i_1, ..., i_p); its flat id is the 0-based mixed-radix
 number sum_l (i_l - 1) * k^(p-l), so the children of a node are
 contiguous and the level-l ancestor of leaf f is f // k^(p-l).
@@ -32,6 +34,7 @@ from . import embed as em
 from . import fileio
 
 TREE_MAGIC = "HMTREE"
+_BLOCK_ROWS = 1024  # rows a descent copies to float64 at a time
 
 class ClusterError(RuntimeError):
     pass
@@ -230,13 +233,29 @@ def _by_node(flat: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _descend(x: np.ndarray, flat: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     """Each row's nearest child (0-based flat id) under its node ``flat``,
-    among the level's (k^l, dim) ``centers``; ties go to the lowest index."""
+    among the level's (k^l, dim) ``centers``; ties go to the lowest index.
+
+    A node's rows are copied to float64 in blocks, through one buffer of at
+    most ``_BLOCK_ROWS`` rows that the call allocates once. A node with more
+    rows than that runs in blocks of exactly ``_BLOCK_ROWS``, the last one
+    overlapping the one before it rather than running short: BLAS may take
+    another kernel for a product of few rows, which rounds differently, and
+    blocks no shorter than the node or than ``_BLOCK_ROWS`` give every row
+    the distances one product over the whole node gives it.
+    """
     child = np.empty_like(flat)
     order, bounds = _by_node(flat, centers.shape[0] // k)
-    for pf in np.flatnonzero(np.diff(bounds)):
-        sel = order[bounds[pf] : bounds[pf + 1]]
-        d2 = _sq_dists(x[sel].astype(np.float64), centers[pf * k : (pf + 1) * k].astype(np.float64))
-        child[sel] = pf * k + np.argmin(d2, axis=1)
+    sizes = np.diff(bounds)
+    buf = np.empty((min(int(sizes.max(initial=0)), _BLOCK_ROWS), x.shape[1]), dtype=np.float64)
+    for pf in np.flatnonzero(sizes):
+        lo, hi = int(bounds[pf]), int(bounds[pf + 1])
+        rows = min(hi - lo, _BLOCK_ROWS)
+        c = centers[pf * k : (pf + 1) * k].astype(np.float64)
+        for start in range(lo, hi, rows):
+            start = min(start, hi - rows)  # the last block ends at the node's last row
+            sel = order[start : start + rows]
+            buf[:rows] = x[sel]
+            child[sel] = pf * k + np.argmin(_sq_dists(buf[:rows], c), axis=1)
     return child
 
 

@@ -29,7 +29,7 @@ from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import numcore as nc
-from .train import ByteTokenizer
+from .train import ByteTokenizer, _keep_freed_pages
 
 
 class EvalError(RuntimeError):
@@ -365,6 +365,7 @@ def fact_recall(
     """
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
+    _keep_freed_pages()  # same-shaped decode batches: each one reuses what the last one freed
     prompts = [fact_prompt(f) for f in facts]
     paths = None
     if mode == "fetched":

@@ -22,10 +22,11 @@ slots' gradients before running it, so an intermediate gradient is freed
 as soon as no remaining node needs it. Only leaves get a ``.grad``.
 
 Where arrays come from. Ops allocate their outputs and temporaries as numpy
-does, in training and inference alike, and then work in place on them. A
-training run sets the C allocator to keep freed heap pages (see
-``train._keep_freed_pages``), so each step reuses the memory the last one
-freed instead of faulting in fresh pages.
+does, in training and inference alike, and then work in place on them. The
+two loops that repeat same-shaped work, a training run's steps and
+``evals.fact_recall``'s decode batches, set the C allocator to keep freed
+heap pages (see ``train._keep_freed_pages``), so each step or batch reuses
+the memory the last one freed instead of faulting in fresh pages.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.

@@ -126,24 +126,27 @@ def parse_tier_spec(path) -> TierPlacement:
     """Read a placement from a key-value spec file.
 
     Sections [tier.<name>] define bandwidth/fixed_latency; [placement]
-    assigns level<N> = <tier name>. Any other key is an error.
+    assigns level<N> = <tier name>. Any other section or key is an error.
     """
     spec = fileio.read_ini(path, TierError)
     tiers: dict[str, Tier] = {}
     for sec, items in spec.items():
-        if sec.startswith("tier."):
-            name = sec[len("tier."):]
-            _check_keys(path, sec, items, ("bandwidth", "fixed_latency"))
-            try:
-                tiers[name] = Tier(
-                    name=name,
-                    bandwidth=float(items["bandwidth"]),
-                    fixed_latency=float(items["fixed_latency"]),
-                )
-            except KeyError as e:
-                raise TierError(f"tier spec {path}: section [{sec}]: no option {e}") from None
-            except ValueError as e:
-                raise TierError(f"tier spec {path}: section [{sec}]: {e}") from None
+        if sec == "placement":
+            continue
+        if not sec.startswith("tier."):
+            raise TierError(f"tier spec {path}: unknown section [{sec}]; expected [tier.<name>] or [placement]")
+        name = sec[len("tier."):]
+        _check_keys(path, sec, items, ("bandwidth", "fixed_latency"))
+        try:
+            tiers[name] = Tier(
+                name=name,
+                bandwidth=float(items["bandwidth"]),
+                fixed_latency=float(items["fixed_latency"]),
+            )
+        except KeyError as e:
+            raise TierError(f"tier spec {path}: section [{sec}]: no option {e}") from None
+        except ValueError as e:
+            raise TierError(f"tier spec {path}: section [{sec}]: {e}") from None
     if "placement" not in spec:
         raise TierError(f"tier spec {path}: missing [placement] section")
     pl = spec["placement"]

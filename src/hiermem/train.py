@@ -483,22 +483,25 @@ def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> P
 
 
 def _keep_freed_pages() -> bool:
-    """Make the C allocator keep the pages of freed step arrays for reuse.
+    """Make the C allocator keep the pages of freed arrays for reuse.
 
-    Every step allocates arrays of the same shapes. By default glibc maps an
-    array of 128 KiB or more on its own and unmaps it when it is freed, and
-    it gives the free top of its heap back to the system once that passes
-    its trim threshold; both thresholds rise on the fly, up to 32 MiB and
-    64 MiB. So a step faults in fresh zeroed pages for what the last step
-    freed. With every array under 32 MiB on the heap and the heap never
-    trimmed, freed step arrays stay on the heap for the next step and the
-    next run, in glibc's free lists, with no size classes to fill. Setting
-    either threshold switches off glibc's dynamic mmap threshold, so both
-    are set: one alone would leave the other at 128 KiB.
+    Two loops call it on entry, because each allocates the same shapes over
+    and over: ``train_run``, whose every step does, and
+    ``evals.fact_recall``, whose every decode batch does. By default glibc
+    maps an array of 128 KiB or more on its own and unmaps it when it is
+    freed, and it gives the free top of its heap back to the system once
+    that passes its trim threshold; both thresholds rise on the fly, up to
+    32 MiB and 64 MiB, but only as far as the largest mapped array freed so
+    far. So a step or batch faults in fresh zeroed pages for what the last
+    one freed. With every array under 32 MiB on the heap and the heap never
+    trimmed, freed arrays stay on the heap for the next step, batch or run,
+    in glibc's free lists, with no size classes to fill. Setting either
+    threshold switches off glibc's dynamic mmap threshold, so both are set:
+    one alone would leave the other at 128 KiB.
 
     The setting is process-wide and permanent: it holds for every later
     allocation in the process, and the heap does not shrink again. Where
-    the C library has no ``mallopt`` nothing is set, and training runs the
+    the C library has no ``mallopt`` nothing is set, and both loops run the
     same without the page reuse. Returns whether both settings took; the
     first one the library refuses ends the calls.
     """

@@ -123,6 +123,10 @@ BAD_INI = {
     "tier spec with no section header": ("tiers", "bandwidth = 1e9\n", 1, "no section headers"),
     "tier spec with % in a value": ("tiers", "[tier.ram]\nbandwidth = 1e9\nfixed_latency = 0\n"
                                     "[placement]\nlevel1 = ram\nlevel2 = %(x)s\n", 1, "unknown tier '%(x)s'"),
+    "tier spec with a misspelt tier section": ("tiers", "[tier.ram]\nbandwidth = 1e9\nfixed_latency = 0\n"
+                                               "[tier-ssd]\nbandwidth = 1e8\n"
+                                               "[placement]\nlevel1 = ram\nlevel2 = ram\n", 1,
+                                               "unknown section [tier-ssd]"),
     "tier spec that is not UTF-8": ("tiers", b"[tier.r\xffm]\n", 1, "can't decode byte 0xff"),
     "tier with a NaN bandwidth": ("tiers", "[tier.ram]\nbandwidth = nan\nfixed_latency = 0\n"
                                   "[placement]\nlevel1 = ram\nlevel2 = ram\n", 1, "bandwidth must be"),

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,62 @@ def test_tree_bytes_are_pinned(tmp_path):
     cl.save_tree(cl.train_tree(pts, cfg), p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "eef3f9866f3748be54523fe467a076ee4d954672223a1530be4a3f7311da5565")
+
+
+def mixture(n, dim, seed, centres=12, spread=0.8):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(centres, dim))
+    return (c[rng.integers(centres, size=n)] + rng.normal(0.0, spread, size=(n, dim))).astype(np.float32)
+
+
+def tree_and_paths(pts, cfg, path):
+    tree = cl.train_tree(pts, cfg)
+    cl.save_tree(tree, path)
+    return path.read_bytes(), cl.assign_batch(pts, tree)
+
+
+@pytest.mark.parametrize("block_rows", [2, 5, 7])
+def test_descent_block_size_changes_no_tree_or_path(tmp_path, monkeypatch, block_rows):
+    # 301 rows fill each node with one default block, and with many small
+    # blocks whose last one overlaps the one before it
+    pts = mixture(301, 8, seed=3)
+    cfg = cl.ClusterConfig(k=3, depth=2, em_steps=4, batch_per_step=60, balance_limit=0.5, seed=2)
+    want_bytes, want_paths = tree_and_paths(pts, cfg, tmp_path / "default.bin")
+    monkeypatch.setattr(cl, "_BLOCK_ROWS", block_rows)
+    got_bytes, got_paths = tree_and_paths(pts, cfg, tmp_path / "blocks.bin")
+    assert got_bytes == want_bytes
+    assert np.array_equal(got_paths, want_paths)
+
+
+def test_descent_digests_are_pinned(tmp_path):
+    """Pinned before the descent took rows in blocks: the root and a level-1
+    node hold more rows than one block, so their blocks must not change a byte."""
+    pts = mixture(3001, 48, seed=23)
+    cfg = cl.ClusterConfig(k=3, depth=2, em_steps=4, batch_per_step=400, balance_limit=0.5, seed=5)
+    tree_bytes, paths = tree_and_paths(pts, cfg, tmp_path / "tree.bin")
+    assert np.bincount(paths[:, 0]).max() > cl._BLOCK_ROWS
+    assert hashlib.sha256(tree_bytes).hexdigest() == (
+        "b2fbe2f094780a7339aa8370c90c85e4b31729784a27e53899020b03d7540215")
+    assert hashlib.sha256(paths.astype(np.int64).tobytes()).hexdigest() == (
+        "7dba4e535efb4470fa6e6c70c4f29b4cccf66d8918a4443fd098dfe66705b98a")
+
+
+def test_descent_memory_stays_a_few_blocks():
+    """``assign_batch`` holds the unit rows ``normalize_rows`` makes (their
+    squares come and go before them) plus a few float64 blocks: about 1.2x
+    the input's bytes, where float64 copies of a whole node reach 5x."""
+    rng = np.random.default_rng(4)
+    tree = cl.train_tree(rng.normal(size=(200, 384)).astype(np.float32),
+                         cl.ClusterConfig(k=4, depth=2, em_steps=2, batch_per_step=100, balance_limit=0.5))
+    x = rng.standard_normal((20_000, 384), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        paths = cl.assign_batch(x, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.shape == (20_000, 2)
+    assert peak < 2.5 * x.nbytes, peak / x.nbytes
 
 
 def test_config_bounds():

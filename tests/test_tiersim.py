@@ -123,6 +123,11 @@ def test_parse_tier_spec_errors(tmp_path):
     bad.write_text("[tier.ram]\nbandwidth = 12e9\nfixed_latncy = 0\n[placement]\nlevel1 = ram\n")
     with pytest.raises(ts.TierError, match="fixed_latncy"):
         ts.parse_tier_spec(bad)
+    # so is a section that is neither a tier nor the placement, even one no level uses
+    bad.write_text("[tier.ram]\nbandwidth = 12e9\nfixed_latency = 0\n[tier-ssd]\nbandwidth = 1e9\n"
+                   "[placement]\nlevel1 = ram\nlevel2 = ram\n")
+    with pytest.raises(ts.TierError, match=r"unknown section \[tier-ssd\]"):
+        ts.parse_tier_spec(bad)
 
 
 def test_validation_errors():

@@ -25,6 +25,15 @@ def test_tree_scale_reports_a_digest_or_the_error():
 
 def test_train_faults_reports_each_round():
     code, out = tool("train_faults.py", 2)
-    assert code == 0 and (out["rounds"], out["seed"]) == (2, 1)
+    assert code == 0 and (out["workload"], out["rounds"], out["seed"]) == ("train", 2, 1)
     assert len(out["minflt"]) == len(out["round_s"]) == 2 and out["failed"] == [0, 0]
     assert all(n >= 0 for n in out["minflt"]) and all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0
+
+
+def test_train_faults_reports_recall_rounds():
+    code, out = tool("train_faults.py", 3, "--workload", "recall")
+    assert code == 0 and (out["workload"], out["rounds"], out["seed"]) == ("recall", 3, 1)
+    assert len(out["minflt"]) == len(out["round_s"]) == 3 and out["failed"] == [0, 0, 0]
+    assert all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0
+    # a recall round frees what the next one allocates: later rounds keep the pages
+    assert max(out["minflt"][1:]) < 1000, out["minflt"]

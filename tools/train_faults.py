@@ -1,16 +1,18 @@
-"""Count the page faults of repeated benchmark ``train`` rounds in one process.
+"""Count the page faults of repeated benchmark rounds in one process.
 
-    python3 tools/train_faults.py R
+    python3 tools/train_faults.py R [--workload train|recall]
 
-Sets up the benchmark's ``train`` workload from ``hmbench/workloads.py``
-(default ``Sizes()``, seed 1, a temporary work directory) and runs R of its
-rounds one after another in this process. Prints one JSON line: for each
-round its minor page faults (the ``ru_minflt`` delta over the round), its
-wall time inside hiermem and its failed operations, then the process's
-peak resident set (``ru_maxrss``). Rounds after the first show whether a
-training run's freed arrays are reused or faulted in again. A round with a
-failed operation gives exit status 1. It imports ``hiermem`` from the
-``src/`` beside it and gives OpenBLAS one thread, as the benchmark does.
+Sets up the benchmark's ``train`` or ``recall`` workload (default ``train``)
+from ``hmbench/workloads.py`` (default ``Sizes()``, seed 1, a temporary work
+directory) and runs R of its rounds one after another in this process.
+Prints one JSON line: the workload, then for each round its minor page
+faults (the ``ru_minflt`` delta over the round), its wall time inside
+hiermem and its failed operations, then the process's peak resident set
+(``ru_maxrss``). Rounds after the first show whether the arrays a round
+frees (a training run's step arrays, a recall's decode batches) are reused
+or faulted in again. A round with a failed operation gives exit status 1.
+It imports ``hiermem`` from the ``src/`` beside it and gives OpenBLAS one
+thread, as the benchmark does.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from hmbench.workloads import Sizes, Train  # noqa: E402
+from hmbench.workloads import WORKLOADS, Sizes  # noqa: E402
 
 SEED = 1
 
@@ -38,11 +40,13 @@ def minflt() -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("rounds", type=int, help="train rounds to run")
+    ap.add_argument("rounds", type=int, help="rounds to run")
+    ap.add_argument("--workload", choices=("train", "recall"), default="train", help="benchmark workload")
     args = ap.parse_args()
-    out = {"rounds": args.rounds, "seed": SEED, "minflt": [], "round_s": [], "failed": []}
+    out = {"workload": args.workload, "rounds": args.rounds, "seed": SEED, "minflt": [], "round_s": [],
+           "failed": []}
     with tempfile.TemporaryDirectory() as workdir:
-        workload = Train(Sizes(), SEED, Path(workdir))
+        workload = WORKLOADS[args.workload](Sizes(), SEED, Path(workdir))
         for _ in range(args.rounds):
             before = minflt()
             r = workload.round()

@@ -135,8 +135,7 @@ def cmd_train(args) -> int:
             )
         bank = mb.init_bank(rc.memory, **model.cfg.bank_dims, k=tree.k, seed=rc.seed)
 
-    vecs = em.embed_batch(docs, tree.embedder)
-    paths = [tuple(p) for p in cl.assign_batch(vecs, tree)]
+    paths = [tuple(p) for p in ev.route_texts(docs, tree, tree.embedder)]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], paths, rc.train.seq_len, tok,
                           tree.k, seed=rc.seed)
 
@@ -179,6 +178,10 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
+    if args.queries < 0:
+        raise hc.ConfigError(f"--queries must be >= 0, got {args.queries}")
+    if not args.zipf >= 0:  # also refuses nan
+        raise hc.ConfigError(f"--zipf must be >= 0, got {args.zipf}")
     out = _outdir(rc)
     placement = ts.parse_tier_spec(args.tierspec)
     acc = mb.bank_accounting(rc.memory, **rc.anchor.bank_dims, k=rc.cluster.k)

@@ -239,6 +239,7 @@ def load_facts(path) -> list[Fact]:
 
     A file that is not such a list, an empty list, a row missing a field or
     holding an unknown one, or a field of the wrong type is an ``EvalError``.
+    A ``home_leaf`` is absent, null, or a non-empty list of ints >= 1.
     """
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -251,14 +252,17 @@ def load_facts(path) -> list[Fact]:
     out = []
     for i, r in enumerate(rows):
         try:
-            hl = r.pop("home_leaf", None)
-            fact = Fact(**r, home_leaf=tuple(hl) if hl else None)
-        except (AttributeError, TypeError) as e:  # not an object, missing or unknown field
+            fact = Fact(**r)
+        except TypeError as e:  # not an object, missing or unknown field
             raise EvalError(f"{path}: fact {i} is not a fact row ({e})") from None
         for name, typ in _FACT_FIELD_TYPES.items():
             v = getattr(fact, name)
             if not isinstance(v, typ) or isinstance(v, bool):
                 raise EvalError(f"{path}: fact {i} has {name} {v!r}, not {typ.__name__}")
+        hl = fact.home_leaf
+        if hl is not None and not (isinstance(hl, list) and hl and all(type(c) is int and c >= 1 for c in hl)):
+            raise EvalError(f"{path}: fact {i} has home_leaf {hl!r}, not a non-empty list of ints >= 1")
+        fact.home_leaf = None if hl is None else tuple(hl)
         out.append(fact)
     return out
 
@@ -369,6 +373,13 @@ def fact_recall(
     prompts = [fact_prompt(f) for f in facts]
     paths = None
     if mode == "fetched":
+        if tree is None:
+            raise EvalError("fetched-mode recall needs a cluster tree")
+        # a home leaf off the tree could never count as routed right
+        for f in facts:
+            if f.home_leaf is not None and (len(f.home_leaf) != tree.depth or max(f.home_leaf) > tree.k):
+                raise EvalError(f"fact {f.entity} ({f.name}) has home leaf {f.home_leaf}, "
+                                f"not a leaf of the k={tree.k}, depth-{tree.depth} tree")
         # a tree that records its embedder routes only with that one
         if tree.embedder is not None and ecfg != tree.embedder:
             raise EvalError(f"the tree was built with embedder {tree.embedder} but routing was asked with {ecfg}")

@@ -2,7 +2,10 @@
 
 One memory block exists per cluster tree node. A block at level l is a
 flat float32 vector of s_l parameters whose layout is a fixed sequence of
-per-layer slots (weight matrices for the chosen memory type). ``fetch``
+per-layer slots (weight matrices for the chosen memory type).
+``block_layout`` alone owns the slot order and the placement: the placed
+layers in order, each with the type's slots. ``init_bank``,
+``bank_accounting`` and ``model.AttachedMemories`` all read it. ``fetch``
 takes a batch of 0-based leaf ids and gathers, per level, one row per
 sequence: the block of the leaf's ancestor at that level. A single
 "generic" block of size sum(s_l) rides along for out-of-distribution use
@@ -80,26 +83,6 @@ class MemoryConfig:
         return len(self.rs)
 
 
-def layer_subset(placement: str, num_layers: int) -> list[int]:
-    """1-based layers a non-uniform placement covers.
-
-    The subset size scales with depth as ceil(num_layers * 10 / 35): early
-    takes the first chunk, late the last, mid a centered chunk starting at
-    floor((num_layers - m) / 2) + 1.
-    """
-    if placement == "uniform":
-        return list(range(1, num_layers + 1))
-    m = min(num_layers, math.ceil(num_layers * 10 / 35))
-    if placement == "early":
-        return list(range(1, m + 1))
-    if placement == "late":
-        return list(range(num_layers - m + 1, num_layers + 1))
-    if placement == "mid":
-        start = (num_layers - m) // 2 + 1
-        return list(range(start, start + m))
-    raise ValueError(f"unknown placement {placement!r}")
-
-
 @dataclass(frozen=True)
 class Slot:
     layer: int          # 1-based layer the slot attaches to
@@ -112,44 +95,55 @@ class Slot:
         return int(np.prod(self.shape))
 
 
-def level_slots(mem_type: str, r: int, dim: int, heads: int, head_dim: int, ffn_dim: int, layers: list[int]) -> list[Slot]:
-    """Flat slot layout of one block; concatenation order is the layout."""
+def _placed_layers(placement: str, num_layers: int) -> range:
+    """1-based layers a placement covers: a run of m layers from ``start``.
+
+    Uniform takes every layer. The others take m = ceil(num_layers * 10 / 35)
+    layers: early the first ones, late the last ones, mid a centered run
+    starting at floor((num_layers - m) / 2) + 1.
+    """
+    m = num_layers if placement == "uniform" else math.ceil(num_layers * 10 / 35)
+    start = {"mid": (num_layers - m) // 2 + 1, "late": num_layers - m + 1}.get(placement, 1)
+    return range(start, start + m)
+
+
+def block_layout(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_dim: int, num_layers: int) -> list[list[Slot]]:
+    """Each level's slots in block order; their concatenation is the block's flat layout.
+
+    A level's block holds, for each placed layer in order, the memory
+    type's slots at the level's width; a width-0 level has none.
+    """
     H = heads * head_dim
     # each LoRA site's (input, output) width
     widths = {"q": (dim, H), "k": (dim, H), "v": (dim, H), "o": (H, dim),
               "f1": (dim, ffn_dim), "f2": (dim, ffn_dim), "f3": (ffn_dim, dim)}
-    if mem_type not in MEMORY_TYPES:
-        raise ValueError(f"unknown memory type {mem_type!r}")
-    if r == 0:
-        return []  # a width-0 level holds no memories
-    out: list[Slot] = []
-    for li in layers:
-        if mem_type == "ffn":
-            out += [
+
+    def layer_slots(li: int, r: int) -> list[Slot]:
+        if cfg.mem_type == "ffn":
+            return [
                 Slot(li, "m1", (dim, r), "tn"),
                 Slot(li, "m2", (dim, r), "tn"),
                 Slot(li, "m3", (r, dim), "zero"),
             ]
-        elif mem_type in LORA_SITES:
-            for site in LORA_SITES[mem_type]:
-                d_in, d_out = widths[site]
-                out += [Slot(li, site + "a", (d_in, r), "kaiming"), Slot(li, site + "b", (r, d_out), "zero")]
-        else:
-            out += [
+        if cfg.mem_type == "kv":
+            return [
                 Slot(li, "mk", (r, H), "tn"),
                 Slot(li, "mv", (r, H), "zero"),
             ]
-    return out
+        out = []
+        for site in LORA_SITES[cfg.mem_type]:
+            d_in, d_out = widths[site]
+            out += [Slot(li, site + "a", (d_in, r), "kaiming"), Slot(li, site + "b", (r, d_out), "zero")]
+        return out
+
+    layers = _placed_layers(cfg.placement, num_layers)
+    return [[s for li in layers for s in layer_slots(li, r)] if r else [] for r in cfg.rs]
 
 
 def bank_accounting(cfg: MemoryConfig, dim: int, heads: int, head_dim: int, ffn_dim: int, num_layers: int, k: int) -> dict:
     """Fetch/bank parameter totals plus the per-level block sizes."""
-    layers = layer_subset(cfg.placement, num_layers)
-
-    def size(r: int) -> int:
-        return sum(s.size for s in level_slots(cfg.mem_type, r, dim, heads, head_dim, ffn_dim, layers))
-
-    sizes = [size(r) for r in cfg.rs]
+    layout = block_layout(cfg, dim, heads, head_dim, ffn_dim, num_layers)
+    sizes = [sum(s.size for s in slots) for slots in layout]
     fetch = int(sum(sizes))
     bank = int(sum(s * k ** (l + 1) for l, s in enumerate(sizes)))
     return {
@@ -237,23 +231,18 @@ def init_bank(cfg: MemoryConfig, *, dim: int, heads: int, head_dim: int, ffn_dim
     """
     if not any(cfg.rs):
         raise BankError(f"bank with multipliers {cfg.rs} would hold no parameters")
-    layers = layer_subset(cfg.placement, num_layers)
     rng = np.random.default_rng([seed, 0xB4_4E])
     levels = []
     generic = []
-    for l, r in enumerate(cfg.rs, start=1):
-        slots = level_slots(cfg.mem_type, r, dim, heads, head_dim, ffn_dim, layers)
+    for l, slots in enumerate(block_layout(cfg, dim, heads, head_dim, ffn_dim, num_layers), start=1):
         s_l = sum(s.size for s in slots)
         n_blocks = k ** l
-        arr = np.empty((n_blocks, s_l), dtype=np.float32)
-        gen = np.empty(s_l, dtype=np.float32)
+        arr = np.zeros((n_blocks, s_l), dtype=np.float32)  # "zero" slots stay so
+        gen = np.zeros(s_l, dtype=np.float32)
         off = 0
         for s in slots:
             block_cols = slice(off, off + s.size)
-            if s.init == "zero":
-                arr[:, block_cols] = 0.0
-                gen[block_cols] = 0.0
-            elif s.init == "tn":
+            if s.init == "tn":
                 arr[:, block_cols] = _trunc_normal(rng, (n_blocks, s.size)).astype(np.float32)
                 gen[block_cols] = _trunc_normal(rng, (s.size,)).astype(np.float32)
             elif s.init == "kaiming":

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fileio
 from . import numcore as nc
-from .membank import LORA_ALPHA, MemoryConfig, _trunc_normal, level_slots, layer_subset
+from .membank import LORA_ALPHA, MemoryConfig, _trunc_normal, block_layout
 
 MODEL_MAGIC = "HMMODEL"
 
@@ -133,23 +133,18 @@ def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> Transforme
 class AttachedMemories:
     """Per-sequence memory weights organized for the forward pass.
 
-    Built from one (B, s_l) tensor per level, and holding only each
-    layer's slots, level by level: a slot's shape carries its width, and
-    a width-0 level has no slots. Splitting/reshaping happens through
-    tape ops so gradients flow back to those row tensors, which the
-    trainer then scatters into bank blocks.
+    Built from one (B, s_l) tensor per level, split into the slots of
+    ``membank.block_layout``: a layer holds one dict of slot tensors per
+    level with slots there, so a width-0 level or an unplaced layer adds
+    none. Splitting/reshaping happens through tape ops so gradients flow
+    back to those row tensors, which the trainer then scatters into bank blocks.
     """
 
     def __init__(self, mem_cfg: MemoryConfig, anchor: AnchorConfig, level_rows: list[nc.Tensor]):
         if len(level_rows) != mem_cfg.depth:
             raise ModelError(f"expected {mem_cfg.depth} level tensors, got {len(level_rows)}")
-        layers = layer_subset(mem_cfg.placement, anchor.num_layers)
-        self._by_layer: dict[int, list[dict[str, nc.Tensor]]] = {li: [] for li in layers}
-        for lv, rows in enumerate(level_rows):
-            slots = level_slots(
-                mem_cfg.mem_type, mem_cfg.rs[lv], anchor.dim, anchor.num_heads,
-                anchor.head_dim, anchor.ffn_dim, layers,
-            )
+        self._by_layer: dict[int, list[dict[str, nc.Tensor]]] = {}
+        for lv, (rows, slots) in enumerate(zip(level_rows, block_layout(mem_cfg, **anchor.bank_dims))):
             total = sum(s.size for s in slots)
             if rows.data.ndim != 2 or rows.data.shape[1] != total:
                 raise ModelError(
@@ -157,11 +152,11 @@ class AttachedMemories:
                 )
             B = rows.data.shape[0]
             pieces = nc.split(rows, [s.size for s in slots], axis=1)
-            per_layer: dict[int, dict[str, nc.Tensor]] = {li: {} for li in layers}
+            per_layer: dict[int, dict[str, nc.Tensor]] = {}
             for slot, piece in zip(slots, pieces):
-                per_layer[slot.layer][slot.name] = nc.reshape(piece, (B,) + slot.shape)
-            for li in layers:
-                self._by_layer[li].append(per_layer[li])
+                per_layer.setdefault(slot.layer, {})[slot.name] = nc.reshape(piece, (B,) + slot.shape)
+            for li, sl in per_layer.items():
+                self._by_layer.setdefault(li, []).append(sl)
 
     def at_layer(self, layer_1based: int) -> list[dict[str, nc.Tensor]]:
         return self._by_layer.get(layer_1based, [])

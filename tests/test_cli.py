@@ -295,6 +295,8 @@ def test_artifact_of_another_dtype_exits_1(trained, tmp_path, capsys):
     ([{"entity": 1, "name": "a", "topic": 0, "attribute": "b", "value": "7", "mentions": 1}],
      "value"),
     ([], "no facts"),
+    *(([{"entity": 1, "name": "a", "topic": 0, "attribute": "b", "value": 7, "mentions": 1, "home_leaf": hl}],
+       "fact 0 has home_leaf") for hl in ("12", [1.5, "x", 9, 9, 9], 0, [], [0, 1], [True, 1], {"1": 2})),
 ])
 def test_malformed_fact_table_exits_1(trained, tmp_path, capsys, table, named):
     facts = tmp_path / "facts.json"
@@ -634,6 +636,17 @@ def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):
     assert cli.main(["simulate", str(one), "--config", trained["ini"],
                      "--out", str(out)]) == 2
     assert "tier spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--queries", "-1"), ("--zipf", "nan"), ("--zipf", "-0.5")])
+def test_simulate_refuses_bad_queries_and_zipf(ws, tmp_path, capsys, monkeypatch, flag, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("queries were sampled before the flags were checked")
+
+    monkeypatch.setattr(cli.ts, "sample_zipf_paths", no_sampling)
+    assert cli.main(["simulate", str(ws / "tiers.ini"), flag, value, "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err, err
 
 
 def test_simulate_runs_on_the_default_config(ws, tmp_path):

@@ -111,11 +111,13 @@ def test_fact_io_roundtrip(tmp_path, corpus):
     _, facts = corpus
     facts = [ev.Fact(**{**f.__dict__}) for f in facts]
     facts[0].home_leaf = (2, 1)
+    rows = [asdict(f) for f in facts]
+    del rows[2]["home_leaf"]  # an absent home leaf reads as None, as null does
     p = tmp_path / "facts.json"
-    p.write_text(json.dumps([asdict(f) for f in facts]))
+    p.write_text(json.dumps(rows))
     back = ev.load_facts(p)
     assert back == facts
-    assert back[0].home_leaf == (2, 1) and back[1].home_leaf is None
+    assert back[0].home_leaf == (2, 1) and back[1].home_leaf is None and back[2].home_leaf is None
 
 
 # --- prompts and parsing ---
@@ -159,6 +161,17 @@ def test_fact_recall_report_structure(setup):
         f.home_leaf = tuple(t["routed"])
     rep2 = ev.fact_recall(model, bank, tree, ECFG, tok, homed, mode="fetched")
     assert rep2.routing_accuracy == 1.0
+
+
+def test_fact_recall_refuses_a_home_leaf_off_the_tree(setup):
+    _, facts, tree, model, bank, tok = setup
+    for home in ((1, 2, 1), (3, 1), (1,)):
+        homed = [ev.Fact(**{**f.__dict__}) for f in facts]
+        homed[-1].home_leaf = home
+        with pytest.raises(ev.EvalError, match="home leaf"):
+            ev.fact_recall(model, bank, tree, ECFG, tok, homed, mode="fetched")
+    with pytest.raises(ev.EvalError, match="needs a cluster tree"):
+        ev.fact_recall(model, bank, None, ECFG, tok, facts, mode="fetched")
 
 
 def test_fact_recall_generic_mode_on_kv_memories(setup):

@@ -43,14 +43,18 @@ def test_accounting_fetch_and_bank_totals():
     assert acc["generic_params"] == acc["fetch_params"]
 
 
+def _placed(placement, num_layers):
+    """The layers ``block_layout`` gives slots, in block order."""
+    cfg = mb.MemoryConfig(rs=(1,), placement=placement)
+    slots = mb.block_layout(cfg, **dict(DIMS, num_layers=num_layers))[0]
+    return list(dict.fromkeys(s.layer for s in slots))
+
+
 def test_placement_subsets():
-    assert mb.layer_subset("uniform", 4) == [1, 2, 3, 4]
-    for name in ("early", "mid", "late"):
-        layers = mb.layer_subset(name, 8)
-        assert layers == sorted(layers)
-        assert len(set(layers)) == len(layers)
-        assert all(1 <= l <= 8 for l in layers)
-    assert max(mb.layer_subset("early", 8)) < min(mb.layer_subset("late", 8))
+    assert _placed("uniform", 4) == [1, 2, 3, 4]
+    # ceil(8 * 10 / 35) = 3 layers each; mid starts at (8 - 3) // 2 + 1
+    assert (_placed("early", 8), _placed("mid", 8), _placed("late", 8)) == ([1, 2, 3], [3, 4, 5], [6, 7, 8])
+    assert _placed("mid", 1) == _placed("late", 1) == [1]
 
 
 def test_bank_shapes_and_block_lookup():

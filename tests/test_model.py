@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import membank as mb
 from hiermem import model as mdl
@@ -200,3 +204,36 @@ def test_causal_mask_with_past_positions():
     assert m.shape == (1, 1, 2, 5)
     assert np.array_equal(np.isfinite(m[0, 0]), [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])
     assert np.array_equal(mdl.causal_mask(4, past=0), mdl.causal_mask(4))
+
+
+# the layers each placement covers on 4 layers: ceil(4 * 10 / 35) = 2 of them
+PLACED_ON_4 = {"uniform": [1, 2, 3, 4], "early": [1, 2], "mid": [2, 3], "late": [3, 4]}
+SLOT_NAMES = {"ffn": {"m1", "m2", "m3"}, "kv": {"mk", "mv"}, "lora_qk": {"qa", "qb", "ka", "kb"},
+              "lora_ov": {"va", "vb", "oa", "ob"}, "lora_ffn": {"f1a", "f1b", "f2a", "f2b", "f3a", "f3b"}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mem_type=st.sampled_from(mb.MEMORY_TYPES), placement=st.sampled_from(mb.PLACEMENTS),
+       rs=st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any))
+def test_init_accounting_and_attach_share_one_block_layout(mem_type, placement, rs):
+    acfg = replace(TOY, num_layers=4)
+    cfg = mb.MemoryConfig(mem_type=mem_type, rs=tuple(rs), placement=placement)
+    bank = mb.init_bank(cfg, **acfg.bank_dims, k=2, seed=0)
+    sizes = mb.bank_accounting(cfg, **acfg.bank_dims, k=2)["level_sizes"]
+    assert sizes == [a.shape[1] for a in bank.levels] == [g.shape[0] for g in bank.generic]
+    rows = [nc.Tensor(np.zeros((3, s), np.float32)) for s in sizes]
+    mems = mdl.AttachedMemories(cfg, acfg, rows)
+    for lv, s in enumerate(sizes):
+        wide = rows[:lv] + [nc.Tensor(np.zeros((3, s + 1), np.float32))] + rows[lv + 1:]
+        with pytest.raises(mdl.ModelError, match=f"level {lv + 1} rows"):
+            mdl.AttachedMemories(cfg, acfg, wide)
+    widths = [r for r in rs if r]
+    for li in range(6):
+        got = mems.at_layer(li)
+        if li not in PLACED_ON_4[placement]:
+            assert got == []
+            continue
+        assert len(got) == len(widths)
+        for sl, r in zip(got, widths):
+            assert set(sl) == SLOT_NAMES[mem_type]
+            assert all(t.data.shape[0] == 3 and r in t.data.shape[1:] for t in sl.values())

@@ -312,7 +312,8 @@ def test_nonfinite_loss_aborts_step():
     before_gen = [g.copy() for g in bank.generic]
     before_model = model_digest(model)
     batch = tr.build_batch(seqs[:4])
-    metrics = tr.train_step(model, bank, batch, state, cfg)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        metrics = tr.train_step(model, bank, batch, state, cfg)
     assert not np.isfinite(metrics["loss"])
     assert state.aborted == 1 and state.step == 1
     assert model_digest(model) == before_model
@@ -600,7 +601,8 @@ def test_metrics_csv_and_checkpoint_files(tmp_path):
     assert all(np.isfinite(float(line.split(",")[norm])) for line in lines[1:])
     # an aborted step computes no gradient: its grad_norm cell is empty
     bank.levels[0][:] = np.inf
-    tr.train_step(model, bank, tr.build_batch(seqs[:4]), state, cfg)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        tr.train_step(model, bank, tr.build_batch(seqs[:4]), state, cfg)
     assert state.aborted == 1
     ckpt = tr.save_checkpoint(tmp_path, "aborted", model, bank, state)
     last = (ckpt / "metrics.csv").read_text().splitlines()[-1].split(",")

@@ -18,14 +18,27 @@ model it trains. A tree that records no embedder, a bank that does not
 fit the tree or the model, or a --bank under [train] regime = scratch is
 refused.
 Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
+
+BLAS threads: the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+unless it is set already, in which case the user's value is kept.
+`train` runs each step's batch as row shards on two threads of its own
+(see `train.train_step`), and OpenBLAS threads under each shard compete
+with them for the CPUs. On a 2-vCPU host, benchmark `train` rounds with
+two BLAS threads ran 7084-8367 positions/s sharded and 7561-8656
+unsharded; with one BLAS thread, sharded rounds run about 14000. A
+program that imports hiermem instead of running the CLI chooses its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

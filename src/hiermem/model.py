@@ -112,10 +112,6 @@ class TransformerModel:
     def named_params(self) -> list[tuple[str, nc.Tensor]]:
         return list(self.params.items())
 
-    def set_trainable(self, trainable: bool) -> None:
-        for t in self.params.values():
-            t.requires_grad = trainable
-
 
 def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> TransformerModel:
     rng = np.random.default_rng([seed, 0x40DE1])

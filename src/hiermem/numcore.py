@@ -6,6 +6,13 @@ The op set is exactly what a decoder-only transformer with attachable
 memories needs — nothing more. With no tape active, ops are plain forward
 computations (inference mode).
 
+One tape per thread. The active tape is kept per thread: a tape entered in
+one thread records only the ops that thread runs, and each thread may have
+one active tape of its own. So independent row shards of one batch can run
+their forward and backward at the same time on separate threads, each on
+its own tape and its own leaves (``train.train_step`` does). Ops share no
+other state, and numpy leaves the GIL during its larger array kernels.
+
 What a tape node keeps. A recorded op gives each output a gradient slot.
 Its node holds the output slots, one gradient target per input (a leaf,
 ``requires_grad=True``, is its own target; any other input's target is its
@@ -35,6 +42,7 @@ is how gradients are verified against central finite differences.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -94,26 +102,33 @@ class _Node:
         self.bwd = bwd
 
 
-_ACTIVE: Tape | None = None
+class _ActiveTape(threading.local):
+    """The tape each thread records onto, if any. A thread that never
+    entered a tape reads the class default: an attribute it never set
+    would cost every op a failed lookup, about 1 µs."""
+
+    tape: Tape | None = None
+
+
+_ACTIVE = _ActiveTape()
 
 
 class Tape:
-    """Explicit recording context; at most one is active at a time."""
+    """Explicit recording context; at most one is active per thread, and it
+    records only what its own thread runs."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self.consumed = False
 
     def __enter__(self):
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if _ACTIVE.tape is not None:
             raise RuntimeError("a tape is already active; tapes do not nest")
-        _ACTIVE = self
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE
-        _ACTIVE = None
+        _ACTIVE.tape = None
         return False
 
 
@@ -123,7 +138,8 @@ def _tracked(t: Tensor) -> bool:
 
 
 def _record(out, inputs: list[Tensor], bwd):
-    if _ACTIVE is None:
+    tape = _ACTIVE.tape
+    if tape is None:
         return out
     targets = [t if t.requires_grad else t._slot for t in inputs]
     if any(x is not None for x in targets):
@@ -131,7 +147,7 @@ def _record(out, inputs: list[Tensor], bwd):
         slots = tuple(_Slot() for _ in outs)
         for t, s in zip(outs, slots):
             t._slot = s
-        _ACTIVE.nodes.append(_Node(slots if isinstance(out, tuple) else slots[0], targets, bwd))
+        tape.nodes.append(_Node(slots if isinstance(out, tuple) else slots[0], targets, bwd))
     return out
 
 
@@ -508,13 +524,17 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray, denom=None) -> Tensor:
     """Mean negative log-likelihood over the vocabulary (last axis).
 
     ``targets`` holds class ids shaped like logits minus the last axis;
     ``weight`` (same shape as targets, 0/1 or soft) selects and weights
-    positions. Returns a scalar; the pointwise NLL array is stashed on the
-    result as ``_pointwise`` for metric reporting (not differentiable).
+    positions. Returns a scalar: the weighted NLL sum over ``denom``, by
+    default the sum of ``weight``. A row shard of a batch passes the whole
+    batch's weight sum, so its loss is its share of the batch mean and its
+    gradient is bit-equal to the unsharded one; such a shard may hold only
+    padding. The pointwise NLL array is stashed on the result as
+    ``_pointwise`` for metric reporting (not differentiable).
     """
     lshape = logits.data.shape
     V = lshape[-1]
@@ -532,9 +552,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray) -> Te
     lse = np.log(np.exp(z).sum(axis=-1))
     rows = np.arange(flat.shape[0])
     nll = lse - z[rows, t]
-    denom = w.sum()
-    if denom <= 0:
-        raise ShapeError("cross_entropy: weight mask selects no positions")
+    if denom is None:
+        denom = w.sum()
+        if denom <= 0:
+            raise ShapeError("cross_entropy: weight mask selects no positions")
+    elif not (math.isfinite(denom) and denom > 0):
+        raise ShapeError(f"cross_entropy: denominator must be finite and > 0, got {denom}")
     out = Tensor(np.asarray((nll * w).sum() / denom, dtype=flat.dtype))
     out._pointwise = nll  # type: ignore[attr-defined]
 

@@ -112,7 +112,18 @@ def session_latency(level_params: list[int], placement: TierPlacement, queries: 
 
 
 def sample_zipf_paths(n: int, k: int, depth: int, exponent: float, seed: int = 0) -> list[tuple]:
-    """Zipf-distributed leaf visits (shared popularity ranks over leaves)."""
+    """Zipf-distributed leaf visits (shared popularity ranks over leaves).
+
+    ``n`` >= 0 visits to the leaves of a tree with ``k`` >= 1 children per
+    node and ``depth`` >= 1 levels; ``exponent`` is finite and >= 0 (0 visits
+    every leaf alike). Anything else is a ``TierError``.
+    """
+    if n < 0:
+        raise TierError(f"n must be >= 0, got {n}")
+    if k < 1 or depth < 1:
+        raise TierError(f"k and depth must be >= 1, got k={k}, depth={depth}")
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise TierError(f"exponent must be finite and >= 0, got {exponent}")
     rng = np.random.default_rng(seed)
     leaves = k ** depth
     ranks = rng.permutation(leaves)

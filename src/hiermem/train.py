@@ -21,14 +21,40 @@ its state, each with its block's own count, so blocks that were never
 fetched are never read or written. ``m`` and ``v`` start on fresh
 anonymous pages, which take memory only once a row on them is written: the
 state of a level costs what its trained blocks need, not twice the level.
+
+Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous row
+shards, or as one when the batch has one row. Every op of the step works
+per row (shared-weight GEMMs, per-sequence memory products, attention per
+row and head), so the shards are independent until their gradients meet.
+Each shard runs the forward and the cross-entropy on its own tape, with the
+whole batch's weight sum as the denominator. The calling thread runs the
+last shard and a helper pool of ``STEP_SHARDS - 1`` threads, made once,
+the others; only a finite loss starts the backward, on the same
+threads. Level-row gradients are concatenated in row order. Where the
+anchor trains, each shard has its own gradient leaves over the anchor's
+arrays, and their gradients are summed in shard order. Scatter, clip and
+AdamW then run once, as for one shard. The step's loss is summed over the
+pointwise NLL of every row in row order, as one tape sums it.
+
+What a run's bytes depend on. ``STEP_SHARDS`` is a constant and not the CPU
+count, and a shard computes the same whichever thread runs it, so the bytes
+are the same on any number of CPUs. They do depend on the shard count:
+a shared GEMM over fewer rows can round a row differently where BLAS picks
+its small-matrix kernels (the tests' toy shapes, 62 rows per shard), and
+weight gradients of a training anchor are summed per shard. At the
+benchmark's shapes, 1016 rows or more in every shared GEMM and a frozen
+anchor, OpenBLAS rounds each row alike whatever the row count, and the
+trained bytes equal those of an unsharded step.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import mmap
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -45,6 +71,9 @@ STATE_MAGIC = "HMSTATE"
 # AdamW and clipping constants, the same for every run; anchor gains get no weight decay
 BETA1, BETA2, ADAM_EPS, GRAD_CLIP = 0.9, 0.95, 1e-8, 1.0
 ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; memory and generic blocks
+
+# row shards per train step; fixed, so a step's bytes never depend on the CPU count
+STEP_SHARDS = 2
 
 # grad_norm is the pre-clip global norm; NaN (an empty CSV cell) on an aborted step
 METRIC_COLUMNS = ("step", "lr", "loss", "loss_fetched", "loss_generic", "tokens_seen", "grad_norm")
@@ -262,15 +291,62 @@ def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: in
     p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + wd * p)
 
 
-def _step_loss(model: mdl.TransformerModel, bank: mb.MemoryBank | None, batch: dict,
-               level_tensors: list[nc.Tensor]) -> nc.Tensor:
-    """The step's loss on the active tape. The logits and the attached
-    memories go out of scope here, so backward does not keep them."""
-    mems = None
-    if bank is not None:
-        mems = mdl.AttachedMemories(bank.cfg, model.cfg, level_tensors)
-    logits = mdl.forward(model, batch["inputs"], doc_mask=batch["mask"], mems=mems)
-    return nc.cross_entropy(logits, batch["targets"], batch["weights"])
+class _Shard:
+    """One contiguous row range of a step's batch, on its own tape, with its
+    own leaves over the fetched level rows and, when the anchor trains, over
+    the anchor's arrays (a frozen anchor pays for no weight gradients)."""
+
+    def __init__(self, model: mdl.TransformerModel, rows: slice, level_rows: list[np.ndarray],
+                 train_anchor: bool):
+        self.rows = rows
+        params = {name: nc.Tensor(p.data, requires_grad=train_anchor) for name, p in model.params.items()}
+        self.model = mdl.TransformerModel(model.cfg, params, dtype=model.dtype)
+        self.levels = [nc.Tensor(r[rows].astype(model.dtype, copy=False), requires_grad=True)
+                       for r in level_rows]
+        self.tape = nc.Tape()
+        self.loss: nc.Tensor | None = None
+
+    def forward(self, bank: mb.MemoryBank | None, batch: dict, denom) -> None:
+        """The shard's loss on its tape. The logits and the attached
+        memories go out of scope on return, so backward does not keep them."""
+        rows = self.rows
+        with self.tape:
+            mems = None
+            if bank is not None:
+                mems = mdl.AttachedMemories(bank.cfg, self.model.cfg, self.levels)
+            logits = mdl.forward(self.model, batch["inputs"][rows], doc_mask=batch["mask"][rows], mems=mems)
+            self.loss = nc.cross_entropy(logits, batch["targets"][rows], batch["weights"][rows], denom)
+
+    def backward(self) -> None:
+        nc.backward(self.tape, self.loss)
+
+
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The ``STEP_SHARDS - 1`` threads that run every shard but the last,
+    made once on first use."""
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(STEP_SHARDS - 1, thread_name_prefix="hiermem-shard")
+    return _POOL
+
+
+def _on_shards(fn, shards: list[_Shard]) -> None:
+    """``fn(shard)`` for every shard: the helper pool takes all but the last
+    and the calling thread the last; a lone shard runs inline. Every call
+    has ended when this returns or raises."""
+    if len(shards) == 1:
+        fn(shards[0])
+        return
+    futures = [_helper_pool().submit(fn, s) for s in shards[:-1]]
+    try:
+        fn(shards[-1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def train_step(
@@ -280,25 +356,37 @@ def train_step(
     state: TrainState,
     cfg: TrainConfig,
 ) -> dict:
-    """One optimizer step. Returns the step's metrics row as a dict."""
+    """One optimizer step over row shards of the batch (see the module doc).
+    Returns the step's metrics row as a dict."""
     B = batch["inputs"].shape[0]
     lr = cosine_lr(state.step + 1, cfg)
-    # frozen anchors must not pay for weight gradients they will discard
-    model.set_trainable(cfg.regime != "memory")
+    train_anchor = cfg.regime != "memory"
 
     generic_rows = np.zeros(B, dtype=bool)
-    level_tensors: list[nc.Tensor] = []
+    fetched_rows: list[np.ndarray] = []
     if bank is not None:
         generic_rows = state.rng.random(B) < 1.0 / (bank.k + 1)
         fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
-        level_tensors = [nc.Tensor(rows.astype(model.dtype, copy=False), requires_grad=True) for rows in fm.levels]
+        fetched_rows = fm.levels
 
-    with nc.Tape() as tape:
-        loss = _step_loss(model, bank, batch, level_tensors)
-    loss_val = float(loss.data)
+    n = min(STEP_SHARDS, B)
+    bounds = [B * i // n for i in range(n + 1)]
+    shards = [_Shard(model, slice(a, b), fetched_rows, train_anchor) for a, b in zip(bounds, bounds[1:])]
+    # every shard divides by the whole batch's weight sum, as one tape would
+    w = np.asarray(batch["weights"], dtype=model.dtype).reshape(-1)
+    denom = w.sum()
+    _on_shards(lambda s: s.forward(bank, batch, denom), shards)
+
+    # the shards' losses are their shares of the batch mean; when they are
+    # finite, the mean is summed over the pointwise NLL in row order, as an
+    # unsharded cross_entropy sums it
+    pw = np.concatenate([s.loss._pointwise for s in shards])
+    loss_val = sum(float(s.loss.data) for s in shards)
+    if math.isfinite(loss_val):
+        loss_val = float(np.asarray((pw * w).sum() / denom, dtype=model.dtype))
 
     ntok = float(batch["weights"].sum())
-    pw = loss._pointwise.reshape(batch["weights"].shape)
+    pw = pw.reshape(batch["weights"].shape)
     wsum = batch["weights"].sum(axis=1)
     row_nll = np.divide((pw * batch["weights"]).sum(axis=1), wsum, out=np.zeros(B), where=wsum > 0)
     loss_fetched = float(row_nll[~generic_rows].mean()) if (~generic_rows).any() else float("nan")
@@ -321,26 +409,28 @@ def train_step(
         state.metrics.append([metrics[c] for c in METRIC_COLUMNS])
         return metrics
 
-    nc.backward(tape, loss)
+    _on_shards(_Shard.backward, shards)
 
     # (state name, array, the indices its gradients update, the gradients,
     # weight decay), in the order the clip sums. A bank level's gradients are
     # one row per fetched block; any other array takes one gradient at ``whole``.
     whole = [()]
     updates: list[tuple[str, np.ndarray, list, list, float]] = []
-    if cfg.regime != "memory":
+    if train_anchor:
         for name, p in model.named_params():
-            if p.grad is not None:
+            grads = [s.model.params[name].grad for s in shards]
+            if grads[0] is not None:
                 wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
-                updates.append((name, p.data, whole, [p.grad], wd))
+                updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in shard order
 
     # scatter per-sequence memory row gradients into per-block sums
     if bank is not None:
         named = list(mb.bank_arrays(bank.levels, bank.generic).items())  # the levels, then the generic blocks
         for l in range(bank.depth):
-            g = level_tensors[l].grad
-            if g is None:
+            grads = [s.levels[l].grad for s in shards]
+            if grads[0] is None:
                 continue
+            g = np.concatenate(grads)  # row order
             (name, lvl), (gname, gen) = named[l], named[bank.depth + l]
             fetched = fm.blocks[l] >= 0
             if fetched.any():
@@ -364,10 +454,6 @@ def train_step(
         for i, g in zip(at, grads):
             st.steps[i] += 1
             _adamw(p[i], g, st.m[i], st.v[i], int(st.steps[i]), lr, wd)
-
-    # drop step gradients
-    for _, p in model.named_params():
-        p.grad = None
 
     state.step += 1
     state.tokens_seen += ntok
@@ -498,6 +584,11 @@ def _keep_freed_pages() -> bool:
     in glibc's free lists, with no size classes to fill. Setting either
     threshold switches off glibc's dynamic mmap threshold, so both are set:
     one alone would leave the other at 128 KiB.
+
+    The thresholds are glibc-wide: they govern the arena glibc gives the
+    helper thread that runs a train step's other row shards (see
+    ``train_step``) as they govern the main heap, so that thread's freed
+    arrays are reused as well.
 
     The setting is process-wide and permanent: it holds for every later
     allocation in the process, and the heap does not shrink again. Where

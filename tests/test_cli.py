@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,17 @@ def trained(ws):
         "facts": str(ws / "facts.json"),
         "ini": ini,
     }
+
+
+@pytest.mark.parametrize("given, expect", [(None, "1"), ("3", "3")])
+def test_cli_gives_openblas_one_thread_unless_set(given, expect):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    run = subprocess.run([sys.executable, "-c", "import os, hiermem.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stdout.strip() == expect, run.stderr
 
 
 def test_bad_config_exits_2(ws, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -176,6 +178,29 @@ def test_cross_entropy_matches_manual_and_weights():
         nc.cross_entropy(t, targets, np.zeros(5))
 
 
+def test_cross_entropy_over_a_batch_denominator():
+    logits = rng.normal(size=(4, 7)).astype(np.float32)
+    targets = rng.integers(0, 7, size=4)
+    w = np.array([1, 1, 0, 0], dtype=np.float32)
+    whole = nc.Tensor(logits, requires_grad=True)
+    with nc.Tape() as tape:
+        loss = nc.cross_entropy(whole, targets, w)
+    nc.backward(tape, loss)
+    # two row shards, each over the whole batch's weight sum; the second
+    # selects no position of its own
+    parts, losses = [nc.Tensor(logits[r], requires_grad=True) for r in (slice(0, 2), slice(2, 4))], []
+    for part, r in zip(parts, (slice(0, 2), slice(2, 4))):
+        with nc.Tape() as tape:
+            losses.append(nc.cross_entropy(part, targets[r], w[r], w.sum()))
+        nc.backward(tape, losses[-1])
+    assert float(losses[1].data) == 0.0
+    assert np.isclose(sum(float(x.data) for x in losses), float(loss.data), rtol=1e-6)
+    assert np.array_equal(np.concatenate([p.grad for p in parts]), whole.grad)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(nc.ShapeError, match="denominator must be finite and > 0"):
+            nc.cross_entropy(parts[0], targets[:2], w[:2], bad)
+
+
 def test_cross_entropy_weight_must_match_targets():
     logits = nc.Tensor(np.zeros((2, 3, 5)))
     targets = np.zeros((2, 3), dtype=np.int64)
@@ -302,6 +327,78 @@ def test_tapes_do_not_nest():
     assert np.allclose(x.grad, 2 * x.data)
     with nc.Tape():  # and it was released on exit
         pass
+
+
+def test_a_tape_records_only_its_own_thread():
+    x = nc.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    seen = {}
+
+    def other_thread():
+        seen["untaped"] = dot(x, x)  # this thread has no tape: a plain forward
+        with nc.Tape() as tape:  # a tape of its own, beside the main thread's
+            seen["tape"] = tape
+            dot(x, x)
+            try:
+                with nc.Tape():
+                    pass
+            except RuntimeError as e:  # nesting still raises within a thread
+                seen["nested"] = str(e)
+
+    with nc.Tape() as tape:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join()
+        assert tape.nodes == []
+        loss = dot(x, x)
+    assert seen["untaped"]._slot is None and seen["tape"].nodes
+    assert "already active" in seen["nested"]
+    nc.backward(tape, loss)
+    assert np.allclose(x.grad, 2 * x.data)
+
+
+def test_threads_backward_their_own_tapes():
+    # more threads than CPUs, switching often: a node recorded onto another
+    # thread's tape, or a gradient lost between them, changes a count or a gradient
+    data = [rng.normal(size=(6, 5)) for _ in range(4)]
+    w = rng.normal(size=(5, 4))
+
+    def leaf_grads(threaded):
+        xs = [nc.Tensor(d, requires_grad=True) for d in data]
+        ws = [nc.Tensor(w, requires_grad=True) for _ in data]
+        all_recorded = threading.Barrier(len(data) if threaded else 1, timeout=30)
+        nodes = [0] * len(data)
+
+        def run(i):
+            with nc.Tape() as tape:
+                for _ in range(20):
+                    y = nc.swiglu(nc.matmul(xs[i], ws[i]), nc.matmul(xs[i], ws[i]))
+                loss = dot(y, y)
+            nodes[i] = len(tape.nodes)
+            all_recorded.wait()  # every tape is recorded before any is reversed
+            nc.backward(tape, loss)
+
+        if not threaded:
+            for i in range(len(data)):
+                run(i)
+            return nodes, [t.grad for t in xs + ws]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(data))]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        return nodes, [t.grad for t in xs + ws]
+
+    nodes, grads = leaf_grads(True)
+    ref_nodes, ref_grads = leaf_grads(False)
+    assert nodes == ref_nodes
+    for a, b in zip(grads, ref_grads, strict=True):
+        assert a is not None and np.array_equal(a, b)
 
 
 def test_zero_dim_float64_result_is_not_downcast():

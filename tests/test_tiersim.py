@@ -85,6 +85,20 @@ def test_sample_zipf_paths_shape_and_determinism():
     assert top > 200 / 9
 
 
+@pytest.mark.parametrize("n, k, depth, exponent, named", [
+    (-1, 2, 2, 1.0, "n must be"), (5, 0, 2, 1.0, "k and depth"), (5, 2, 0, 1.0, "k and depth"),
+    (5, 2, 2, float("nan"), "exponent"), (5, 2, 2, float("inf"), "exponent"), (5, 2, 2, -0.5, "exponent"),
+])
+def test_sample_zipf_paths_refuses_bad_arguments(n, k, depth, exponent, named):
+    with pytest.raises(ts.TierError, match=named):
+        ts.sample_zipf_paths(n, k=k, depth=depth, exponent=exponent)
+
+
+def test_sample_zipf_paths_edges():
+    assert ts.sample_zipf_paths(0, k=2, depth=2, exponent=1.0) == []
+    assert set(ts.sample_zipf_paths(50, k=1, depth=3, exponent=0.0)) == {(1, 1, 1)}
+
+
 def test_parse_tier_spec_roundtrip(tmp_path):
     spec = tmp_path / "tiers.ini"
     spec.write_text(

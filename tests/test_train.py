@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,6 +322,93 @@ def test_nonfinite_loss_aborts_step():
         assert np.array_equal(g, b)
 
 
+# --- row shards ---
+
+def _one_step(monkeypatch, shards, regime, seqs=None):
+    """Metrics and trained arrays after one step of a toy batch as ``shards`` row shards."""
+    monkeypatch.setattr(tr, "STEP_SHARDS", shards)
+    model, bank, toy_seqs, cfg = toy_setup(regime, steps=1)
+    metrics = tr.train_step(model, bank, tr.build_batch(seqs or toy_seqs[:4]), tr.TrainState(cfg), cfg)
+    arrays = [p.data for _, p in model.named_params()] + (bank.levels + bank.generic if bank else [])
+    return metrics, arrays
+
+
+def _assert_close(got, ref):
+    (m, arrays), (m_ref, ref_arrays) = got, ref
+    for name in ("loss", "loss_fetched", "loss_generic", "grad_norm", "tokens_seen"):
+        assert m[name] == pytest.approx(m_ref[name], rel=1e-6, nan_ok=True), name
+    for a, b in zip(arrays, ref_arrays, strict=True):
+        assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
+def test_sharded_step_matches_one_tape(monkeypatch, regime):
+    ref = _one_step(monkeypatch, 1, regime)
+    _assert_close(_one_step(monkeypatch, 2, regime), ref)
+    # the step moved the arrays it trains
+    model, bank = toy_setup(regime)[:2]
+    fresh = [p.data for _, p in model.named_params()] + (bank.levels + bank.generic if bank else [])
+    assert any(not np.array_equal(a, b) for a, b in zip(ref[1], fresh))
+
+
+def test_one_row_batch_is_one_shard(monkeypatch):
+    seqs = toy_setup()[2][:1]
+    sizes, on_shards = [], tr._on_shards
+
+    def counted(fn, shards):
+        sizes.append(len(shards))
+        on_shards(fn, shards)
+
+    monkeypatch.setattr(tr, "_on_shards", counted)
+    m, arrays = _one_step(monkeypatch, 2, "cotrain", seqs)
+    m_ref, ref_arrays = _one_step(monkeypatch, 1, "cotrain", seqs)
+    assert sizes == [1, 1, 1, 1]  # forward and backward, in each run
+    np.testing.assert_array_equal([m[c] for c in tr.METRIC_COLUMNS], [m_ref[c] for c in tr.METRIC_COLUMNS])
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays, strict=True))
+
+
+def test_shard_of_padding_only(monkeypatch):
+    seqs = toy_setup()[2]
+    pad = tr.PackedSequence(tokens=np.full(31, tr.ByteTokenizer.EOT, np.int32), leaf_flat=0, spans=[])
+    batch = seqs[:2] + [pad, pad]  # the second shard holds no position with a loss
+    got = _one_step(monkeypatch, 2, "cotrain", batch)
+    _assert_close(got, _one_step(monkeypatch, 1, "cotrain", batch))
+    assert np.isfinite(got[0]["loss"]) and got[0]["tokens_seen"] == tr.build_batch(seqs[:2])["weights"].sum()
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_nonfinite_loss_in_one_shard_aborts_the_step(monkeypatch, block):
+    model, bank, seqs, cfg = toy_setup(steps=1)
+    bank.levels[0][block] = np.inf
+    before = [a.copy() for a in bank.levels + bank.generic]
+    before_model = model_digest(model)
+    fetch, blocks = mb.fetch, []
+
+    def recorded(*args, **kwargs):
+        out = fetch(*args, **kwargs)
+        blocks.append(out.blocks[0])  # level-1 block per row, -1 on a generic row
+        return out
+
+    monkeypatch.setattr(mb, "fetch", recorded)
+    state = tr.TrainState(cfg)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        metrics = tr.train_step(model, bank, tr.build_batch(seqs[:4]), state, cfg)
+    poisoned = blocks[0] == block
+    assert poisoned[:2].any() != poisoned[2:].any()  # the poisoned rows lie in one shard
+    assert not np.isfinite(metrics["loss"]) and np.isnan(metrics["grad_norm"])
+    assert state.aborted == 1 and state.step == 1 and not state.opt
+    assert model_digest(model) == before_model
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(bank.levels + bank.generic, before))
+
+
+def test_train_runs_share_one_helper_pool(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=2)
+    tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
+    after_one = threading.active_count()
+    tr.train_run(model, bank, seqs, cfg, tmp_path / "b", log=lambda m: None)
+    assert threading.active_count() == after_one
+
+
 def test_generic_prob_default_rate(monkeypatch):
     model, bank, seqs, cfg = toy_setup(steps=1)
     state = tr.TrainState(cfg)
@@ -372,75 +460,144 @@ def test_resume_is_bit_exact(tmp_path, regime):
         assert bank_digest(bank_a) == bank_digest(bank_c)
 
 
-# sha256 of the model and of the bank after six toy_setup steps. A change
+# sha256 of the model and of the bank after six toy_setup steps, with the
+# batch run as train.STEP_SHARDS = 2 row shards and as one shard. A change
 # to the order of any operation in numcore, the model or the optimizer
-# changes them, and must re-pin them on purpose.
+# changes them, and must re-pin them on purpose. One shard is the unsharded
+# step. Two shards round differently at these toy shapes (62 rows per
+# shared GEMM), and where the anchor trains, its weight gradients are
+# summed per shard.
 PINNED = {
-    "memory": ("9b9a8563cbfbde65a0edf80b5c0f2000bc4174243267205754d299b4b7d6bf38",
-               "4ec1505f0d072cbf9202641fc505a90bbdd595698511cbe4d58e5a64ba27078f"),
-    "cotrain": ("118f72353b7added9410b6710983cb61770cbfed59f25aba2cef77017163aca8",
-                "e6f7bdf8c19e51c851d08def29b4b69658ac8b36ecafe86cb3bf77b6cdd1d647"),
-    "scratch": ("276c893ebee6c95cc589fa5049edf2bf6619ce78e3c6612b0c318c66c45ad823", None),
+    ("memory", 2): ("9b9a8563cbfbde65a0edf80b5c0f2000bc4174243267205754d299b4b7d6bf38",
+                    "dcfc7072bbb75662f290ad8fd2fcd9e2b9857c9c11611d7d69ccb0fe977ccc95"),
+    ("memory", 1): ("9b9a8563cbfbde65a0edf80b5c0f2000bc4174243267205754d299b4b7d6bf38",
+                    "4ec1505f0d072cbf9202641fc505a90bbdd595698511cbe4d58e5a64ba27078f"),
+    ("cotrain", 2): ("ed43b4591be4450961c83e8aaec9816ab40361d23619531d2ac92df601b691af",
+                     "0ff58b88ac4bf993624906508fce820d9787ead1d32bcee8102eee79c81c9943"),
+    ("cotrain", 1): ("118f72353b7added9410b6710983cb61770cbfed59f25aba2cef77017163aca8",
+                     "e6f7bdf8c19e51c851d08def29b4b69658ac8b36ecafe86cb3bf77b6cdd1d647"),
+    ("scratch", 2): ("38a1a968799d9227c93083cbcb3e9dacf5e404a06debcf0aebc422593368a16c", None),
+    ("scratch", 1): ("276c893ebee6c95cc589fa5049edf2bf6619ce78e3c6612b0c318c66c45ad823", None),
 }
 
 
 @pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
-def test_trained_bytes_are_pinned(tmp_path, regime):
-    model, bank, seqs, cfg = toy_setup(regime)
+def test_trained_bytes_are_pinned(tmp_path, monkeypatch, regime):
+    for shards in (2, 1):
+        monkeypatch.setattr(tr, "STEP_SHARDS", shards)
+        model, bank, seqs, cfg = toy_setup(regime)
+        tr.train_run(model, bank, seqs, cfg, tmp_path / str(shards), log=lambda m: None)
+        assert (model_digest(model), bank and bank_digest(bank)) == PINNED[regime, shards]
+
+
+def test_shard_bytes_do_not_depend_on_the_threads(tmp_path, monkeypatch):
+    # the calling thread runs every shard in turn, the helper pool none
+    monkeypatch.setattr(tr, "_on_shards", lambda fn, shards: [fn(s) for s in shards])
+    model, bank, seqs, cfg = toy_setup("cotrain")
     tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
-    assert (model_digest(model), bank and bank_digest(bank)) == PINNED[regime]
+    assert (model_digest(model), bank_digest(bank)) == PINNED["cotrain", tr.STEP_SHARDS]
 
 
 # sha256 of model.ckpt, bank.bin and metrics.csv after four cotrain steps of
 # each memory type on a 4-layer anchor under placement "mid", with and without
-# a width-0 level. Re-pin them on purpose, as PINNED.
+# a width-0 level, as two row shards and as one. Re-pin them on purpose, as PINNED.
 TYPE_PINS = {
-    ("ffn", (2, 3)): (
+    ("ffn", (2, 3), 2): (
+        "cba64f6ffb2b818b8c8caf2a67f0bf5495b1b155a806202a42be075c76ecafe0",
+        "a10e56732e8d3da58e3d89dfa106b8d124813860fe093f71215f0169dd14f807",
+        "4f63134fab74e064e0b3c93781acc4a5561c5af8299aa0e09ac827ac07ab3283",
+    ),
+    ("ffn", (2, 3), 1): (
         "d4acaa4aa3ec4a83dcaac2ab76d22089b9af133975cd9ec6ed415f04a5d72092",
         "66b7650d203b1ff70160c5b66d3d45bba0f03204d25acdf4980a95cefcb13cdb",
         "c09dda3ade2db77102d4ad6acea20a77ce626004331ef9788609e9255a167ef0",
     ),
-    ("ffn", (0, 3)): (
+    ("ffn", (0, 3), 2): (
+        "2aadc837e3b42947107e25b5000c0441b60fcd8acf97ab869c6dd13dcad6a7e3",
+        "89cf255d30bc4106492e702d7d667dadd2cfb2caf4498735de1a5248ded16495",
+        "cf2243fcb8424236dc4de720b531c6b0e2295774167b47692e50537982e52695",
+    ),
+    ("ffn", (0, 3), 1): (
         "37a3f3ba8e72dabf4928640af67e0b35e421ba8e1e6f344dcef002479258e1e1",
         "3210cd02960ab3a273a37740dcc56594e128890018cc68cb3bf14599ca1573dc",
         "8337caab93a12a8d48bab454df0c82bc6dce1d5cee21df5a5e08a941f2e4478a",
     ),
-    ("lora_qk", (2, 3)): (
+    ("lora_qk", (2, 3), 2): (
+        "71297ea9b27bdba8a1b71ebb16012d59b1487c2b8a2134e60de9278c79f4d6af",
+        "94b14774c281fa77cd0712100eb29eb82865bb4f2a6ea14715bca4427b24902e",
+        "64f209dc0c48e2a9ab32d563d52e2f84d9b42f65d8f8a0d3e8c5308da4654f3d",
+    ),
+    ("lora_qk", (2, 3), 1): (
         "67294343b59062b50e8f38657f6ba4dbc0c8c5966f4d1424f998abd212ec2e9b",
         "3f5a612d6426f787078f9c1b2aa034cdf1253e1b4894913dd945d312caf2a425",
         "0b4650ba3ff9780982cf55e90612e2b0e8ee6137fbf76233dfea9b1b40ba7d40",
     ),
-    ("lora_qk", (0, 3)): (
+    ("lora_qk", (0, 3), 2): (
+        "abc380f4a2ea40fa46622131617949310367d6ed5cf55ca7322a132db172e5c4",
+        "531c2e428969138fead4e7ef9514177fa06e917addfad75596d921858d276f17",
+        "cfa61131718e8b57beaa1f5287b501666aecb3dda62262d95be04227249da156",
+    ),
+    ("lora_qk", (0, 3), 1): (
         "aff2ef778fa58e8bc65b5ac02a8d8a2093631809056d0fa044bb0ba577631dfa",
         "ecbca6dd12f6e63b63aaf61019e7c67501018b8a22a9a94e8cb340d463bc32c7",
         "4baade1438faa93382787c77eac4ac201df60f5f067fe286af5930b8c3513bc5",
     ),
-    ("lora_ov", (2, 3)): (
+    ("lora_ov", (2, 3), 2): (
+        "cb4745458d5841bb2eaf0bce02afcd6f0c2fe2564647908362774b44c9e11a85",
+        "4f2942df02fd28967ca635d09dd10717b34d956b5f371c060525a4a2f93554a2",
+        "38daf8603ca941204808cc8e5b54f10348e39085f199378613aa5faeb0c9fe4c",
+    ),
+    ("lora_ov", (2, 3), 1): (
         "366a337f589167e50740311515fcb64a4b1ad930b4a6a5be3cb00a6505d645c1",
         "8f0899201b045b2e0bcf18e9e6ef7d4eac89a9a60a9621a402d8e79ae75b5273",
         "7d1d3d5755867aae1103963f3fb055ead8c7edaaa3541b4c1168b3e445aae477",
     ),
-    ("lora_ov", (0, 3)): (
+    ("lora_ov", (0, 3), 2): (
+        "8f18548736a9c98b639993eb264f373158db7442bab7429b996568022c4d9c44",
+        "00cdb20d2cfc957e7b13a927d2b54f1518214bb906a61188692809cf60debd5f",
+        "3924ccd70c817aa00b333bd95099b82a96a49b91772b9d58bc8a0245646eb141",
+    ),
+    ("lora_ov", (0, 3), 1): (
         "5ce560e59914d97d18d6cd9f6bd2fdc64cf4aeba525d855957b192ddcfd4880d",
         "200156dd3d3470ca8bd01b20bf07190c13d596189f2e7552dd48ec1e47269199",
         "e10a8c64ab41afd219b8cc47d6091d41e68c5be7acab9b4d30fcbd1d44de19e5",
     ),
-    ("lora_ffn", (2, 3)): (
+    ("lora_ffn", (2, 3), 2): (
+        "ccaa6891016bf49f1e37704d5e9d34521717b70c454db65e76e20fbefac78057",
+        "5c2936d6f46e74089932417ed796c1931a577a9e8b72b739a61cb12d23865ef2",
+        "2bf4bd609eddabe538a624db14586b69b1d64959ae22250cbf029b20a47293a9",
+    ),
+    ("lora_ffn", (2, 3), 1): (
         "9cfc6b434b7e1fa3c4e3a467b1d3347477e1e38c23dbdcbab6718e50031f7f0c",
         "4bd54161e5c17156d95ab4599b64bd187277c81eeeac555463d3fe7f9d3e462d",
         "f965c9d08c33af3b5e57352fccb59cdd437772bad993cb2657cfe7439918797e",
     ),
-    ("lora_ffn", (0, 3)): (
+    ("lora_ffn", (0, 3), 2): (
+        "b8caa591fc8fd31d0e14e781237909e74a6b4151c6647f2b51f620a98535b14c",
+        "97f3a09973a79ce066e152fe359bb7acd06302f962a50ab1a495ad2fdb5f426f",
+        "54ac8073d86eab9e605f1532ac1e9d46e75ee35d990078e6bc583e40eda4f9f5",
+    ),
+    ("lora_ffn", (0, 3), 1): (
         "b00122b8a7f1864c564a19e32e23c798b9acd99440e3de6276c1cfc82ee0f77b",
         "fbcf26086a2853ec2b6cdce30bc9e62e376b778c7314d1743e0106f6339d63b7",
         "884e29821bf188ce1f5700dd94a808a482e4c931b7ca1e21fd83b64b665e30b1",
     ),
-    ("kv", (2, 3)): (
+    ("kv", (2, 3), 2): (
+        "12c547e2dd9f5dd3ba8fdd6b8e01bf386160fe409397c242de06ab925201d7f4",
+        "a6c0fa34bef71cc1b35dc82c99b8cf05214769c2c2c803f920f878d64d970cef",
+        "76b41b8df63ff2319a7637fec76b38f75d399f8dd0701863cb336dfce8badd5c",
+    ),
+    ("kv", (2, 3), 1): (
         "5a17a796d0e8428ebc80b9eaae9485dee7b9ec96ce17812410c287f2ba0e24e9",
         "e4348e58ab35482067ed830e7f3452d4740c97fa091f8d0fb53c5d9cca253e75",
         "5af9eb371774f89f32fccbac7b88de2076643474ae12d31cc890973ef4a4a629",
     ),
-    ("kv", (0, 3)): (
+    ("kv", (0, 3), 2): (
+        "70e1a8ff292a348580cbdec47a3543812b38fae3643ecff1c87c6c367a7c0f31",
+        "93ee0b1905a6cb239c99e9e2518b062e948f89997b540d61341babaf35ad998f",
+        "a4f8fce2c2b65603e9407438ad6701cabe8cbe52283ccf1e143325fcb2f2d192",
+    ),
+    ("kv", (0, 3), 1): (
         "fe157e8172b5ccdc5a584f5f4c3fa2eab80aa8aa1e94dce4d4fe5e19620efe01",
         "c1355bc6347e4dddadc19f7f3023ea9fbdf7fb9bbe9e8b718aa1a0f5934881b9",
         "8fce052d794348c47580284c07609116886fb957c426cad07efc1b35f5f48e7e",
@@ -450,12 +607,15 @@ TYPE_PINS = {
 
 @pytest.mark.parametrize("rs", [(2, 3), (0, 3)])
 @pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
-def test_memory_type_bytes_are_pinned(tmp_path, mem_type, rs):
-    model, bank, seqs, cfg = toy_setup("cotrain", steps=4, rs=rs, mem_type=mem_type, placement="mid", acfg=ACFG4)
-    tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
-    got = tuple(hashlib.sha256((tmp_path / "ckpt_final" / name).read_bytes()).hexdigest()
-                for name in ("model.ckpt", "bank.bin", "metrics.csv"))
-    assert got == TYPE_PINS[mem_type, rs]
+def test_memory_type_bytes_are_pinned(tmp_path, monkeypatch, mem_type, rs):
+    for shards in (2, 1):
+        monkeypatch.setattr(tr, "STEP_SHARDS", shards)
+        model, bank, seqs, cfg = toy_setup("cotrain", steps=4, rs=rs, mem_type=mem_type, placement="mid", acfg=ACFG4)
+        run_dir = tmp_path / str(shards)
+        tr.train_run(model, bank, seqs, cfg, run_dir, log=lambda m: None)
+        got = tuple(hashlib.sha256((run_dir / "ckpt_final" / name).read_bytes()).hexdigest()
+                    for name in ("model.ckpt", "bank.bin", "metrics.csv"))
+        assert got == TYPE_PINS[mem_type, rs, shards]
 
 
 @pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)

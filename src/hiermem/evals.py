@@ -29,7 +29,7 @@ from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import numcore as nc
-from .train import ByteTokenizer, _keep_freed_pages
+from .train import ByteTokenizer, _keep_freed_pages, _on_shards, _row_ranges
 
 
 class EvalError(RuntimeError):
@@ -88,7 +88,7 @@ _VOWELS = "aeiou"
 
 
 def _topic_syllables(spec: SyntheticCorpusSpec, rng: np.random.Generator) -> list[list[str]]:
-    all_syl = [c + v for c in _CONSONANTS for v in _VOWELS]  # 65 total
+    all_syl = [c + v for c in _CONSONANTS for v in _VOWELS]  # 20 x 5 = 100 total
     need = spec.topics * spec.syllables_per_topic
     if need > len(all_syl):
         raise ValueError(
@@ -321,20 +321,34 @@ def greedy_decode_batch(
 ) -> np.ndarray:
     """(B, max_new) greedy continuations of equal-length prompts (B, S0).
 
-    One forward runs the prompts into a key/value cache; each further
-    token is one one-position forward against it, so a batch computes
-    S0 + max_new - 1 positions per row rather than rerunning the prefix.
+    One forward, the prefill, runs the prompts into a key/value cache; each
+    further token is one one-position forward of the whole batch against
+    it, so a batch computes S0 + max_new - 1 positions per row rather than
+    rerunning the prefix. Each cached forward returns the last position's
+    logits only. The prefill runs as ``train``'s row shards: two contiguous
+    row ranges, one on the helper thread and one on the calling thread,
+    each writing its rows of the one cache with its rows of ``mems``; a
+    one-row batch runs inline. Rows are independent, so every shard
+    computes what the whole batch would for its rows, up to the rounding of
+    a GEMM over fewer rows.
     """
     B, S0 = prompts_tokens.shape
     out = np.empty((B, max_new), dtype=np.result_type(prompts_tokens.dtype, np.int32))
     if max_new == 0:
         return out
     cache = mdl.KVCache(model.cfg, B, S0 + max_new - 1, model.dtype)
-    toks = prompts_tokens
-    for t in range(max_new):
-        logits = mdl.forward(model, toks, mems=mems, cache=cache)
+
+    def prefill(rows: tuple[int, int]) -> None:
+        a, b = rows
+        part = None if mems is None else mems.rows(a, b)
+        logits = mdl.forward(model, prompts_tokens[a:b], mems=part, cache=cache.rows(a, b))
+        out[a:b, 0] = np.argmax(logits.data[:, -1, :], axis=-1)
+
+    _on_shards(prefill, _row_ranges(B))
+    cache.length = S0
+    for t in range(1, max_new):
+        logits = mdl.forward(model, out[:, t - 1 : t], mems=mems, cache=cache)
         out[:, t] = np.argmax(logits.data[:, -1, :], axis=-1)
-        toks = out[:, t : t + 1]
     return out
 
 

@@ -22,12 +22,20 @@ tokens take positions ``cache.length`` onward, each layer writes their
 rotated keys and values into the cache and attends over every cached
 position, and the cache's length then advances. Only self-attention keys
 are cached; ``kv`` memories' learned keys are attended afresh by each
-call's new queries. A cached forward is for inference: the cached keys
-and values carry no gradient.
+call's new queries. A cached forward is for decode, which reads the next
+token off the last position alone: its last layer writes every position's
+keys and values, then runs the queries and all that follows for the last
+position only, and it returns (B, 1, V) logits. It is for inference: the
+cached keys and values carry no gradient. Batch rows are independent, so
+a prompt's prefill may run as row shards on separate threads
+(``evals.greedy_decode_batch`` does), each writing its rows of one cache
+through ``KVCache.rows`` and reading its rows of the memories through
+``AttachedMemories.rows``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -157,6 +165,17 @@ class AttachedMemories:
     def at_layer(self, layer_1based: int) -> list[dict[str, nc.Tensor]]:
         return self._by_layer.get(layer_1based, [])
 
+    def rows(self, a: int, b: int) -> AttachedMemories:
+        """The memories of batch rows ``[a, b)``, for inference: views with
+        no gradient. A one-row (generic) tensor stays whole and broadcasts."""
+        view = copy.copy(self)
+        view._by_layer = {
+            li: [{name: t if t.data.shape[0] == 1 else nc.Tensor(t.data[a:b]) for name, t in sl.items()}
+                 for sl in sls]
+            for li, sls in self._by_layer.items()
+        }
+        return view
+
 
 class KVCache:
     """Rotated self-attention keys and values of the positions run so far.
@@ -173,6 +192,15 @@ class KVCache:
         self.capacity = capacity
         self.length = 0
 
+    def rows(self, a: int, b: int) -> KVCache:
+        """A cache over rows ``[a, b)`` of this one's arrays, at its length and
+        capacity: a forward on it writes those rows of this cache and is
+        checked as on this one. Its length advances on its own."""
+        view = copy.copy(self)
+        view.keys = [k[a:b] for k in self.keys]
+        view.values = [v[a:b] for v in self.values]
+        return view
+
 
 def causal_mask(S: int, dtype=np.float32, past: int = 0) -> np.ndarray:
     """(1, 1, S, past + S) additive mask: query i sees keys up to past + i."""
@@ -183,13 +211,14 @@ def causal_mask(S: int, dtype=np.float32, past: int = 0) -> np.ndarray:
 
 
 def _lora(x: nc.Tensor, inp: nc.Tensor, sl: dict[str, nc.Tensor], site: str) -> nc.Tensor:
-    """x + (LORA_ALPHA / r) * (inp @ A @ B) with the low-rank pair ``site + "a"``
+    """x + ((LORA_ALPHA / r) * (inp @ A)) @ B with the low-rank pair ``site + "a"``
     (in, r), ``site + "b"`` (r, out), or ``x`` itself where the level has no
-    pair at ``site``. The scale comes from the pair's own width r."""
+    pair at ``site``. The scale comes from the pair's own width r, and is
+    applied to the r-wide product, not the out-wide one."""
     if site + "a" not in sl:
         return x
     a = sl[site + "a"]
-    return nc.add(x, nc.scale(nc.matmul(nc.matmul(inp, a), sl[site + "b"]), LORA_ALPHA / a.data.shape[-1]))
+    return nc.add(x, nc.matmul(nc.scale(nc.matmul(inp, a), LORA_ALPHA / a.data.shape[-1]), sl[site + "b"]))
 
 
 def forward(
@@ -202,8 +231,9 @@ def forward(
     """Logits (B, S, V) for a batch of token id sequences (B, S).
 
     The tokens take positions 0..S-1. With a ``cache``, they continue the
-    cached positions instead: they attend over those and themselves, and
-    their keys and values are appended to the cache.
+    cached positions instead: they attend over those and themselves, their
+    keys and values are appended to the cache, and the logits are the last
+    position's only, (B, 1, V).
     """
     cfg = model.cfg
     p = model.params
@@ -233,27 +263,33 @@ def forward(
         layer_mems = mems.at_layer(i + 1) if mems is not None else []
 
         h = nc.rms_norm(x, p[pre + "attn_norm.gain"], cfg.norm_eps)
-        q = nc.matmul(h, p[pre + "wq"])
+        # queries and all that follows them run for Sq positions: every one,
+        # or in a cached forward's last layer, the last one that decode reads
+        hq, Sq, qpos, qmask = h, S, pos, mask
+        if cache is not None and S > 1 and i == cfg.num_layers - 1:
+            x, hq = (nc.split(t, [S - 1, 1], axis=1)[1] for t in (x, h))
+            Sq, qpos, qmask = 1, pos[-1:], mask[:, :, -1:]
+        q = nc.matmul(hq, p[pre + "wq"])
         k = nc.matmul(h, p[pre + "wk"])
         v = nc.matmul(h, p[pre + "wv"])
         for sl in layer_mems:
-            q = _lora(q, h, sl, "q")
+            q = _lora(q, hq, sl, "q")
             k = _lora(k, h, sl, "k")
             v = _lora(v, h, sl, "v")
 
-        q4 = nc.rms_norm(nc.reshape(q, (B, S, heads, dh)), nc.reshape(p[pre + "q_norm.gain"], (heads, dh)), cfg.norm_eps)
+        q4 = nc.rms_norm(nc.reshape(q, (B, Sq, heads, dh)), nc.reshape(p[pre + "q_norm.gain"], (heads, dh)), cfg.norm_eps)
         k4 = nc.rms_norm(nc.reshape(k, (B, S, heads, dh)), nc.reshape(p[pre + "k_norm.gain"], (heads, dh)), cfg.norm_eps)
-        qh = nc.transpose(q4, (0, 2, 1, 3))          # (B, h, S, dh)
-        kh = nc.transpose(k4, (0, 2, 1, 3))
+        qh = nc.transpose(q4, (0, 2, 1, 3))          # (B, h, Sq, dh)
+        kh = nc.transpose(k4, (0, 2, 1, 3))          # (B, h, S, dh)
         vh = nc.transpose(nc.reshape(v, (B, S, heads, dh)), (0, 2, 1, 3))
-        qr = nc.rope(qh, pos, cfg.rope_base)
+        qr = nc.rope(qh, qpos, cfg.rope_base)
         kr = nc.rope(kh, pos, cfg.rope_base)
         if cache is not None:
             cache.keys[i][:, :, past:end] = kr.data
             cache.values[i][:, :, past:end] = vh.data
             kr = nc.Tensor(cache.keys[i][:, :, :end])
             vh = nc.Tensor(cache.values[i][:, :, :end])
-        att = nc.attention(qr, kr, vh, mask)
+        att = nc.attention(qr, kr, vh, qmask)
         for sl in layer_mems:
             if "mk" in sl:
                 # (rows, r, H): a generic row is one row that broadcasts over the batch
@@ -263,7 +299,7 @@ def forward(
                 # learned keys carry no positional encoding and no causal
                 # mask; queries are the normed, un-rotated ones
                 att = nc.add(att, nc.attention(qh, mk, mv, None))
-        am = nc.reshape(nc.transpose(att, (0, 2, 1, 3)), (B, S, heads * dh))
+        am = nc.reshape(nc.transpose(att, (0, 2, 1, 3)), (B, Sq, heads * dh))
         out = nc.matmul(am, p[pre + "wo"])
         for sl in layer_mems:
             out = _lora(out, am, sl, "o")

@@ -33,7 +33,10 @@ does, in training and inference alike, and then work in place on them. The
 two loops that repeat same-shaped work, a training run's steps and
 ``evals.fact_recall``'s decode batches, set the C allocator to keep freed
 heap pages (see ``train._keep_freed_pages``), so each step or batch reuses
-the memory the last one freed instead of faulting in fresh pages.
+the memory the last one freed instead of faulting in fresh pages. They also
+cap the C allocator at one arena: the helper thread that runs a step's or a
+prefill's other row shard allocates from the main heap and frees into it,
+so neither thread keeps a high-water heap of its own.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.

@@ -29,11 +29,12 @@ row and head), so the shards are independent until their gradients meet.
 Each shard runs the forward and the cross-entropy on its own tape, with the
 whole batch's weight sum as the denominator. The calling thread runs the
 last shard and a helper pool of ``STEP_SHARDS - 1`` threads, made once,
-the others; only a finite loss starts the backward, on the same
-threads. Level-row gradients are concatenated in row order. Where the
-anchor trains, each shard has its own gradient leaves over the anchor's
-arrays, and their gradients are summed in shard order. Scatter, clip and
-AdamW then run once, as for one shard. The step's loss is summed over the
+the others (``evals.greedy_decode_batch`` runs its prefill on the same
+pool); only a finite loss starts the backward, on the same threads.
+Level-row gradients are concatenated in row order. Where the anchor
+trains, each shard has its own gradient leaves over the anchor's arrays,
+and their gradients are summed in shard order. Scatter, clip and AdamW
+then run once, as for one shard. The step's loss is summed over the
 pointwise NLL of every row in row order, as one tape sums it.
 
 What a run's bytes depend on. ``STEP_SHARDS`` is a constant and not the CPU
@@ -72,7 +73,7 @@ STATE_MAGIC = "HMSTATE"
 BETA1, BETA2, ADAM_EPS, GRAD_CLIP = 0.9, 0.95, 1e-8, 1.0
 ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; memory and generic blocks
 
-# row shards per train step; fixed, so a step's bytes never depend on the CPU count
+# row shards per train step and per decode prefill; fixed, so bytes never depend on the CPU count
 STEP_SHARDS = 2
 
 # grad_norm is the pre-clip global norm; NaN (an empty CSV cell) on an aborted step
@@ -333,7 +334,15 @@ def _helper_pool() -> ThreadPoolExecutor:
     return _POOL
 
 
-def _on_shards(fn, shards: list[_Shard]) -> None:
+def _row_ranges(B: int) -> list[tuple[int, int]]:
+    """The contiguous row ranges ``[a, b)`` a batch of B rows runs as:
+    ``STEP_SHARDS`` of them, or B when the batch has fewer rows."""
+    n = min(STEP_SHARDS, B)
+    bounds = [B * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _on_shards(fn, shards: list) -> None:
     """``fn(shard)`` for every shard: the helper pool takes all but the last
     and the calling thread the last; a lone shard runs inline. Every call
     has ended when this returns or raises."""
@@ -369,9 +378,7 @@ def train_step(
         fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
         fetched_rows = fm.levels
 
-    n = min(STEP_SHARDS, B)
-    bounds = [B * i // n for i in range(n + 1)]
-    shards = [_Shard(model, slice(a, b), fetched_rows, train_anchor) for a, b in zip(bounds, bounds[1:])]
+    shards = [_Shard(model, slice(a, b), fetched_rows, train_anchor) for a, b in _row_ranges(B)]
     # every shard divides by the whole batch's weight sum, as one tape would
     w = np.asarray(batch["weights"], dtype=model.dtype).reshape(-1)
     denom = w.sum()
@@ -585,24 +592,28 @@ def _keep_freed_pages() -> bool:
     threshold switches off glibc's dynamic mmap threshold, so both are set:
     one alone would leave the other at 128 KiB.
 
-    The thresholds are glibc-wide: they govern the arena glibc gives the
-    helper thread that runs a train step's other row shards (see
-    ``train_step``) as they govern the main heap, so that thread's freed
-    arrays are reused as well.
+    One arena. The helper thread that runs a train step's or a decode
+    prefill's other row shards (see ``_on_shards``) would get an arena of
+    its own from glibc, which keeps the high-water of that thread's shards
+    apart from the main heap. Capping glibc at one arena makes the helper
+    allocate from, and free into, the main heap, so either thread reuses
+    what the other freed. glibc reads the cap when a thread first needs an
+    arena, and both loops call this before their first shard.
 
-    The setting is process-wide and permanent: it holds for every later
+    The settings are process-wide and permanent: they hold for every later
     allocation in the process, and the heap does not shrink again. Where
     the C library has no ``mallopt`` nothing is set, and both loops run the
-    same without the page reuse. Returns whether both settings took; the
-    first one the library refuses ends the calls.
+    same without the page reuse. Returns whether all three settings took;
+    the first one the library refuses ends the calls.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except AttributeError:
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # glibc's M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to the largest int
-    return all(mallopt(param, value) == 1 for param, value in ((-3, 32 << 20), (-1, 2**31 - 1)))
+    # glibc's M_ARENA_MAX (-8) to 1, M_MMAP_THRESHOLD (-3) to 32 MiB, then
+    # M_TRIM_THRESHOLD (-1) to the largest int
+    return all(mallopt(param, value) == 1 for param, value in ((-8, 1), (-3, 32 << 20), (-1, 2**31 - 1)))
 
 
 def train_run(

@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -234,14 +235,15 @@ def test_cached_decode_matches_full_rerun_in_float64(mem_type, rs):
     mems = decode_memories(model, mem_type, rs, B, rng)
     got = ev.greedy_decode_batch(model, prompts, max_new, mems)
     assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, max_new, mems).value)
-    # every cached call's logits against the full forward over the same prefix
+    # every cached call's (B, 1, V) logits against the last position of the
+    # full forward over the same prefix
     seq = np.concatenate([prompts, got], axis=1)
     cache = mdl.KVCache(DECODE_CFG, B, S0 + max_new - 1, model.dtype)
     for end in range(S0, S0 + max_new):
-        start = cache.length
-        step = mdl.forward(model, seq[:, start:end], mems=mems, cache=cache).data
+        step = mdl.forward(model, seq[:, cache.length:end], mems=mems, cache=cache).data
         full = mdl.forward(model, seq[:, :end], mems=mems).data
-        assert np.abs(step - full[:, start:]).max() < 1e-12
+        assert step.shape == (B, 1, DECODE_CFG.vocab_size)
+        assert np.abs(step - full[:, -1:]).max() < 1e-12
 
 
 @pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
@@ -256,22 +258,91 @@ def test_cached_decode_tokens_match_full_rerun_in_float32(mem_type):
     assert np.array_equal(plain, rc.oracle_greedy_decode(model, prompts, 8, None).value)
 
 
+def recording_forward(monkeypatch):
+    """Replace model.forward with one that records each call's token shape
+    and thread name, in call order."""
+    calls = []
+    forward = mdl.forward
+
+    def recording(model, tokens, *args, **kwargs):
+        calls.append((np.asarray(tokens).shape, threading.current_thread().name))
+        return forward(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", recording)
+    return calls
+
+
 def test_decode_runs_the_prompt_once_then_one_position_per_token(monkeypatch):
     model = mdl.init_model(DECODE_CFG, seed=6)
     prompts = np.ones((3, 5), dtype=np.int32)
-    sizes = []
-    forward = mdl.forward
-
-    def counting(model, tokens, *args, **kwargs):
-        sizes.append(np.asarray(tokens).size)
-        return forward(model, tokens, *args, **kwargs)
-
-    monkeypatch.setattr(mdl, "forward", counting)
+    calls = recording_forward(monkeypatch)
     ev.greedy_decode_batch(model, prompts, 4, None)
-    assert len(sizes) == 4 and sum(sizes) == 3 * (5 + 4 - 1)
-    sizes.clear()
+    # the prompt as rows [0, 1) and [1, 3), then the whole batch per token
+    assert sorted(shape for shape, _ in calls[:2]) == [(1, 5), (2, 5)]
+    assert [shape for shape, _ in calls[2:]] == [(3, 1)] * 3
+    calls.clear()
     assert ev.greedy_decode_batch(model, prompts, 0, None).shape == (3, 0)
-    assert sizes == []
+    assert calls == []
+
+
+def test_prefill_runs_two_row_shards_on_two_threads(monkeypatch):
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    prompts = np.arange(24, dtype=np.int32).reshape(4, 6) % DECODE_CFG.vocab_size
+    calls = recording_forward(monkeypatch)
+    ev.greedy_decode_batch(model, prompts, 3, None)
+    main = threading.current_thread().name
+    prefill, steps = calls[:2], calls[2:]
+    assert [shape for shape, _ in prefill] == [(2, 6), (2, 6)]
+    # one shard on the calling thread, the other on the helper pool's thread
+    assert sorted(name == main for _, name in prefill) == [False, True]
+    assert any(name.startswith("hiermem-shard") for _, name in prefill)
+    # the one-position steps run on the calling thread at the full batch
+    assert steps == [((4, 1), main)] * 2
+    calls.clear()
+    ev.greedy_decode_batch(model, prompts[:1], 3, None)
+    assert calls == [((1, 6), main), ((1, 1), main), ((1, 1), main)]
+
+
+def test_cache_row_view_writes_the_parents_rows_and_keeps_its_checks():
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    prompts = np.arange(15, dtype=np.int32).reshape(3, 5)
+    whole = mdl.KVCache(DECODE_CFG, 3, 7, model.dtype)
+    mdl.forward(model, prompts, cache=whole)
+    parent = mdl.KVCache(DECODE_CFG, 3, 7, model.dtype)
+    view = parent.rows(1, 3)
+    logits = mdl.forward(model, prompts[1:], cache=view)
+    assert logits.data.shape == (2, 1, DECODE_CFG.vocab_size)
+    assert (view.length, parent.length) == (5, 0)
+    for i in range(DECODE_CFG.num_layers):
+        assert np.shares_memory(view.keys[i], parent.keys[i])
+        assert np.allclose(parent.keys[i][1:, :, :5], whole.keys[i][1:, :, :5], atol=1e-6)
+        assert np.allclose(parent.values[i][1:, :, :5], whole.values[i][1:, :, :5], atol=1e-6)
+        assert not parent.keys[i][0].any() and not parent.values[i][0].any()
+    # the view is checked against the parent's capacity and context length
+    with pytest.raises(mdl.ModelError, match="overrun"):
+        mdl.forward(model, prompts[1:, :3], cache=view)
+    long = mdl.KVCache(DECODE_CFG, 2, DECODE_CFG.context_length + 1, model.dtype).rows(0, 1)
+    mdl.forward(model, np.zeros((1, DECODE_CFG.context_length), dtype=np.int32), cache=long)
+    with pytest.raises(mdl.ModelError, match="exceeds context length"):
+        mdl.forward(model, np.zeros((1, 1), dtype=np.int32), cache=long)
+
+
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_one_generic_row_decodes_as_that_row_repeated(mem_type):
+    rng = np.random.default_rng(13)
+    model = mdl.init_model(DECODE_CFG, seed=6, dtype=np.float64)
+    cfg = model.cfg
+    bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 3)), **cfg.bank_dims, k=2, seed=1)
+    for arr in bank.generic:
+        arr[:] = rng.normal(0, 0.3, size=arr.shape)
+    prompts = rng.integers(0, cfg.vocab_size, size=(5, 6)).astype(np.int32)
+    one = mdl.AttachedMemories(bank.cfg, cfg, [nc.Tensor(g[None]) for g in bank.generic])
+    repeated = mdl.AttachedMemories(bank.cfg, cfg, [nc.Tensor(np.repeat(g[None], 5, axis=0)) for g in bank.generic])
+    got = ev.greedy_decode_batch(model, prompts, 6, one)
+    assert np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, repeated))
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 6, repeated).value)
+    # the generic rows change the decode, so the test sees them
+    assert not np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, None))
 
 
 def test_decode_lengths_and_context_limit():

@@ -109,6 +109,60 @@ def test_width_0_level_runs_no_zero_size_op(monkeypatch, mem_type):
     assert np.abs(out - base).max() > 1e-4  # level 2 still attaches
 
 
+# the anchor weight each LoRA site adapts; its pair folds into that weight
+LORA_WEIGHTS = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "f1": "w1", "f2": "w2", "f3": "w3"}
+
+
+def random_lora_rows(mem_type, cfg, B, rng):
+    """(bank config, per-level (B, s_l) float64 rows): random pairs, both sides nonzero."""
+    mcfg = mb.MemoryConfig(mem_type=mem_type, rs=(2, 3))
+    bank = mb.init_bank(mcfg, **cfg.bank_dims, k=2, seed=1)
+    return mcfg, [rng.normal(0, 0.3, size=(B, g.size)) for g in bank.generic]
+
+
+@pytest.mark.parametrize("mem_type", list(mb.LORA_SITES))
+def test_lora_memories_match_the_oracle_with_pairs_folded_in(mem_type):
+    # x @ W + (alpha / r) (x @ A) @ B is x @ (W + (alpha / r) A @ B), per row
+    rng = np.random.default_rng(9)
+    model = mdl.init_model(TOY, seed=5, dtype=np.float64)
+    toks = rng.integers(0, TOY.vocab_size, size=(3, 7)).astype(np.int32)
+    mcfg, rows = random_lora_rows(mem_type, TOY, 3, rng)
+    mems = mdl.AttachedMemories(mcfg, TOY, [nc.Tensor(r) for r in rows])
+    logits = mdl.forward(model, toks, mems=mems).data
+    for b in range(3):
+        weights = {n: p.data.copy() for n, p in model.named_params()}
+        for li in range(TOY.num_layers):
+            for sl in mems.at_layer(li + 1):
+                for site in mb.LORA_SITES[mem_type]:
+                    a, bb = sl[site + "a"].data[b], sl[site + "b"].data[b]
+                    weights[f"layers.{li}.{LORA_WEIGHTS[site]}"] += mb.LORA_ALPHA / a.shape[-1] * (a @ bb)
+        ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY)).value
+        assert np.abs(logits[b] - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("mem_type", list(mb.LORA_SITES))
+def test_lora_row_gradients_match_finite_differences(mem_type):
+    cfg = mdl.AnchorConfig(num_layers=1, dim=8, num_heads=2, head_dim=4, ffn_dim=12,
+                           vocab_size=11, tied_head=False, context_length=8)
+    rng = np.random.default_rng(10)
+    model = mdl.init_model(cfg, seed=2, dtype=np.float64)
+    toks = rng.integers(0, cfg.vocab_size, size=(2, 5))
+    targets = rng.integers(0, cfg.vocab_size, size=(2, 5))
+    mcfg, rows = random_lora_rows(mem_type, cfg, 2, rng)
+
+    def loss(level_rows):
+        mems = mdl.AttachedMemories(mcfg, cfg, level_rows)
+        return nc.cross_entropy(mdl.forward(model, toks, mems=mems), targets, np.ones(targets.shape))
+
+    leaves = [nc.Tensor(r.copy(), requires_grad=True) for r in rows]
+    with nc.Tape() as tape:
+        out = loss(leaves)
+    nc.backward(tape, out)
+    ref = rc.oracle_grad(lambda ps: float(loss([nc.Tensor(p) for p in ps]).data), [r.copy() for r in rows]).value
+    for t, r in zip(leaves, ref):
+        assert np.abs(t.grad - r).max() / np.abs(r).max() < 1e-6
+
+
 def test_nonzero_memories_change_logits():
     rng = np.random.default_rng(4)
     model = mdl.init_model(TOY, seed=5)

@@ -313,8 +313,14 @@ def load_tree(path) -> ClusterTree:
     fileio.check_layout(path, arrays, {f"level{l}": (cfg.k**l, meta["dim"]) for l in range(1, cfg.depth + 1)},
                         np.float32)
     levels = [arrays[f"level{l}"] for l in range(1, cfg.depth + 1)]
+    # one stats object per split node, as train_tree records them; inspect sums them up
+    tree_meta = meta["tree_meta"]
+    stats = tree_meta["node_stats"] if isinstance(tree_meta, dict) else None
+    if not (isinstance(stats, dict) and len(stats) == sum(cfg.k**l for l in range(cfg.depth))
+            and all(isinstance(s, dict) and isinstance(s["balance_converged"], bool)
+                    and isinstance(s["max_fraction"], (int, float)) for s in stats.values())):
+        raise fileio.ArtifactError(f"{path}: tree_meta.node_stats is not an object of one stats object per node")
     # None for a tree saved without one; the CLI refuses such a tree
     emb = meta.get("embedder")
     embedder = fileio.stored_config(em.EmbedderConfig, emb, path) if emb else None
-    return ClusterTree(config=cfg, dim=meta["dim"], levels=levels, meta=meta.get("tree_meta", {}),
-                       embedder=embedder)
+    return ClusterTree(config=cfg, dim=meta["dim"], levels=levels, meta=tree_meta, embedder=embedder)

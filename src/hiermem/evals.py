@@ -334,7 +334,7 @@ def greedy_decode_batch(
     """
     B, S0 = prompts_tokens.shape
     out = np.empty((B, max_new), dtype=np.result_type(prompts_tokens.dtype, np.int32))
-    if max_new == 0:
+    if B == 0 or max_new == 0:
         return out
     cache = mdl.KVCache(model.cfg, B, S0 + max_new - 1, model.dtype)
 

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -237,12 +238,27 @@ def check_layout(path, arrays: dict[str, np.ndarray], layout: dict[str, tuple[in
             raise ArtifactError(f"{path}: {name} is {arrays[name].dtype.str}, expected {np.dtype(dtype).str}")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's type: an int field takes an
+    int (not a bool or a float), a float field an int or a float, and a
+    tuple field, which JSON stores as a list, a list of its item type."""
+    if typing.get_origin(hint) is tuple:
+        return type(value) is list and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 def stored_config(cls, fields: dict, path):
     """The config dataclass ``cls`` an artifact recorded as the metadata dict ``fields``.
 
-    A field ``cls`` does not know, or a value its checks refuse, is an
+    A field ``cls`` does not know, a value not of its field's type (see
+    ``_fits``), or a value the config's checks refuse is an
     ``ArtifactError`` naming the file.
     """
+    hints = typing.get_type_hints(cls)
+    for name, value in fields.items() if isinstance(fields, dict) else ():
+        if name in hints and not _fits(value, hints[name]):
+            raise ArtifactError(f"{path}: stored {cls.__name__} field {name} is {value!r}, "
+                                f"not {hints[name].__name__ if isinstance(hints[name], type) else hints[name]}")
     try:
         return cls(**fields)
     except (TypeError, ValueError) as e:

@@ -314,6 +314,8 @@ def load_bank(path) -> MemoryBank:
     _, meta, arrays = fileio.read_artifact(path, expect_magic=BANK_MAGIC)
     cfg = fileio.stored_config(MemoryConfig, meta["config"], path)
     k, dims = meta["k"], meta["dims"]
+    if not (type(k) is int and k >= 1):  # type, not isinstance, so a bool is refused
+        raise fileio.ArtifactError(f"{path}: stored k {k!r} is not an int >= 1")
     try:
         sizes = bank_accounting(cfg, k=k, **dims)["level_sizes"]
     except (TypeError, ValueError) as e:

@@ -527,17 +527,18 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray, denom=None) -> Tensor:
-    """Mean negative log-likelihood over the vocabulary (last axis).
+def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray, denom: float) -> Tensor:
+    """Weighted mean negative log-likelihood over the vocabulary (last axis).
 
     ``targets`` holds class ids shaped like logits minus the last axis;
     ``weight`` (same shape as targets, 0/1 or soft) selects and weights
-    positions. Returns a scalar: the weighted NLL sum over ``denom``, by
-    default the sum of ``weight``. A row shard of a batch passes the whole
-    batch's weight sum, so its loss is its share of the batch mean and its
-    gradient is bit-equal to the unsharded one; such a shard may hold only
-    padding. The pointwise NLL array is stashed on the result as
-    ``_pointwise`` for metric reporting (not differentiable).
+    positions. Returns a scalar: the weighted NLL sum over ``denom``, which
+    must be finite and > 0. A whole batch passes its weight sum; a row shard
+    of a batch passes the whole batch's weight sum, so its loss is its share
+    of the batch mean and its gradient is bit-equal to the unsharded one;
+    such a shard may hold only padding. The pointwise NLL array is stashed
+    on the result as ``_pointwise`` for metric reporting (not
+    differentiable).
     """
     lshape = logits.data.shape
     V = lshape[-1]
@@ -555,11 +556,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weight: np.ndarray, denom
     lse = np.log(np.exp(z).sum(axis=-1))
     rows = np.arange(flat.shape[0])
     nll = lse - z[rows, t]
-    if denom is None:
-        denom = w.sum()
-        if denom <= 0:
-            raise ShapeError("cross_entropy: weight mask selects no positions")
-    elif not (math.isfinite(denom) and denom > 0):
+    if not (math.isfinite(denom) and denom > 0):
         raise ShapeError(f"cross_entropy: denominator must be finite and > 0, got {denom}")
     out = Tensor(np.asarray((nll * w).sum() / denom, dtype=flat.dtype))
     out._pointwise = nll  # type: ignore[attr-defined]

@@ -14,19 +14,10 @@ key/value cache. Nothing in the package imports this module; only tests do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as mdl
-
-
-@dataclass
-class OracleResult:
-    """A reference value plus a note saying which reference path produced it."""
-
-    value: object
-    note: str
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +34,9 @@ def _ref_splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def oracle_embed(texts: list[str], cfg) -> OracleResult:
-    """Hashed n-gram embedding of each text on its own, in Python integers.
+def oracle_embed(texts: list[str], cfg) -> np.ndarray:
+    """Hashed n-gram embedding of each text on its own, in Python integers:
+    a per-text loop over every window.
 
     Per text: lower-case, collapse whitespace, UTF-8 encode; for every
     n-gram size and every length-n byte window, a polynomial hash mod 2**64
@@ -67,18 +59,18 @@ def oracle_embed(texts: list[str], cfg) -> OracleResult:
         vec = np.array(counts, dtype=np.float32)
         norm = float(np.linalg.norm(vec))
         out[row] = vec / norm if norm > 0 else vec
-    return OracleResult(out, "per-text loop over every window in Python integers")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # clustering
 # ---------------------------------------------------------------------------
 
-def oracle_kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 1000) -> OracleResult:
+def oracle_kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 1000) -> tuple:
     """Full-batch Lloyd's algorithm run to convergence, k-means++ seeding.
 
-    Returns OracleResult(value=(assignments, centers)). Intended for small,
-    well-separated inputs where Lloyd's finds the natural partition.
+    Returns (assignments, centers). Intended for small, well-separated
+    inputs where Lloyd's finds the natural partition.
     """
     rng = np.random.default_rng(seed)
     pts = np.asarray(points, dtype=np.float64)
@@ -103,21 +95,23 @@ def oracle_kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 1000) 
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return OracleResult((assign, centers), "full-batch Lloyd's to convergence")
+    return assign, centers
 
 
-def oracle_nearest_leaf(point: np.ndarray, leaf_centers: np.ndarray) -> OracleResult:
-    """Brute-force nearest leaf over every leaf center (no tree descent)."""
+def oracle_nearest_leaf(point: np.ndarray, leaf_centers: np.ndarray) -> int:
+    """Brute-force nearest leaf: an exhaustive scan over every leaf center
+    (no tree descent)."""
     d2 = np.sum((np.asarray(leaf_centers, dtype=np.float64) - np.asarray(point, dtype=np.float64)) ** 2, axis=1)
-    return OracleResult(int(np.argmin(d2)), "exhaustive scan over all leaves")
+    return int(np.argmin(d2))
 
 
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 
-def oracle_grad(f, params: list[np.ndarray], h: float = 1e-5) -> OracleResult:
-    """Central finite differences of scalar f(params) w.r.t. every entry.
+def oracle_grad(f, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
+    """Central finite differences, step ``h``, of scalar f(params) w.r.t.
+    every entry.
 
     f receives the parameter list and returns a float. Entries are
     perturbed one at a time; gradients come back as arrays matching each
@@ -137,7 +131,7 @@ def oracle_grad(f, params: list[np.ndarray], h: float = 1e-5) -> OracleResult:
             flat[i] = orig
             gflat[i] = (fp - fm) / (2.0 * h)
         grads.append(g)
-    return OracleResult(grads, f"central differences, h={h}")
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +147,7 @@ def _ref_softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def oracle_forward(tokens: np.ndarray, weights: dict, cfg: dict) -> OracleResult:
+def oracle_forward(tokens: np.ndarray, weights: dict, cfg: dict) -> np.ndarray:
     """Straight-line decoder forward for one unbatched token sequence.
 
     ``weights`` maps the canonical parameter names (tok_embeddings.weight,
@@ -215,28 +209,28 @@ def oracle_forward(tokens: np.ndarray, weights: dict, cfg: dict) -> OracleResult
         logits = xf @ w["tok_embeddings.weight"].T
     else:
         logits = xf @ w["head.weight"].T
-    return OracleResult(logits, "straight-line per-position float64 evaluation")
+    return logits
 
 
-def oracle_greedy_decode(model, prompts: np.ndarray, max_new: int, mems) -> OracleResult:
+def oracle_greedy_decode(model, prompts: np.ndarray, max_new: int, mems) -> np.ndarray:
     """Greedy decode that reruns the full, uncached forward for every token.
 
-    Returns OracleResult(value=(B, max_new) token ids).
+    Returns (B, max_new) token ids.
     """
     toks = prompts
     for _ in range(max_new):
         logits = mdl.forward(model, toks, mems=mems)
         nxt = np.argmax(logits.data[:, -1, :], axis=-1).astype(np.int32)
         toks = np.concatenate([toks, nxt[:, None]], axis=1)
-    return OracleResult(toks[:, prompts.shape[1]:], "full forward rerun per new token, no cache")
+    return toks[:, prompts.shape[1]:]
 
 
 # ---------------------------------------------------------------------------
 # storage latency
 # ---------------------------------------------------------------------------
 
-def oracle_latency(level_bytes: list[int], tiers: list[tuple[float, float]], mode: str) -> OracleResult:
-    """Per-level latencies combined by hand.
+def oracle_latency(level_bytes: list[int], tiers: list[tuple[float, float]], mode: str) -> float:
+    """Per-level latencies combined by hand, in plain per-level arithmetic.
 
     tiers[i] = (bandwidth_bytes_per_s, fixed_latency_s) for level i+1.
     mode 'parallel' takes the slowest level, 'serial' the sum.
@@ -248,4 +242,4 @@ def oracle_latency(level_bytes: list[int], tiers: list[tuple[float, float]], mod
         total = float(sum(per))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return OracleResult(total, f"per-level arithmetic, {mode} aggregation")
+    return total

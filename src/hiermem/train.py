@@ -26,16 +26,19 @@ Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous row
 shards, or as one when the batch has one row. Every op of the step works
 per row (shared-weight GEMMs, per-sequence memory products, attention per
 row and head), so the shards are independent until their gradients meet.
-Each shard runs the forward and the cross-entropy on its own tape, with the
-whole batch's weight sum as the denominator. The calling thread runs the
-last shard and a helper pool of ``STEP_SHARDS - 1`` threads, made once,
-the others (``evals.greedy_decode_batch`` runs its prefill on the same
-pool); only a finite loss starts the backward, on the same threads.
-Level-row gradients are concatenated in row order. Where the anchor
-trains, each shard has its own gradient leaves over the anchor's arrays,
-and their gradients are summed in shard order. Scatter, clip and AdamW
-then run once, as for one shard. The step's loss is summed over the
-pointwise NLL of every row in row order, as one tape sums it.
+Each shard runs the forward and the cross-entropy on its own tape. Every
+shard passes ``nc.cross_entropy`` the whole batch's weight sum as its
+denominator, which that function requires of every caller. The calling
+thread runs the last shard and a helper pool of ``STEP_SHARDS - 1``
+threads, made once, the others (``evals.greedy_decode_batch`` runs its
+prefill on the same pool). Only a finite loss starts the backward, on the
+same threads; a step with any other loss is aborted, and moves nothing but
+the schedule and the counts. Level-row gradients are concatenated in row
+order. Where the anchor trains, each shard has its own gradient leaves
+over the anchor's arrays, and their gradients are summed in shard order.
+Scatter, clip and AdamW then run once, as for one shard. The step's loss
+is summed over the pointwise NLL of every row in row order, as one tape
+sums it.
 
 What a run's bytes depend on. ``STEP_SHARDS`` is a constant and not the CPU
 count, and a shard computes the same whichever thread runs it, so the bytes
@@ -344,11 +347,8 @@ def _row_ranges(B: int) -> list[tuple[int, int]]:
 
 def _on_shards(fn, shards: list) -> None:
     """``fn(shard)`` for every shard: the helper pool takes all but the last
-    and the calling thread the last; a lone shard runs inline. Every call
+    and the calling thread the last, so a lone shard runs inline. Every call
     has ended when this returns or raises."""
-    if len(shards) == 1:
-        fn(shards[0])
-        return
     futures = [_helper_pool().submit(fn, s) for s in shards[:-1]]
     try:
         fn(shards[-1])
@@ -366,19 +366,20 @@ def train_step(
     cfg: TrainConfig,
 ) -> dict:
     """One optimizer step over row shards of the batch (see the module doc).
-    Returns the step's metrics row as a dict."""
+    A step whose loss is not finite is aborted: it runs no backward and moves
+    no parameter or optimizer state, but the schedule advances. Returns the
+    step's metrics row as a dict."""
     B = batch["inputs"].shape[0]
     lr = cosine_lr(state.step + 1, cfg)
     train_anchor = cfg.regime != "memory"
 
     generic_rows = np.zeros(B, dtype=bool)
-    fetched_rows: list[np.ndarray] = []
+    fm = None
     if bank is not None:
         generic_rows = state.rng.random(B) < 1.0 / (bank.k + 1)
         fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
-        fetched_rows = fm.levels
 
-    shards = [_Shard(model, slice(a, b), fetched_rows, train_anchor) for a, b in _row_ranges(B)]
+    shards = [_Shard(model, slice(a, b), [] if fm is None else fm.levels, train_anchor) for a, b in _row_ranges(B)]
     # every shard divides by the whole batch's weight sum, as one tape would
     w = np.asarray(batch["weights"], dtype=model.dtype).reshape(-1)
     denom = w.sum()
@@ -387,48 +388,48 @@ def train_step(
     # the shards' losses are their shares of the batch mean; when they are
     # finite, the mean is summed over the pointwise NLL in row order, as an
     # unsharded cross_entropy sums it
-    pw = np.concatenate([s.loss._pointwise for s in shards])
+    wnll = np.concatenate([s.loss._pointwise for s in shards]) * w
     loss_val = sum(float(s.loss.data) for s in shards)
     if math.isfinite(loss_val):
-        loss_val = float(np.asarray((pw * w).sum() / denom, dtype=model.dtype))
+        loss_val = float(np.asarray(wnll.sum() / denom, dtype=model.dtype))
 
-    ntok = float(batch["weights"].sum())
-    pw = pw.reshape(batch["weights"].shape)
-    wsum = batch["weights"].sum(axis=1)
-    row_nll = np.divide((pw * batch["weights"]).sum(axis=1), wsum, out=np.zeros(B), where=wsum > 0)
-    loss_fetched = float(row_nll[~generic_rows].mean()) if (~generic_rows).any() else float("nan")
-    loss_generic = float(row_nll[generic_rows].mean()) if generic_rows.any() else float("nan")
-
+    row_w = w.reshape(B, -1).sum(axis=1)
+    row_nll = np.divide(wnll.reshape(B, -1).sum(axis=1), row_w, out=np.zeros(B), where=row_w > 0)
     metrics = {
         "step": state.step + 1,
         "lr": lr,
         "loss": loss_val,
-        "loss_fetched": loss_fetched,
-        "loss_generic": loss_generic,
-        "tokens_seen": state.tokens_seen + ntok,
+        "loss_fetched": float(row_nll[~generic_rows].mean()) if (~generic_rows).any() else float("nan"),
+        "loss_generic": float(row_nll[generic_rows].mean()) if generic_rows.any() else float("nan"),
+        "tokens_seen": state.tokens_seen + float(denom),
         "grad_norm": float("nan"),
     }
-    if not math.isfinite(loss_val):
-        # abort the step: no parameter or optimizer movement, schedule advances
+    if math.isfinite(loss_val):
+        _on_shards(_Shard.backward, shards)
+        metrics["grad_norm"] = _apply_gradients(model, bank, fm, generic_rows, shards, state, lr)
+    else:
         state.aborted += 1
-        state.step += 1
-        state.tokens_seen += ntok
-        state.metrics.append([metrics[c] for c in METRIC_COLUMNS])
-        return metrics
+    state.step += 1
+    state.tokens_seen = metrics["tokens_seen"]
+    state.metrics.append([metrics[c] for c in METRIC_COLUMNS])
+    return metrics
 
-    _on_shards(_Shard.backward, shards)
 
+def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm: mb.FetchedMemory | None,
+                     generic_rows: np.ndarray, shards: list[_Shard], state: TrainState, lr: float) -> float:
+    """Clip the shards' gradients and apply AdamW to every array they reach:
+    the anchor's parameters when it trains, and the fetched blocks and
+    generic blocks of each bank level. Returns the pre-clip global norm."""
     # (state name, array, the indices its gradients update, the gradients,
     # weight decay), in the order the clip sums. A bank level's gradients are
     # one row per fetched block; any other array takes one gradient at ``whole``.
     whole = [()]
     updates: list[tuple[str, np.ndarray, list, list, float]] = []
-    if train_anchor:
-        for name, p in model.named_params():
-            grads = [s.model.params[name].grad for s in shards]
-            if grads[0] is not None:
-                wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
-                updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in shard order
+    for name, p in model.named_params():
+        grads = [s.model.params[name].grad for s in shards]
+        if grads[0] is not None:  # None on a frozen anchor
+            wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
+            updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in shard order
 
     # scatter per-sequence memory row gradients into per-block sums
     if bank is not None:
@@ -450,7 +451,7 @@ def train_step(
             if generic_rows.any():
                 updates.append((gname, gen, whole, [g[generic_rows].sum(axis=0).astype(np.float32)], MEMORY_WD))
 
-    metrics["grad_norm"] = nc.clip_global_norm([g for u in updates for g in u[3]], GRAD_CLIP)
+    grad_norm = nc.clip_global_norm([g for u in updates for g in u[3]], GRAD_CLIP)
 
     for name, p, at, grads, wd in updates:
         st = state.opt.get(name)
@@ -461,11 +462,7 @@ def train_step(
         for i, g in zip(at, grads):
             st.steps[i] += 1
             _adamw(p[i], g, st.m[i], st.v[i], int(st.steps[i]), lr, wd)
-
-    state.step += 1
-    state.tokens_seen += ntok
-    state.metrics.append([metrics[c] for c in METRIC_COLUMNS])
-    return metrics
+    return grad_norm
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +494,10 @@ def load_state(path) -> TrainState:
     ``sched.order``, ``metrics.rows`` and complete ``opt.<name>.m``, ``.v``
     and int64 ``.steps`` triples, such as one with per-block state, is an
     ``ArtifactError``. Whether the states fit a model and bank is checked
-    when a run resumes."""
+    when a run resumes. So are metadata of the wrong types: ``step``,
+    ``aborted`` and ``epoch_pos`` must be ints >= 0, ``tokens_seen`` a
+    finite float and ``rng_state`` a generator state, ``sched.order`` 1-D
+    int64 and ``metrics.rows`` float64."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
     if "opt_steps" in meta:
         raise fileio.ArtifactError(f"{path}: per-block optimizer state from an older version, which is not read")
@@ -516,15 +516,28 @@ def load_state(path) -> TrainState:
             raise fileio.ArtifactError(f"{path}: opt.{name}.steps is {have['steps'].dtype}, expected int64")
     if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
         raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
+    order, rows = arrays["sched.order"], arrays["metrics.rows"]
+    if order.dtype != np.int64 or order.ndim != 1 or rows.dtype != np.float64:
+        raise fileio.ArtifactError(f"{path}: sched.order is {order.dtype} {order.shape} and metrics.rows "
+                                   f"{rows.dtype}, expected 1-D int64 and float64")
+    for key in ("step", "aborted", "epoch_pos"):
+        if not (type(meta[key]) is int and meta[key] >= 0):  # type, not isinstance, so a bool is refused
+            raise fileio.ArtifactError(f"{path}: {key} {meta[key]!r} is not an int >= 0")
+    tokens = meta["tokens_seen"]  # a float sum of weights, written as a float even when whole
+    if not (isinstance(tokens, float) and math.isfinite(tokens)):
+        raise fileio.ArtifactError(f"{path}: tokens_seen {tokens!r} is not a finite float")
     state = TrainState(fileio.stored_config(TrainConfig, meta["config"], path))
     state.step = meta["step"]
     state.aborted = meta["aborted"]
-    state.tokens_seen = meta["tokens_seen"]
+    state.tokens_seen = tokens
     state.epoch_pos = meta["epoch_pos"]
-    state.epoch_order = arrays["sched.order"]
-    state.metrics = [list(r) for r in arrays["metrics.rows"]]
+    state.epoch_order = order
+    state.metrics = [list(r) for r in rows]
     state.rng = np.random.default_rng()
-    state.rng.bit_generator.state = meta["rng_state"]
+    try:
+        state.rng.bit_generator.state = meta["rng_state"]
+    except (TypeError, ValueError, KeyError) as e:
+        raise fileio.ArtifactError(f"{path}: rng_state is not a generator state ({e})") from None
     state.opt = {name: _AdamState(**have) for name, have in parts.items()}
     return state
 

@@ -179,7 +179,7 @@ def test_missing_artifact_exits_1(ws, tmp_path, capsys):
 
 
 def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
-    raw = open(trained["tree"], "rb").read()
+    raw = Path(trained["tree"]).read_bytes()
     p = tmp_path / "damaged.bin"
     for data in (raw[:10], raw[:20], raw[:30], raw + b"junk"):
         p.write_bytes(data)
@@ -232,6 +232,34 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
     short_tree = damaged(trained["tree"], "short_tree.bin", arrays_set("level2", lambda a: a["level2"][:0]))
     extra_tree = damaged(trained["tree"], "extra_tree.bin", arrays_set("warp", lambda a: a["level1"]))
     bad_dims = damaged(trained["bank"], "bad_dims.bin", lambda meta, arrays: meta["dims"].pop("heads"))
+
+    def meta_set(*keys, value):
+        def change(meta, arrays):
+            for key in keys[:-1]:
+                meta = meta[key]
+            meta[keys[-1]] = value
+        return change
+
+    # (artifact, change, what the error names): metadata of the wrong type or shape
+    wrong_types = [
+        ("state", meta_set("rng_state", value={"x": 1}), "rng_state"),
+        ("state", meta_set("rng_state", value=[1, 2]), "rng_state"),
+        ("state", meta_set("step", value="seven"), "step"),
+        ("state", meta_set("aborted", value=None), "aborted"),
+        ("state", meta_set("epoch_pos", value=True), "epoch_pos"),
+        ("state", meta_set("tokens_seen", value=float("nan")), "tokens_seen"),
+        ("state", arrays_set("sched.order", lambda a: a["sched.order"].astype(np.float64)), "sched.order"),
+        ("state", arrays_set("metrics.rows", lambda a: np.zeros_like(a["metrics.rows"], dtype=np.int8)), "metrics.rows"),
+        ("state", meta_set("config", "batch_size", value=4.0), "batch_size"),
+        ("tree", meta_set("tree_meta", value=[1, 2]), "tree_meta"),
+        ("tree", meta_set("tree_meta", "node_stats", value=[1, 2]), "node_stats"),
+        ("tree", meta_set("tree_meta", "node_stats", "1.0", value=3), "node_stats"),
+        ("tree", meta_set("config", "k", value=2.0), "ClusterConfig field k"),
+        ("bank", meta_set("k", value=2.0), "k 2.0"),
+        ("bank", meta_set("config", "rs", value=[2.0, 2.0]), "rs"),
+        ("model", meta_set("config", "num_layers", value=True), "num_layers"),
+        ("model", meta_set("config", "tied_head", value=1), "tied_head"),
+    ]
     common = ["--config", trained["ini"], "--out", str(tmp_path / "o")]
     cases = [
         (["eval", no_wq, trained["facts"], "--mode", "none", *common], "layers.0.wq"),
@@ -266,6 +294,8 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
           "--tree", extra_tree, *common], "warp"),
         (["inspect", short_tree], "level2"),
     ]
+    cases += [(["inspect", damaged(trained[kind], f"typed{i}.bin", change)], named)
+              for i, (kind, change, named) in enumerate(wrong_types)]
     for argv, named in cases:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err

@@ -25,7 +25,7 @@ def test_four_blobs_match_lloyds_oracle():
                            balance_limit=0.5, seed=1)
     tree = cl.train_tree(pts, cfg)
     got = cl.assign_batch(pts, tree)[:, 0] - 1
-    ref, _ = rc.oracle_kmeans(pts, 4, seed=0).value
+    ref, _ = rc.oracle_kmeans(pts, 4, seed=0)
     # same partition up to label permutation
     mapping = {}
     for g, r in zip(got, ref):
@@ -88,7 +88,7 @@ def test_greedy_agrees_with_exhaustive_leaf_oracle_mostly():
     agree = 0
     greedy = cl.flats_of_paths(cl.assign_batch(pts, tree), tree.k)
     for p, g in zip(pts, greedy):
-        agree += g == rc.oracle_nearest_leaf(p, tree.levels[-1]).value
+        agree += g == rc.oracle_nearest_leaf(p, tree.levels[-1])
     assert agree >= int(0.9 * len(pts))  # greedy is not globally optimal
 
 

@@ -72,7 +72,7 @@ def test_batch_matches_oracle(texts, chunk, budget, sizes):
     with mock.patch.object(em, "_CHUNK_DOCS", chunk), mock.patch.object(em, "_CHUNK_BYTES", budget):
         got = em.embed_batch(texts, cfg)
     assert got.dtype == np.float32
-    assert got.tobytes() == rc.oracle_embed(texts, cfg).value.tobytes()
+    assert got.tobytes() == rc.oracle_embed(texts, cfg).tobytes()
 
 
 def test_batch_larger_than_a_chunk_matches_oracle():
@@ -80,7 +80,7 @@ def test_batch_larger_than_a_chunk_matches_oracle():
     words = ["alpha", "beta", "gamma", "delta", "ε", "日本", "  "]
     texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 5)))) for _ in range(em._CHUNK_DOCS + 37)]
     got = em.embed_batch(texts, CFG)
-    assert got.tobytes() == rc.oracle_embed(texts, CFG).value.tobytes()
+    assert got.tobytes() == rc.oracle_embed(texts, CFG).tobytes()
 
 
 def test_long_documents_split_by_bytes_match_oracle():
@@ -92,7 +92,7 @@ def test_long_documents_split_by_bytes_match_oracle():
     with mock.patch.object(em, "_CHUNK_BYTES", 4096), \
          mock.patch.object(em, "_embed_chunk", lambda docs, cfg: calls.append(docs) or real(docs, cfg)):
         got = em.embed_batch(texts, CFG)
-    assert got.tobytes() == rc.oracle_embed(texts, CFG).value.tobytes()
+    assert got.tobytes() == rc.oracle_embed(texts, CFG).tobytes()
     assert len(calls) > 1  # the budget, not the document count, ended the chunks
     assert all(len(docs) == 1 or sum(map(len, docs)) <= 4096 for docs in calls)
 
@@ -102,4 +102,4 @@ def test_large_counts_take_the_float32_dot_norm():
     # still be the one numpy gives the float32 vector (a float32 root of
     # the exact sum misses it on both of these)
     texts = ["q" * 3079, "ab" * 1893]
-    assert em.embed_batch(texts, CFG).tobytes() == rc.oracle_embed(texts, CFG).value.tobytes()
+    assert em.embed_batch(texts, CFG).tobytes() == rc.oracle_embed(texts, CFG).tobytes()

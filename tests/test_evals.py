@@ -234,7 +234,7 @@ def test_cached_decode_matches_full_rerun_in_float64(mem_type, rs):
     prompts = rng.integers(0, DECODE_CFG.vocab_size, size=(B, S0)).astype(np.int32)
     mems = decode_memories(model, mem_type, rs, B, rng)
     got = ev.greedy_decode_batch(model, prompts, max_new, mems)
-    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, max_new, mems).value)
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, max_new, mems))
     # every cached call's (B, 1, V) logits against the last position of the
     # full forward over the same prefix
     seq = np.concatenate([prompts, got], axis=1)
@@ -253,9 +253,9 @@ def test_cached_decode_tokens_match_full_rerun_in_float32(mem_type):
     prompts = rng.integers(0, DECODE_CFG.vocab_size, size=(16, 9)).astype(np.int32)
     mems = decode_memories(model, mem_type, (2, 3), 16, rng)
     got = ev.greedy_decode_batch(model, prompts, 8, mems)
-    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 8, mems).value)
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 8, mems))
     plain = ev.greedy_decode_batch(model, prompts, 8, None)
-    assert np.array_equal(plain, rc.oracle_greedy_decode(model, prompts, 8, None).value)
+    assert np.array_equal(plain, rc.oracle_greedy_decode(model, prompts, 8, None))
 
 
 def recording_forward(monkeypatch):
@@ -282,6 +282,15 @@ def test_decode_runs_the_prompt_once_then_one_position_per_token(monkeypatch):
     assert [shape for shape, _ in calls[2:]] == [(3, 1)] * 3
     calls.clear()
     assert ev.greedy_decode_batch(model, prompts, 0, None).shape == (3, 0)
+    assert calls == []
+
+
+def test_decode_of_no_prompts_is_empty(monkeypatch):
+    model = mdl.init_model(DECODE_CFG, seed=6)
+    calls = recording_forward(monkeypatch)
+    for max_new in (0, 3):
+        out = ev.greedy_decode_batch(model, np.empty((0, 5), dtype=np.int32), max_new, None)
+        assert out.shape == (0, max_new) and out.dtype == np.int32
     assert calls == []
 
 
@@ -340,7 +349,7 @@ def test_one_generic_row_decodes_as_that_row_repeated(mem_type):
     repeated = mdl.AttachedMemories(bank.cfg, cfg, [nc.Tensor(np.repeat(g[None], 5, axis=0)) for g in bank.generic])
     got = ev.greedy_decode_batch(model, prompts, 6, one)
     assert np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, repeated))
-    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 6, repeated).value)
+    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 6, repeated))
     # the generic rows change the decode, so the test sees them
     assert not np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, None))
 
@@ -350,7 +359,7 @@ def test_decode_lengths_and_context_limit():
     prompts = np.arange(12, dtype=np.int32).reshape(3, 4)
     one = ev.greedy_decode_batch(model, prompts, 1, None)
     assert one.shape == (3, 1)
-    assert np.array_equal(one, rc.oracle_greedy_decode(model, prompts, 1, None).value)
+    assert np.array_equal(one, rc.oracle_greedy_decode(model, prompts, 1, None))
     # the last new token is never fed back, so S0 + max_new - 1 positions must fit
     S0 = DECODE_CFG.context_length - 2
     long = np.ones((2, S0), dtype=np.int32)

@@ -35,7 +35,7 @@ def test_forward_matches_straight_line_oracle_per_sequence():
     logits = mdl.forward(model, toks)
     weights = {n: p.data for n, p in model.named_params()}
     for b in range(3):
-        ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY)).value
+        ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY))
         assert np.abs(logits.data[b] - ref).max() < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_lora_memories_match_the_oracle_with_pairs_folded_in(mem_type):
                 for site in mb.LORA_SITES[mem_type]:
                     a, bb = sl[site + "a"].data[b], sl[site + "b"].data[b]
                     weights[f"layers.{li}.{LORA_WEIGHTS[site]}"] += mb.LORA_ALPHA / a.shape[-1] * (a @ bb)
-        ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY)).value
+        ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY))
         assert np.abs(logits[b] - ref).max() < 1e-12
 
 
@@ -150,15 +150,17 @@ def test_lora_row_gradients_match_finite_differences(mem_type):
     targets = rng.integers(0, cfg.vocab_size, size=(2, 5))
     mcfg, rows = random_lora_rows(mem_type, cfg, 2, rng)
 
+    w = np.ones(targets.shape)
+
     def loss(level_rows):
         mems = mdl.AttachedMemories(mcfg, cfg, level_rows)
-        return nc.cross_entropy(mdl.forward(model, toks, mems=mems), targets, np.ones(targets.shape))
+        return nc.cross_entropy(mdl.forward(model, toks, mems=mems), targets, w, w.sum())
 
     leaves = [nc.Tensor(r.copy(), requires_grad=True) for r in rows]
     with nc.Tape() as tape:
         out = loss(leaves)
     nc.backward(tape, out)
-    ref = rc.oracle_grad(lambda ps: float(loss([nc.Tensor(p) for p in ps]).data), [r.copy() for r in rows]).value
+    ref = rc.oracle_grad(lambda ps: float(loss([nc.Tensor(p) for p in ps]).data), [r.copy() for r in rows])
     for t, r in zip(leaves, ref):
         assert np.abs(t.grad - r).max() / np.abs(r).max() < 1e-6
 

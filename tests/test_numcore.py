@@ -21,7 +21,7 @@ def fd_check(build, params, rel=1e-6, h=1e-5):
         ts = [nc.Tensor(p.astype(np.float64)) for p in ps]
         return float(build(ts).data)
 
-    ref = rc.oracle_grad(f, [p.copy() for p in params], h=h).value
+    ref = rc.oracle_grad(f, [p.copy() for p in params], h=h)
     for t, r in zip(tensors, ref):
         denom = max(np.abs(r).max(), 1e-8)
         assert t.grad is not None
@@ -168,14 +168,15 @@ def test_cross_entropy_matches_manual_and_weights():
     logits = rng.normal(size=(5, 7))
     targets = rng.integers(0, 7, size=5)
     w = np.array([1, 1, 0, 1, 0], dtype=np.float64)
-    fd_check(lambda ts: nc.cross_entropy(ts[0], targets, w), [logits])
+    fd_check(lambda ts: nc.cross_entropy(ts[0], targets, w, w.sum()), [logits])
     t = nc.Tensor(logits)
-    loss = nc.cross_entropy(t, targets, w)
+    loss = nc.cross_entropy(t, targets, w, w.sum())
     z = logits - logits.max(axis=1, keepdims=True)
     nll = np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), targets]
     assert np.isclose(float(loss.data), (nll * w).sum() / w.sum())
-    with pytest.raises(nc.ShapeError):
-        nc.cross_entropy(t, targets, np.zeros(5))
+    # a weight mask that selects no position has no mean
+    with pytest.raises(nc.ShapeError, match="denominator must be finite and > 0"):
+        nc.cross_entropy(t, targets, np.zeros(5), np.zeros(5).sum())
 
 
 def test_cross_entropy_over_a_batch_denominator():
@@ -184,7 +185,7 @@ def test_cross_entropy_over_a_batch_denominator():
     w = np.array([1, 1, 0, 0], dtype=np.float32)
     whole = nc.Tensor(logits, requires_grad=True)
     with nc.Tape() as tape:
-        loss = nc.cross_entropy(whole, targets, w)
+        loss = nc.cross_entropy(whole, targets, w, w.sum())
     nc.backward(tape, loss)
     # two row shards, each over the whole batch's weight sum; the second
     # selects no position of its own
@@ -204,10 +205,10 @@ def test_cross_entropy_over_a_batch_denominator():
 def test_cross_entropy_weight_must_match_targets():
     logits = nc.Tensor(np.zeros((2, 3, 5)))
     targets = np.zeros((2, 3), dtype=np.int64)
-    assert np.isclose(float(nc.cross_entropy(logits, targets, np.ones((2, 3))).data), np.log(5))
+    assert np.isclose(float(nc.cross_entropy(logits, targets, np.ones((2, 3)), 6.0).data), np.log(5))
     for weight in (np.ones(1), np.ones(4), np.ones((3, 2, 1, 2))):  # broadcast, short, too many
         with pytest.raises(nc.ShapeError, match="weight"):
-            nc.cross_entropy(logits, targets, weight)
+            nc.cross_entropy(logits, targets, weight, weight.sum())
 
 
 def test_embedding_scatter_grad():
@@ -427,7 +428,7 @@ def test_shape_errors_are_loud():
     with pytest.raises(nc.ShapeError, match=r"\(2, 3, 5\) @ \(4, 2\)"):
         nc.matmul(nc.Tensor(np.ones((2, 3, 5))), nc.Tensor(np.ones((4, 2))))
     with pytest.raises(nc.ShapeError):
-        nc.cross_entropy(nc.Tensor(np.ones((2, 3))), np.array([0, 3]), np.ones(2))
+        nc.cross_entropy(nc.Tensor(np.ones((2, 3))), np.array([0, 3]), np.ones(2), 2.0)
 
 
 def test_composite_f64_pipeline_close_to_fd():

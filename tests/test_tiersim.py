@@ -26,7 +26,7 @@ def test_load_latency_matches_oracle(mode):
         [(t.bandwidth, t.fixed_latency) for t in pl.tiers],
         mode,
     )
-    assert got["total"] == pytest.approx(ref.value, rel=1e-12)
+    assert got["total"] == pytest.approx(ref, rel=1e-12)
     assert len(got["per_level"]) == 3
     assert got["per_level"][1] == 0.0
 

@@ -134,6 +134,10 @@ def cmd_train(args) -> int:
             f"the model's vocab_size {model.cfg.vocab_size} has no id for EOT ({tok.EOT}); "
             f"it must be at least {tok.EOT + 1}"
         )
+    # a packed sequence of seq_len tokens feeds the model seq_len - 1 positions
+    if rc.train.seq_len - 1 > model.cfg.context_length:
+        raise hc.ConfigError(f"[train] seq_len {rc.train.seq_len} feeds {rc.train.seq_len - 1} positions, "
+                             f"more than the model's context length {model.cfg.context_length}")
     # the bank is checked against the tree and the model before the corpus is embedded
     bank = None
     if args.bank:

@@ -276,31 +276,6 @@ def route_texts(texts: list[str], tree: cl.ClusterTree, ecfg: em.EmbedderConfig)
     return cl.assign_batch(em.embed_batch(texts, ecfg), tree)
 
 
-def _memory_rows(
-    bank: mb.MemoryBank | None,
-    paths: np.ndarray | None,
-    mode: str,
-    mask: mb.BlockMask | None,
-    dtype,
-) -> list[nc.Tensor] | None:
-    """Per-level (B, s_l) weight rows for a batch, or None for mode 'none'.
-
-    Generic mode gathers one row per level, which the model broadcasts
-    over the batch.
-    """
-    if mode == "none":
-        return None
-    if bank is None:
-        raise EvalError(f"eval mode {mode!r} needs a memory bank")
-    if mode == "generic":
-        fm = mb.fetch(bank, np.zeros(1, dtype=np.int64), generic_rows=np.ones(1, dtype=bool))
-    else:
-        if paths.shape[1] != bank.depth or ((paths < 1) | (paths > bank.k)).any():
-            raise mb.BankError(f"routed paths do not address a k={bank.k}, depth-{bank.depth} bank")
-        fm = mb.fetch(bank, cl.flats_of_paths(paths, bank.k), mask=mask)
-    return [nc.Tensor(rows.astype(dtype, copy=False)) for rows in fm.levels]
-
-
 # ---------------------------------------------------------------------------
 # fact recall
 # ---------------------------------------------------------------------------
@@ -379,25 +354,41 @@ def fact_recall(
 ) -> RecallReport:
     """Prompt-only retrieval, greedy decode, first-integer extraction.
 
-    The report has one row per frequency bucket the facts carry.
+    The modes differ only in the memories each decode batch attaches:
+    ``none`` attaches none; ``fetched`` routes each prompt through
+    ``tree`` with ``ecfg`` and fetches its root-to-leaf blocks, under
+    ``mask`` if one is given; ``generic`` is fetched mode with every row
+    marked generic, so each sequence gets the bank's generic block and no
+    tree is read. Either memory mode makes one ``mb.fetch`` call per
+    batch, one row per sequence. Inputs that do not fit the mode are an
+    ``EvalError`` before anything is routed. The report has one row per
+    frequency bucket the facts carry.
     """
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
     _keep_freed_pages()  # same-shaped decode batches: each one reuses what the last one freed
     prompts = [fact_prompt(f) for f in facts]
     paths = None
+    if mode != "none" and bank is None:
+        raise EvalError(f"eval mode {mode!r} needs a memory bank")
     if mode == "fetched":
         if tree is None:
             raise EvalError("fetched-mode recall needs a cluster tree")
+        if ecfg is None:
+            raise EvalError("fetched-mode recall needs an embedder to route the prompts")
+        # a tree that records its embedder routes only with that one
+        if tree.embedder is not None and ecfg != tree.embedder:
+            raise EvalError(f"the tree was built with embedder {tree.embedder} but routing was asked with {ecfg}")
+        # leaf ids are packed with the tree's k and decoded with the bank's
+        if (bank.k, bank.depth) != (tree.k, tree.depth):
+            raise EvalError(f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}")
         # a home leaf off the tree could never count as routed right
         for f in facts:
             if f.home_leaf is not None and (len(f.home_leaf) != tree.depth or max(f.home_leaf) > tree.k):
                 raise EvalError(f"fact {f.entity} ({f.name}) has home leaf {f.home_leaf}, "
                                 f"not a leaf of the k={tree.k}, depth-{tree.depth} tree")
-        # a tree that records its embedder routes only with that one
-        if tree.embedder is not None and ecfg != tree.embedder:
-            raise EvalError(f"the tree was built with embedder {tree.embedder} but routing was asked with {ecfg}")
         paths = route_texts(prompts, tree, ecfg)
+    leaves = np.zeros(len(facts), dtype=np.int64) if paths is None else cl.flats_of_paths(paths, tree.k)
 
     # group by prompt length so a batch decodes in lockstep without padding
     groups: dict[int, list[int]] = {}
@@ -411,8 +402,10 @@ def fact_recall(
         for i0 in range(0, len(idxs), batch_size):
             idx = idxs[i0 : i0 + batch_size]
             toks = np.stack([tok.encode(prompts[i]) for i in idx])
-            rows = _memory_rows(bank, paths[idx] if paths is not None else None, mode, mask, model.dtype)
-            mems = mdl.AttachedMemories(bank.cfg, model.cfg, rows) if rows is not None else None
+            mems = None
+            if mode != "none":
+                fm = mb.fetch(bank, leaves[idx], np.full(len(idx), mode == "generic"), mask)
+                mems = mdl.AttachedMemories(bank.cfg, model.cfg, [nc.Tensor(r.astype(model.dtype, copy=False)) for r in fm.levels])
             gen = greedy_decode_batch(model, toks, max_new, mems)
             for j, i in enumerate(idx):
                 out = gen[j]

@@ -187,13 +187,13 @@ class BlockMask:
         self.policy = policy
 
     def blocked(self, ids, level: int, k: int) -> np.ndarray:
-        """Whether each 0-based block id at ``level`` lies in a masked subtree."""
+        """Whether each 0-based block id at ``level`` lies in a masked subtree.
+
+        The roots must be paths of a k-ary tree; ``fetch`` checks that.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         out = np.zeros(ids.shape, dtype=bool)
         for r in self.roots:
-            # out-of-range components would alias other nodes' flat ids
-            if not all(1 <= i <= k for i in r):
-                raise BankError(f"mask root {r} has a component outside 1..{k}")
             if len(r) <= level:
                 out |= ids // k ** (level - len(r)) == cl.flats_of_paths(r, k)
         return out
@@ -262,6 +262,8 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
     Rows flagged in ``generic_rows`` get the generic block at every level.
     Other rows whose path enters a subtree of ``mask`` get the generic
     block, or zeros under the mask's "zero" policy, from that level down.
+    A mask root deeper than the bank or with a component outside 1..k is
+    a ``BankError``.
     """
     leaf_flats = np.asarray(leaf_flats, dtype=np.int64)
     n_leaves = bank.k ** bank.depth
@@ -269,9 +271,12 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
         raise BankError(f"fetch takes a 1-D batch of leaf ids, got shape {leaf_flats.shape}")
     if leaf_flats.size and (leaf_flats.min() < 0 or leaf_flats.max() >= n_leaves):
         raise BankError(f"leaf id outside [0, {n_leaves}) for k={bank.k}, depth {bank.depth}")
-    deep = [r for r in mask.roots if len(r) > bank.depth] if mask else []
-    if deep:
-        raise BankError(f"mask root {min(deep)} is deeper than the depth-{bank.depth} bank")
+    for r in sorted(mask.roots) if mask else []:
+        if len(r) > bank.depth:
+            raise BankError(f"mask root {r} is deeper than the depth-{bank.depth} bank")
+        # out-of-range components would alias other nodes' flat ids
+        if not all(1 <= i <= bank.k for i in r):
+            raise BankError(f"mask root {r} has a component outside 1..{bank.k}")
     generic = np.zeros(leaf_flats.shape, dtype=bool) if generic_rows is None else np.asarray(generic_rows, bool)
     levels, blocks = [], []
     for l in range(1, bank.depth + 1):

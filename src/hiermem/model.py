@@ -14,8 +14,10 @@ Memory blocks fetched from a bank attach as additive deltas:
 
 Every attachment's output-side weights start at zero, so a freshly
 initialized memory leaves logits bit-identical — attaching is graceful.
-Memory weights are per-sequence (each sequence in a batch may carry a
-different block), hence the batched (B, ., .) matmuls.
+Memories are one row per sequence: each level is a (B, s_l) row tensor
+for the B sequences of the batch, and ``forward`` refuses memories of
+another batch size. Each sequence may carry a different block, hence the
+batched (B, ., .) matmuls.
 
 Incremental decode passes a ``KVCache`` to ``forward``: the call's
 tokens take positions ``cache.length`` onward, each layer writes their
@@ -117,9 +119,6 @@ class TransformerModel:
         self.params = params
         self.dtype = np.dtype(dtype)
 
-    def named_params(self) -> list[tuple[str, nc.Tensor]]:
-        return list(self.params.items())
-
 
 def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> TransformerModel:
     rng = np.random.default_rng([seed, 0x40DE1])
@@ -137,7 +136,8 @@ def init_model(cfg: AnchorConfig, seed: int = 0, dtype=np.float32) -> Transforme
 class AttachedMemories:
     """Per-sequence memory weights organized for the forward pass.
 
-    Built from one (B, s_l) tensor per level, split into the slots of
+    Built from one (B, s_l) tensor per level, one row per sequence and the
+    same B, kept as ``batch``, at every level, split into the slots of
     ``membank.block_layout``: a layer holds one dict of slot tensors per
     level with slots there, so a width-0 level or an unplaced layer adds
     none. Splitting/reshaping happens through tape ops so gradients flow
@@ -155,23 +155,26 @@ class AttachedMemories:
                     f"level {lv + 1} rows shaped {rows.data.shape}, layout needs (B, {total})"
                 )
             B = rows.data.shape[0]
+            if B != len(level_rows[0].data):
+                raise ModelError(f"level {lv + 1} has {B} rows but level 1 has {len(level_rows[0].data)}")
             pieces = nc.split(rows, [s.size for s in slots], axis=1)
             per_layer: dict[int, dict[str, nc.Tensor]] = {}
             for slot, piece in zip(slots, pieces):
                 per_layer.setdefault(slot.layer, {})[slot.name] = nc.reshape(piece, (B,) + slot.shape)
             for li, sl in per_layer.items():
                 self._by_layer.setdefault(li, []).append(sl)
+        self.batch = len(level_rows[0].data)
 
     def at_layer(self, layer_1based: int) -> list[dict[str, nc.Tensor]]:
         return self._by_layer.get(layer_1based, [])
 
     def rows(self, a: int, b: int) -> AttachedMemories:
-        """The memories of batch rows ``[a, b)``, for inference: views with
-        no gradient. A one-row (generic) tensor stays whole and broadcasts."""
+        """The memories of batch rows ``[a, b)``, one row per sequence of
+        those rows, for inference: views with no gradient."""
         view = copy.copy(self)
+        view.batch = len(range(self.batch)[a:b])
         view._by_layer = {
-            li: [{name: t if t.data.shape[0] == 1 else nc.Tensor(t.data[a:b]) for name, t in sl.items()}
-                 for sl in sls]
+            li: [{name: nc.Tensor(t.data[a:b]) for name, t in sl.items()} for sl in sls]
             for li, sls in self._by_layer.items()
         }
         return view
@@ -253,6 +256,8 @@ def forward(
         raise ModelError(f"sequence length {end} exceeds context length {cfg.context_length}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ModelError(f"token id outside [0, {cfg.vocab_size})")
+    if mems is not None and mems.batch != B:
+        raise ModelError(f"memories for {mems.batch} sequences attached to a batch of {B}")
     heads, dh = cfg.num_heads, cfg.head_dim
     mask = doc_mask if doc_mask is not None else causal_mask(S, model.dtype, past)
     pos = np.arange(past, end)
@@ -292,10 +297,9 @@ def forward(
         att = nc.attention(qr, kr, vh, qmask)
         for sl in layer_mems:
             if "mk" in sl:
-                # (rows, r, H): a generic row is one row that broadcasts over the batch
-                rows, r, _ = sl["mk"].data.shape
-                mk = nc.transpose(nc.reshape(sl["mk"], (rows, r, heads, dh)), (0, 2, 1, 3))
-                mv = nc.transpose(nc.reshape(sl["mv"], (rows, r, heads, dh)), (0, 2, 1, 3))
+                r = sl["mk"].data.shape[1]  # (B, r, H)
+                mk = nc.transpose(nc.reshape(sl["mk"], (B, r, heads, dh)), (0, 2, 1, 3))
+                mv = nc.transpose(nc.reshape(sl["mv"], (B, r, heads, dh)), (0, 2, 1, 3))
                 # learned keys carry no positional encoding and no causal
                 # mask; queries are the normed, un-rotated ones
                 att = nc.add(att, nc.attention(qh, mk, mv, None))

@@ -425,7 +425,7 @@ def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm
     # one row per fetched block; any other array takes one gradient at ``whole``.
     whole = [()]
     updates: list[tuple[str, np.ndarray, list, list, float]] = []
-    for name, p in model.named_params():
+    for name, p in model.params.items():
         grads = [s.model.params[name].grad for s in shards]
         if grads[0] is not None:  # None on a frozen anchor
             wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
@@ -561,7 +561,7 @@ def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerMod
     if differ:
         raise TrainError("resume state was trained with another config: "
                          + ", ".join(f"{f} {stored[f]!r}, this run {run[f]!r}" for f in differ))
-    trained = {name: (t.data, ()) for name, t in model.named_params()}
+    trained = {name: (t.data, ()) for name, t in model.params.items()}
     if bank is not None:
         trained |= {name: (a, a.shape[:-1]) for name, a in mb.bank_arrays(bank.levels, bank.generic).items()}
     for name, st in state.opt.items():

@@ -397,6 +397,73 @@ def test_cluster_k1_yields_trivial_index(ws, tmp_path):
     assert all(r.split(",")[1:] == ["1", "1"] for r in rows)
 
 
+def test_k1_tree_trains_evaluates_and_blocks(ws, tmp_path, monkeypatch):
+    ini = tmp_path / "k1.ini"
+    ini.write_text(BASE_INI.replace("k = 2", "k = 1").replace("balance_limit = 0.75", "balance_limit = 1.0"))
+    mem_ini = tmp_path / "k1_mem.ini"
+    mem_ini.write_text(ini.read_text().replace("regime = scratch", "regime = memory"))
+    corpus, facts = str(ws / "corpus.txt"), str(ws / "facts.json")
+    out = tmp_path / "out"
+    assert cli.main(["cluster", corpus, "--config", str(ini), "--out", str(out)]) == 0
+    tree = str(out / "tree.bin")
+    assert cli.main(["train", corpus, tree, "--config", str(ini), "--out", str(out / "a")]) == 0
+    assert cli.main(["train", corpus, tree, "--config", str(mem_ini), "--out", str(out / "b"),
+                     "--init", str(out / "a" / "ckpt_final" / "model.ckpt")]) == 0
+    model = out / "b" / "ckpt_final" / "model.ckpt"
+    # five steps move the memories too little to change a decoded token, so
+    # the evals read the trained bank with its blocks and generic blocks redrawn apart
+    loaded = mb.load_bank(out / "b" / "ckpt_final" / "bank.bin")
+    rng = np.random.default_rng(5)
+    for arr in loaded.levels + loaded.generic:
+        arr[:] = rng.normal(0, 0.3, size=arr.shape)
+    bank = out / "redrawn.bin"
+    mb.save_bank(loaded, bank)
+
+    decoded = []
+    decode = ev.greedy_decode_batch
+
+    def recording_decode(*args):
+        decoded.append(decode(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(ev, "greedy_decode_batch", recording_decode)
+    tokens = {}
+    common = ["--bank", str(bank), "--tree", tree, "--config", str(ini), "--out", str(out)]
+    for name, argv in (("none", ["eval", str(model), facts, "--mode", "none", "--config", str(ini), "--out", str(out)]),
+                       ("generic", ["eval", str(model), facts, "--mode", "generic", *common]),
+                       ("fetched", ["eval", str(model), facts, "--mode", "fetched", *common]),
+                       ("blocked", ["block", str(model), facts, "1", *common])):
+        decoded.clear()
+        assert cli.main(argv) == 0
+        tokens[name] = np.concatenate(decoded)
+    traces = {name: [json.loads(line) for line in (out / f"recall_{name}.jsonl").read_text().splitlines()]
+              for name in tokens}
+    assert all(t["routed"] == [1, 1] for t in traces["fetched"] + traces["blocked"])
+    # under masked_policy = generic, masking the root's one child leaves every row generic
+    assert np.array_equal(tokens["blocked"], tokens["generic"])
+    assert not np.array_equal(tokens["fetched"], tokens["generic"])
+    assert [t["predicted"] for t in traces["blocked"]] == [t["predicted"] for t in traces["generic"]]
+
+
+def test_train_refuses_sequences_longer_than_the_context_before_embedding(ws, trained, tmp_path, capsys, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before the sequence length was checked")
+
+    monkeypatch.setattr(em, "embed_batch", no_embedding)
+    short = tmp_path / "short.ini"
+    short.write_text(BASE_INI.replace("context_length = 192", "context_length = 16"))
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(short),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "seq_len 48 feeds 47 positions, more than the model's context length 16" in capsys.readouterr().err
+    # with --init the context length is the checkpoint's (192), not [anchor]'s
+    long = tmp_path / "long.ini"
+    long.write_text(BASE_INI.replace("context_length = 192", "context_length = 4096")
+                    .replace("seq_len = 48", "seq_len = 194"))
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(long),
+                     "--out", str(tmp_path / "o"), "--init", str(trained["model"])]) == 2
+    assert "more than the model's context length 192" in capsys.readouterr().err
+
+
 def test_train_checkpoints_exist(ws, trained):
     assert trained["model"].exists()
     assert trained["bank"].exists()

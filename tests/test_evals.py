@@ -184,6 +184,64 @@ def test_fact_recall_generic_mode_on_kv_memories(setup):
     assert rep.mode == "generic" and len(rep.traces) == len(facts)
 
 
+def recording_decode(monkeypatch):
+    """Replace ev.greedy_decode_batch with one that records each batch's
+    decoded tokens, in call order."""
+    decoded = []
+    decode = ev.greedy_decode_batch
+
+    def recording(*args):
+        decoded.append(decode(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(ev, "greedy_decode_batch", recording)
+    return decoded
+
+
+@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
+def test_generic_mode_is_fetched_mode_with_every_row_generic(setup, monkeypatch, mem_type):
+    # on a bank whose every block is its generic block, the two modes
+    # attach the same rows, so they decode the same tokens
+    _, facts, tree, init, _, tok = setup
+    # ten times the init's weights: at init scale, a q/k update moves no argmax
+    model = mdl.TransformerModel(init.cfg, {name: nc.Tensor(p.data * 10 if p.data.ndim == 2 else p.data)
+                                            for name, p in init.params.items()})
+    bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 2)), **model.cfg.bank_dims, k=2, seed=4)
+    rng = np.random.default_rng(17)
+    for level, generic in zip(bank.levels, bank.generic):
+        generic[:] = rng.normal(0, 0.3, size=generic.shape)
+        level[:] = generic
+    decoded = recording_decode(monkeypatch)
+    reps = {mode: ev.fact_recall(model, bank, tree, ECFG, tok, facts, mode=mode, max_new=4)
+            for mode in ("generic", "fetched", "none")}
+    per_mode = [np.concatenate(decoded[i::3]) for i in range(3)]
+    assert np.array_equal(per_mode[0], per_mode[1])
+    assert [t["predicted"] for t in reps["generic"].traces] == [t["predicted"] for t in reps["fetched"].traces]
+    # the generic block changes the decode, so the comparison sees it
+    assert not np.array_equal(per_mode[0], per_mode[2])
+
+
+def test_fact_recall_refuses_a_bank_of_another_k_or_depth(setup, monkeypatch):
+    _, facts, tree, model, _, tok = setup
+    decoded = recording_decode(monkeypatch)
+    # a k=3 bank would read the k=2 tree's leaf ids as other leaves' blocks
+    for k, rs in ((3, (2, 2)), (2, (2, 2, 2)), (1, (2, 2))):
+        bank = mb.init_bank(mb.MemoryConfig(mem_type="ffn", rs=rs), **model.cfg.bank_dims, k=k, seed=4)
+        with pytest.raises(ev.EvalError, match=f"the bank is k={k} depth {len(rs)} but the tree is k=2 depth 2"):
+            ev.fact_recall(model, bank, tree, ECFG, tok, facts, mode="fetched")
+    for mode in ("generic", "fetched"):
+        with pytest.raises(ev.EvalError, match="needs a memory bank"):
+            ev.fact_recall(model, None, tree, ECFG, tok, facts, mode=mode)
+    assert decoded == []
+
+
+def test_fact_recall_refuses_to_route_without_an_embedder(setup):
+    _, facts, tree, model, bank, tok = setup
+    assert tree.embedder is None
+    with pytest.raises(ev.EvalError, match="needs an embedder"):
+        ev.fact_recall(model, bank, tree, None, tok, facts, mode="fetched")
+
+
 def test_fact_recall_counts_rigged_decoder(setup, monkeypatch):
     _, facts, tree, model, bank, tok = setup
     answers = {ev.fact_prompt(f): f.value for f in facts}
@@ -334,24 +392,6 @@ def test_cache_row_view_writes_the_parents_rows_and_keeps_its_checks():
     mdl.forward(model, np.zeros((1, DECODE_CFG.context_length), dtype=np.int32), cache=long)
     with pytest.raises(mdl.ModelError, match="exceeds context length"):
         mdl.forward(model, np.zeros((1, 1), dtype=np.int32), cache=long)
-
-
-@pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
-def test_one_generic_row_decodes_as_that_row_repeated(mem_type):
-    rng = np.random.default_rng(13)
-    model = mdl.init_model(DECODE_CFG, seed=6, dtype=np.float64)
-    cfg = model.cfg
-    bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 3)), **cfg.bank_dims, k=2, seed=1)
-    for arr in bank.generic:
-        arr[:] = rng.normal(0, 0.3, size=arr.shape)
-    prompts = rng.integers(0, cfg.vocab_size, size=(5, 6)).astype(np.int32)
-    one = mdl.AttachedMemories(bank.cfg, cfg, [nc.Tensor(g[None]) for g in bank.generic])
-    repeated = mdl.AttachedMemories(bank.cfg, cfg, [nc.Tensor(np.repeat(g[None], 5, axis=0)) for g in bank.generic])
-    got = ev.greedy_decode_batch(model, prompts, 6, one)
-    assert np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, repeated))
-    assert np.array_equal(got, rc.oracle_greedy_decode(model, prompts, 6, repeated))
-    # the generic rows change the decode, so the test sees them
-    assert not np.array_equal(got, ev.greedy_decode_batch(model, prompts, 6, None))
 
 
 def test_decode_lengths_and_context_limit():

@@ -33,7 +33,7 @@ def test_forward_matches_straight_line_oracle_per_sequence():
     model = mdl.init_model(TOY, seed=5, dtype=np.float64)
     toks = rng.integers(0, TOY.vocab_size, size=(3, 9)).astype(np.int32)
     logits = mdl.forward(model, toks)
-    weights = {n: p.data for n, p in model.named_params()}
+    weights = {n: p.data for n, p in model.params.items()}
     for b in range(3):
         ref = rc.oracle_forward(toks[b], weights, oracle_cfg(TOY))
         assert np.abs(logits.data[b] - ref).max() < 1e-12
@@ -48,10 +48,10 @@ def test_param_count_matches_closed_form_tied_and_untied():
         per_layer = 4 * cfg.dim * H + 2 * H + 3 * cfg.dim * cfg.ffn_dim + 2 * cfg.dim
         emb = cfg.vocab_size * cfg.dim * (1 if tied else 2)
         want = emb + cfg.num_layers * per_layer + cfg.dim
-        assert sum(p.data.size for _, p in model.named_params()) == want
+        assert sum(p.data.size for _, p in model.params.items()) == want
     tied_names = {n for n, _ in mdl.init_model(
         mdl.AnchorConfig(num_layers=1, dim=8, num_heads=1, head_dim=8,
-                         ffn_dim=16, vocab_size=11, tied_head=True), seed=0).named_params()}
+                         ffn_dim=16, vocab_size=11, tied_head=True), seed=0).params.items()}
     assert "head.weight" not in tied_names
 
 
@@ -73,20 +73,22 @@ def test_graceful_attach_all_memory_types():
         assert np.abs(out - base).max() <= 1e-6, mem_type
 
 
-def test_one_generic_row_broadcasts_over_the_batch():
-    # eval's generic mode attaches one row per level for a whole batch
+def test_memories_are_one_row_per_sequence():
+    # a one-row memory no longer broadcasts over the batch, at any level
     rng = np.random.default_rng(6)
     model = mdl.init_model(TOY, seed=5)
-    toks = rng.integers(0, TOY.vocab_size, size=(4, 7)).astype(np.int32)
+    toks = rng.integers(0, TOY.vocab_size, size=(3, 7)).astype(np.int32)
     for mem_type in mb.MEMORY_TYPES:
-        bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 2)),
-                            dim=TOY.dim, heads=TOY.num_heads, head_dim=TOY.head_dim,
-                            ffn_dim=TOY.ffn_dim, num_layers=TOY.num_layers, k=2, seed=1)
-        for l in range(2):
-            bank.generic[l][:] = rng.normal(0, 0.3, size=bank.generic[l].shape)
-        one = mdl.forward(model, toks, mems=attach_rows(bank, model, 1, model.dtype)).data
-        rep = mdl.forward(model, toks, mems=attach_rows(bank, model, 4, model.dtype)).data
-        assert np.array_equal(one, rep), mem_type
+        bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 2)), **TOY.bank_dims, k=2, seed=1)
+        with pytest.raises(mdl.ModelError, match="memories for 1 sequences attached to a batch of 3"):
+            mdl.forward(model, toks, mems=attach_rows(bank, model, 1, model.dtype))
+        with pytest.raises(mdl.ModelError, match="level 2 has 1 rows but level 1 has 3"):
+            mdl.AttachedMemories(bank.cfg, TOY, [nc.Tensor(np.zeros((3, bank.generic[0].size), np.float32)),
+                                                 nc.Tensor(bank.generic[1][None])])
+        mems = attach_rows(bank, model, 3, model.dtype)
+        assert mems.batch == 3 and mems.rows(1, 3).batch == 2 and mems.rows(2, 9).batch == 1
+        with pytest.raises(mdl.ModelError, match="memories for 2 sequences"):
+            mdl.forward(model, toks, mems=mems.rows(1, 3))
 
 
 @pytest.mark.parametrize("mem_type", mb.MEMORY_TYPES)
@@ -130,7 +132,7 @@ def test_lora_memories_match_the_oracle_with_pairs_folded_in(mem_type):
     mems = mdl.AttachedMemories(mcfg, TOY, [nc.Tensor(r) for r in rows])
     logits = mdl.forward(model, toks, mems=mems).data
     for b in range(3):
-        weights = {n: p.data.copy() for n, p in model.named_params()}
+        weights = {n: p.data.copy() for n, p in model.params.items()}
         for li in range(TOY.num_layers):
             for sl in mems.at_layer(li + 1):
                 for site in mb.LORA_SITES[mem_type]:
@@ -218,7 +220,7 @@ def test_save_load_roundtrip_and_meta(tmp_path):
     assert again.cfg == model.cfg
     mdl.save_model(again, p2, extra_meta={"note": "x"})
     assert p1.read_bytes() == p2.read_bytes()
-    for (n1, t1), (n2, t2) in zip(model.named_params(), again.named_params()):
+    for (n1, t1), (n2, t2) in zip(model.params.items(), again.params.items()):
         assert n1 == n2 and np.array_equal(t1.data, t2.data)
 
 

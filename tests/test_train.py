@@ -51,7 +51,7 @@ def bank_digest(bank):
 
 def model_digest(model):
     h = hashlib.sha256()
-    for _, p in model.named_params():
+    for _, p in model.params.items():
         h.update(p.data.tobytes())
     return h.hexdigest()
 
@@ -329,7 +329,7 @@ def _one_step(monkeypatch, shards, regime, seqs=None):
     monkeypatch.setattr(tr, "STEP_SHARDS", shards)
     model, bank, toy_seqs, cfg = toy_setup(regime, steps=1)
     metrics = tr.train_step(model, bank, tr.build_batch(seqs or toy_seqs[:4]), tr.TrainState(cfg), cfg)
-    arrays = [p.data for _, p in model.named_params()] + (bank.levels + bank.generic if bank else [])
+    arrays = [p.data for _, p in model.params.items()] + (bank.levels + bank.generic if bank else [])
     return metrics, arrays
 
 
@@ -347,7 +347,7 @@ def test_sharded_step_matches_one_tape(monkeypatch, regime):
     _assert_close(_one_step(monkeypatch, 2, regime), ref)
     # the step moved the arrays it trains
     model, bank = toy_setup(regime)[:2]
-    fresh = [p.data for _, p in model.named_params()] + (bank.levels + bank.generic if bank else [])
+    fresh = [p.data for _, p in model.params.items()] + (bank.levels + bank.generic if bank else [])
     assert any(not np.array_equal(a, b) for a, b in zip(ref[1], fresh))
 
 

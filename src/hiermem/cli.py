@@ -14,9 +14,10 @@ number of [memory] rs values, which is the tree's depth;
 `eval` and `block` [eval]; `simulate` [anchor], [memory] (its rs sets the
 bank's depth) and k from [cluster].
 `train` embeds with the tree's embedder and lays a new bank out for the
-model it trains. A tree that records no embedder, a bank that does not
-fit the tree or the model, or a --bank under [train] regime = scratch is
-refused.
+model it trains. A tree that records no embedder, a --bank under [train]
+regime = scratch, or a bank that does not fit the tree or the model is
+refused; `membank.check_fits` is the one fit rule, and the CLI runs it
+before the corpus is embedded or a prompt is routed.
 Exit codes: 0 success, 1 runtime failure, 2 bad config or usage.
 
 BLAS threads: the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
@@ -91,17 +92,6 @@ def _load_tree(path) -> cl.ClusterTree:
     return tree
 
 
-def _check_bank(bank: mb.MemoryBank, tree: cl.ClusterTree | None, model: mdl.TransformerModel) -> None:
-    # leaf ids are packed with the tree's k and decoded with the bank's
-    if tree is not None and (bank.k, bank.depth) != (tree.k, tree.depth):
-        raise hc.ConfigError(
-            f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}"
-        )
-    # equal block sizes do not make equal slot layouts
-    if bank.dims != model.cfg.bank_dims:
-        raise hc.ConfigError(f"the bank is laid out for anchor {dict(bank.dims)} but the model is {model.cfg.bank_dims}")
-
-
 def cmd_cluster(args) -> int:
     rc = _load(args)
     out = _outdir(rc)
@@ -144,7 +134,7 @@ def cmd_train(args) -> int:
         if rc.train.regime == "scratch":
             raise hc.ConfigError("--bank was given but [train] regime = scratch trains no bank")
         bank = mb.load_bank(args.bank)
-        _check_bank(bank, tree, model)
+        mb.check_fits(bank, model.cfg.bank_dims, tree, hc.ConfigError)
     elif rc.train.regime != "scratch":
         if len(rc.memory.rs) != tree.depth:
             raise hc.ConfigError(
@@ -175,7 +165,7 @@ def _recall(args, rc: hc.RunConfig, mode: str, mask: mb.BlockMask | None, name: 
             raise hc.ConfigError("fetched-mode evaluation needs --tree")
         tree = _load_tree(args.tree)
     if bank is not None:
-        _check_bank(bank, tree, model)
+        mb.check_fits(bank, model.cfg.bank_dims, tree, hc.ConfigError)
     facts = ev.load_facts(args.facts)
     rep = ev.fact_recall(model, bank, tree, tree.embedder if tree else None, tr.ByteTokenizer(),
                          facts, mode=mode, mask=mask, max_new=rc.eval.max_new,

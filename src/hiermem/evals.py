@@ -29,7 +29,7 @@ from . import fileio
 from . import membank as mb
 from . import model as mdl
 from . import numcore as nc
-from .train import ByteTokenizer, _keep_freed_pages, _on_shards, _row_ranges
+from .train import ByteTokenizer, _on_shards, _row_ranges
 
 
 class EvalError(RuntimeError):
@@ -305,12 +305,18 @@ def greedy_decode_batch(
     each writing its rows of the one cache with its rows of ``mems``; a
     one-row batch runs inline. Rows are independent, so every shard
     computes what the whole batch would for its rows, up to the rounding of
-    a GEMM over fewer rows.
+    a GEMM over fewer rows. A decode whose S0 + max_new - 1 positions
+    exceed the model's context length is a ``ModelError`` before any
+    forward runs.
     """
     B, S0 = prompts_tokens.shape
     out = np.empty((B, max_new), dtype=np.result_type(prompts_tokens.dtype, np.int32))
     if B == 0 or max_new == 0:
         return out
+    # the last new token is never fed back
+    if S0 + max_new - 1 > model.cfg.context_length:
+        raise mdl.ModelError(f"a {S0}-token prompt and {max_new} new tokens need {S0 + max_new - 1} positions, "
+                             f"more than the model's context length {model.cfg.context_length}")
     cache = mdl.KVCache(model.cfg, B, S0 + max_new - 1, model.dtype)
 
     def prefill(rows: tuple[int, int]) -> None:
@@ -360,15 +366,14 @@ def fact_recall(
     ``mask`` if one is given; ``generic`` is fetched mode with every row
     marked generic, so each sequence gets the bank's generic block and no
     tree is read. Either memory mode makes one ``mb.fetch`` call per
-    batch, one row per sequence. Inputs that do not fit the mode are an
-    ``EvalError`` before anything is routed. The report has one row per
-    frequency bucket the facts carry.
+    batch, one row per sequence. Inputs that do not fit the mode, and a
+    bank that does not fit the model or, in fetched mode, the tree (see
+    ``mb.check_fits``), are an ``EvalError`` before anything is routed.
+    The report has one row per frequency bucket the facts carry.
     """
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
-    _keep_freed_pages()  # same-shaped decode batches: each one reuses what the last one freed
     prompts = [fact_prompt(f) for f in facts]
-    paths = None
     if mode != "none" and bank is None:
         raise EvalError(f"eval mode {mode!r} needs a memory bank")
     if mode == "fetched":
@@ -379,15 +384,14 @@ def fact_recall(
         # a tree that records its embedder routes only with that one
         if tree.embedder is not None and ecfg != tree.embedder:
             raise EvalError(f"the tree was built with embedder {tree.embedder} but routing was asked with {ecfg}")
-        # leaf ids are packed with the tree's k and decoded with the bank's
-        if (bank.k, bank.depth) != (tree.k, tree.depth):
-            raise EvalError(f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}")
         # a home leaf off the tree could never count as routed right
         for f in facts:
             if f.home_leaf is not None and (len(f.home_leaf) != tree.depth or max(f.home_leaf) > tree.k):
                 raise EvalError(f"fact {f.entity} ({f.name}) has home leaf {f.home_leaf}, "
                                 f"not a leaf of the k={tree.k}, depth-{tree.depth} tree")
-        paths = route_texts(prompts, tree, ecfg)
+    if mode != "none":
+        mb.check_fits(bank, model.cfg.bank_dims, tree if mode == "fetched" else None, EvalError)
+    paths = route_texts(prompts, tree, ecfg) if mode == "fetched" else None
     leaves = np.zeros(len(facts), dtype=np.int64) if paths is None else cl.flats_of_paths(paths, tree.k)
 
     # group by prompt length so a batch decodes in lockstep without padding

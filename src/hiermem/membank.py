@@ -33,6 +33,11 @@ trains there.
 
 The bank holds k^l blocks at level l; total bank size is sum_l s_l * k^l
 and a fetch touches sum_l s_l parameters regardless of which path is hit.
+
+A bank only means something next to the tree and the anchor it was laid
+out for: its leaf ids are the tree's, packed with its k and depth, and its
+slots are placed by the anchor's sizes. ``check_fits`` alone owns that
+rule, for the CLI, ``train.train_run`` and ``evals.fact_recall`` alike.
 """
 
 from __future__ import annotations
@@ -254,6 +259,18 @@ def init_bank(cfg: MemoryConfig, *, dim: int, heads: int, head_dim: int, ffn_dim
         generic.append(gen)
     dims = {"dim": dim, "heads": heads, "head_dim": head_dim, "ffn_dim": ffn_dim, "num_layers": num_layers}
     return MemoryBank(cfg=cfg, k=k, dims=dims, levels=levels, generic=generic, meta={"seed": seed})
+
+
+def check_fits(bank: MemoryBank, dims: dict, tree: cl.ClusterTree | None, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``bank`` has the k and depth of ``tree``
+    (unchecked when ``tree`` is None) and was laid out for an anchor whose
+    ``bank_dims`` are ``dims``."""
+    # leaf ids are packed with the tree's k and decoded with the bank's
+    if tree is not None and (bank.k, bank.depth) != (tree.k, tree.depth):
+        raise error(f"the bank is k={bank.k} depth {bank.depth} but the tree is k={tree.k} depth {tree.depth}")
+    # equal block sizes do not make equal slot layouts
+    if bank.dims != dims:
+        raise error(f"the bank is laid out for anchor {dict(bank.dims)} but the model is {dims}")
 
 
 def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | None = None) -> FetchedMemory:

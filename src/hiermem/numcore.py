@@ -31,12 +31,14 @@ as soon as no remaining node needs it. Only leaves get a ``.grad``.
 Where arrays come from. Ops allocate their outputs and temporaries as numpy
 does, in training and inference alike, and then work in place on them. The
 two loops that repeat same-shaped work, a training run's steps and
-``evals.fact_recall``'s decode batches, set the C allocator to keep freed
-heap pages (see ``train._keep_freed_pages``), so each step or batch reuses
-the memory the last one freed instead of faulting in fresh pages. They also
-cap the C allocator at one arena: the helper thread that runs a step's or a
-prefill's other row shard allocates from the main heap and frees into it,
-so neither thread keeps a high-water heap of its own.
+``evals.fact_recall``'s decode batches, run their row shards on
+``train``'s helper pool, and making that pool sets the C allocator to keep
+freed heap pages (see ``train._keep_freed_pages``), so each step or batch
+reuses the memory the last one freed instead of faulting in fresh pages.
+It also caps the C allocator at one arena before the helper thread starts:
+that thread, which runs a step's or a prefill's other row shard, allocates
+from the main heap and frees into it, so neither thread keeps a high-water
+heap of its own.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.
@@ -253,7 +255,10 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape != bd.shape:
         raise ShapeError(f"swiglu: shapes {ad.shape} and {bd.shape} differ")
     s = np.negative(ad)
-    np.exp(s, out=s)
+    # exp(-a) overflows to inf for a below about -88 (float32) or -709
+    # (float64), and 1 / (1 + inf) is the right sigmoid there: 0
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
     out = np.multiply(ad, s)

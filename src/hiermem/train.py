@@ -231,6 +231,12 @@ class TrainConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.total_steps < 1 or self.batch_size < 1:
             raise ValueError("total_steps and batch_size must be positive")
+        # a sequence of seq_len tokens feeds seq_len - 1 positions; pack_corpus needs 2
+        if self.seq_len < 3:
+            raise ValueError(f"seq_len must be at least 3, got {self.seq_len}")
+        for f in ("checkpoint_interval", "log_interval"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"{f} must be >= 0, got {getattr(self, f)}")
         if self.warmup_steps < 0 or self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
         for f in ("lr_max", "lr_min"):
@@ -330,10 +336,14 @@ _POOL: ThreadPoolExecutor | None = None
 
 def _helper_pool() -> ThreadPoolExecutor:
     """The ``STEP_SHARDS - 1`` threads that run every shard but the last,
-    made once on first use."""
+    made once on first use, after ``_keep_freed_pages`` has set the C
+    allocator and before any of its threads starts. It has at least one
+    worker, so ``STEP_SHARDS = 1`` still makes it; a pool starts a thread
+    only on ``submit``, which a lone shard never calls."""
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(STEP_SHARDS - 1, thread_name_prefix="hiermem-shard")
+        _keep_freed_pages()
+        _POOL = ThreadPoolExecutor(max(1, STEP_SHARDS - 1), thread_name_prefix="hiermem-shard")
     return _POOL
 
 
@@ -347,9 +357,11 @@ def _row_ranges(B: int) -> list[tuple[int, int]]:
 
 def _on_shards(fn, shards: list) -> None:
     """``fn(shard)`` for every shard: the helper pool takes all but the last
-    and the calling thread the last, so a lone shard runs inline. Every call
-    has ended when this returns or raises."""
-    futures = [_helper_pool().submit(fn, s) for s in shards[:-1]]
+    and the calling thread the last, so a lone shard runs inline. The pool
+    is made even for a lone shard, so the allocator is set before any shard
+    runs. Every call has ended when this returns or raises."""
+    pool = _helper_pool()
+    futures = [pool.submit(fn, s) for s in shards[:-1]]
     try:
         fn(shards[-1])
     finally:
@@ -591,8 +603,9 @@ def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> P
 def _keep_freed_pages() -> bool:
     """Make the C allocator keep the pages of freed arrays for reuse.
 
-    Two loops call it on entry, because each allocates the same shapes over
-    and over: ``train_run``, whose every step does, and
+    ``_helper_pool`` calls it once, when it makes the pool, so it is set
+    before the first shard of the two loops that allocate the same shapes
+    over and over: ``train_run``, whose every step does, and
     ``evals.fact_recall``, whose every decode batch does. By default glibc
     maps an array of 128 KiB or more on its own and unmaps it when it is
     freed, and it gives the free top of its heap back to the system once
@@ -611,7 +624,7 @@ def _keep_freed_pages() -> bool:
     apart from the main heap. Capping glibc at one arena makes the helper
     allocate from, and free into, the main heap, so either thread reuses
     what the other freed. glibc reads the cap when a thread first needs an
-    arena, and both loops call this before their first shard.
+    arena, and the pool's thread starts only after this has run.
 
     The settings are process-wide and permanent: they hold for every later
     allocation in the process, and the heap does not shrink again. Where
@@ -642,7 +655,9 @@ def train_run(
     """Run cfg.total_steps optimizer steps with periodic checkpoints.
 
     Sequences are drawn in seeded per-epoch shuffles; a resumed state
-    continues the exact draw order and optimizer trajectory.
+    continues the exact draw order and optimizer trajectory. A bank that
+    the regime does not train, or that was laid out for another anchor
+    (``mb.check_fits``), is a ``TrainError`` before the first step.
     """
     if not sequences:
         raise TrainError("no packed sequences to train on")
@@ -650,7 +665,8 @@ def train_run(
         raise TrainError(f"regime {cfg.regime!r} trains "
                          + ("a memory bank, and this run has none" if bank is None
                             else "no memory bank, and this run was given one"))
-    _keep_freed_pages()  # every step has the same shapes: the next one reuses what this one frees
+    if bank is not None:
+        mb.check_fits(bank, model.cfg.bank_dims, None, TrainError)
     if resume_state is not None:
         _check_resume(resume_state, cfg, model, bank)
         state = resume_state

@@ -505,6 +505,26 @@ def test_train_checks_level_count_before_embedding(ws, trained, tmp_path, capsys
     assert "rs has 3 levels but the tree has depth 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, bad, named", [
+    ("seq_len = 48", "seq_len = 2", "seq_len must be at least 3, got 2"),
+    ("lr_max = 1e-3", "lr_max = 1e-3\ncheckpoint_interval = -2", "checkpoint_interval must be >= 0"),
+    ("log_interval = 0", "log_interval = -2", "log_interval must be >= 0"),
+])
+def test_train_checks_train_lengths_before_embedding(ws, trained, tmp_path, capsys, monkeypatch, line, bad, named):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before [train] was checked")
+
+    monkeypatch.setattr(em, "embed_batch", no_embedding)
+    ini = tmp_path / "bad_train.ini"
+    ini.write_text(BASE_INI.replace(line, bad))
+    out = tmp_path / "o"
+    assert cli.main(["train", str(ws / "corpus.txt"), trained["tree"], "--config", str(ini),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[train]" in err and named in err
+    assert not out.exists()
+
+
 def test_train_refuses_a_bank_under_scratch_before_embedding(ws, trained, tmp_path, capsys, monkeypatch):
     def no_embedding(*args, **kwargs):
         raise AssertionError("the corpus was embedded before --bank was checked")

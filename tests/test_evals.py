@@ -235,6 +235,26 @@ def test_fact_recall_refuses_a_bank_of_another_k_or_depth(setup, monkeypatch):
     assert decoded == []
 
 
+def test_fact_recall_refuses_a_bank_laid_out_for_another_anchor(setup, monkeypatch):
+    _, facts, tree, _, bank, tok = setup
+    # the bank's ffn blocks, 2 layers of width 16, hold the 192 floats that
+    # 1 layer of width 32 takes, in another slot layout
+    wide = mdl.init_model(mdl.AnchorConfig(num_layers=1, dim=32, num_heads=2, head_dim=8, ffn_dim=32,
+                                           vocab_size=262, tied_head=True, context_length=192), seed=3)
+    sizes = mb.bank_accounting(bank.cfg, **wide.cfg.bank_dims, k=2)["level_sizes"]
+    assert [lv.shape[1] for lv in bank.levels] == list(sizes)
+    decoded = recording_decode(monkeypatch)
+
+    def no_routing(*args):
+        raise AssertionError("routed before the bank was checked against the model")
+
+    monkeypatch.setattr(ev, "route_texts", no_routing)
+    for mode in ("generic", "fetched"):
+        with pytest.raises(ev.EvalError, match="the bank is laid out for anchor"):
+            ev.fact_recall(wide, bank, tree, ECFG, tok, facts, mode=mode)
+    assert decoded == []
+
+
 def test_fact_recall_refuses_to_route_without_an_embedder(setup):
     _, facts, tree, model, bank, tok = setup
     assert tree.embedder is None
@@ -394,7 +414,7 @@ def test_cache_row_view_writes_the_parents_rows_and_keeps_its_checks():
         mdl.forward(model, np.zeros((1, 1), dtype=np.int32), cache=long)
 
 
-def test_decode_lengths_and_context_limit():
+def test_decode_lengths_and_context_limit(monkeypatch):
     model = mdl.init_model(DECODE_CFG, seed=6)
     prompts = np.arange(12, dtype=np.int32).reshape(3, 4)
     one = ev.greedy_decode_batch(model, prompts, 1, None)
@@ -404,8 +424,12 @@ def test_decode_lengths_and_context_limit():
     S0 = DECODE_CFG.context_length - 2
     long = np.ones((2, S0), dtype=np.int32)
     assert ev.greedy_decode_batch(model, long, 3, None).shape == (2, 3)
-    with pytest.raises(mdl.ModelError):
+    # one more is refused before the first forward
+    calls = recording_forward(monkeypatch)
+    with pytest.raises(mdl.ModelError, match=f"need {DECODE_CFG.context_length + 1} positions, "
+                                             f"more than the model's context length {DECODE_CFG.context_length}"):
         ev.greedy_decode_batch(model, long, 4, None)
+    assert calls == []
 
 
 def test_write_recall_report(tmp_path):

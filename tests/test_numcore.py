@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -125,6 +126,22 @@ def test_swiglu_float32_matches_silu_then_mul_bitwise():
     assert np.array_equal(out.data, silu * b)
     assert np.array_equal(bt.grad, g * silu)
     assert np.array_equal(at.grad, ((((1.0 - s) * a) + 1.0) * s) * (g * b))
+
+
+@pytest.mark.parametrize("dtype, low", [(np.float32, -100.0), (np.float64, -800.0)])
+def test_swiglu_of_a_very_negative_gate_is_zero_without_a_warning(dtype, low):
+    # exp(-a) overflows to inf there, and the sigmoid 1 / (1 + inf) is the exact 0
+    a = nc.Tensor(np.array([[low, 1.0]], dtype=dtype), requires_grad=True)
+    b = nc.Tensor(np.array([[2.0, 3.0]], dtype=dtype), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with nc.Tape() as tape:
+            out = nc.swiglu(a, b)
+            loss = total(out)
+        nc.backward(tape, loss)
+    assert out.data.dtype == dtype and out.data[0, 0] == 0 and out.data[0, 1] > 0
+    assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()
+    assert a.grad[0, 0] == 0 and b.grad[0, 0] == 0
 
 
 def test_swiglu_shape_mismatch_is_loud():

@@ -306,6 +306,19 @@ def test_regime_that_does_not_fit_the_bank_is_refused(tmp_path, monkeypatch, reg
     assert steps == [] and not any(tmp_path.iterdir())
 
 
+def test_a_bank_laid_out_for_another_anchor_is_refused(tmp_path, monkeypatch):
+    # the bank's ffn blocks, 2 layers of width 16, hold the 192 floats that
+    # 1 layer of width 32 takes, in another slot layout
+    model, _, seqs, cfg = toy_setup(steps=2, acfg=replace(ACFG, num_layers=1, dim=32))
+    bank = toy_setup(steps=2)[1]
+    assert [lv.shape[1] for lv in bank.levels] == [192, 192]
+    steps, step = [], tr.train_step
+    monkeypatch.setattr(tr, "train_step", lambda *args: steps.append(args) or step(*args))
+    with pytest.raises(tr.TrainError, match="the bank is laid out for anchor"):
+        tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
+    assert steps == [] and not (tmp_path / "ckpt_final").exists()
+
+
 def test_nonfinite_loss_aborts_step():
     model, bank, seqs, cfg = toy_setup(steps=1)
     bank.levels[0][:] = np.inf  # poisoned block must not move any parameter
@@ -407,6 +420,19 @@ def test_train_runs_share_one_helper_pool(tmp_path):
     after_one = threading.active_count()
     tr.train_run(model, bank, seqs, cfg, tmp_path / "b", log=lambda m: None)
     assert threading.active_count() == after_one
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_the_pool_sets_the_allocator_before_any_shard_runs(monkeypatch, shards):
+    events = []
+    monkeypatch.setattr(tr, "STEP_SHARDS", shards)
+    monkeypatch.setattr(tr, "_POOL", None)
+    monkeypatch.setattr(tr, "_keep_freed_pages", lambda: events.append("allocator"))
+    # a lone shard runs inline, and still only after the pool is made
+    tr._on_shards(events.append, ["lone"])
+    tr._on_shards(events.append, ["a", "b"])
+    tr._POOL.shutdown()
+    assert events[:2] == ["allocator", "lone"] and sorted(events[2:]) == ["a", "b"]
 
 
 def test_generic_prob_default_rate(monkeypatch):
@@ -787,6 +813,12 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
                 tr.TrainConfig(**{field: value})
     tr.TrainConfig(lr_max=0.0, lr_min=0.0)
+    with pytest.raises(ValueError, match="seq_len must be at least 3, got 2"):
+        tr.TrainConfig(seq_len=2)
+    for field in ("checkpoint_interval", "log_interval"):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            tr.TrainConfig(**{field: -2})
+    tr.TrainConfig(seq_len=3, checkpoint_interval=0, log_interval=0)
 
 
 # A step's churn: twelve 1-MiB and four 4-MiB float32 arrays made, then freed

@@ -54,6 +54,9 @@ class ClusterConfig:
             raise ValueError(f"branching factor must be >= 1, got {self.k}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        for f in ("em_steps", "batch_per_step"):
+            if getattr(self, f) < 1:
+                raise ValueError(f"{f} must be >= 1, got {getattr(self, f)}")
         # Below the uniform share 1/k no assignment can satisfy the limit.
         if not (1.0 / self.k) <= self.balance_limit <= 1.0:
             raise ValueError(

@@ -1,10 +1,12 @@
 """Run configuration files: INI sections mapped onto the module configs.
 
 A run config is plain text with one section per subsystem; every key has a
-default, so the empty file is a valid config. Values are type-checked
-against the owning dataclass and rejected with the offending section.key,
-never silently ignored — a typo'd key must not produce a differently
-configured run.
+default, so the empty file is a valid config. Each section is read by
+``fileio.read_section`` into its dataclass, every value parsed by its
+field's type hint, and a bad one is rejected with the offending
+section.key, never silently ignored — a typo'd key must not produce a
+differently configured run. The [run] keys are parsed the same way, by
+``fileio.parse_value``.
 One seed drives every random stage: [run] seed (or --seed) becomes the
 seed of the embedder, the cluster tree and the training run, and a seed
 key in any other section is refused. It must lie in 0..2**32-1.
@@ -21,7 +23,7 @@ config, so a section a command does not read cannot change its output.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from . import cluster as cl
 from . import embed as em
@@ -79,52 +81,6 @@ class RunConfig:
         object.__setattr__(self, "cluster", replace(self.cluster, depth=self.memory.depth))
 
 
-def _parse(hint, raw: str):
-    raw = raw.strip()
-    if hint is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if hint is int:
-        return int(raw)
-    if hint is float:
-        return float(raw)
-    if hint is str:
-        return raw
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return tuple(_parse(item, p) for p in raw.replace(",", " ").split())
-    raise ValueError(f"unsupported config type {hint}")
-
-
-def _convert(hint, raw: str, where: str):
-    try:
-        return _parse(hint, raw)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _parse_section(cls, section: str, items: dict) -> object:
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, raw in items.items():
-        if key == "seed":
-            raise ConfigError(f"[{section}] seed: the one seed of a run is [run] seed (or --seed)")
-        if (section, key) == ("cluster", "depth"):
-            raise ConfigError("[cluster] depth: the tree has one level per [memory] rs value")
-        if key not in known:
-            raise ConfigError(f"[{section}] has no key {key!r}")
-        kwargs[key] = _convert(hints[key], raw, f"[{section}] {key}")
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {e}") from None
-
-
 def load_config(path=None, *, seed: int | None = None, out: str | None = None) -> RunConfig:
     """Parse an INI run config; flag overrides beat file values.
 
@@ -135,15 +91,23 @@ def load_config(path=None, *, seed: int | None = None, out: str | None = None) -
     kwargs: dict = {}
     for section, items in sections.items():
         if section == "run":
+            hints = typing.get_type_hints(RunConfig)
             for key, raw in items.items():
                 if key not in _RUN_KEYS:
                     raise ConfigError(f"[run] has no key {key!r}")
-                kwargs[key] = _convert(int if key == "seed" else str, raw, f"[run] {key}")
+                try:
+                    kwargs[key] = fileio.parse_value(hints[key], raw)
+                except ValueError as e:
+                    raise ConfigError(f"[run] {key}: {e}") from None
             continue
         cls = _SECTIONS.get(section)
         if cls is None:
             raise ConfigError(f"unknown section [{section}]")
-        kwargs[section] = _parse_section(cls, section, items)
+        if "seed" in items:
+            raise ConfigError(f"[{section}] seed: the one seed of a run is [run] seed (or --seed)")
+        if section == "cluster" and "depth" in items:
+            raise ConfigError("[cluster] depth: the tree has one level per [memory] rs value")
+        kwargs[section] = fileio.read_section(cls, items, f"[{section}]", ConfigError)
 
     if seed is not None:
         kwargs["seed"] = seed

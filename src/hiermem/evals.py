@@ -80,7 +80,13 @@ class Fact:
     value: int
     mentions: int
     bucket: int = -1            # frequency quintile, 0 = rarest
-    home_leaf: tuple | None = None
+    home_leaf: tuple[int, ...] | None = None   # 1-based root-to-leaf path
+
+    def __post_init__(self):
+        if self.home_leaf is not None:
+            self.home_leaf = tuple(self.home_leaf)
+            if not self.home_leaf or min(self.home_leaf) < 1:
+                raise ValueError(f"home_leaf {self.home_leaf} is not a non-empty path of ints >= 1")
 
 
 _CONSONANTS = "bcdfghjklmnpqrstvwxz"
@@ -230,16 +236,13 @@ def assign_buckets(facts: list[Fact], n_buckets: int = 5) -> None:
             facts[int(i)].bucket = b
 
 
-_FACT_FIELD_TYPES = {"entity": int, "name": str, "topic": int, "attribute": str,
-                     "value": int, "mentions": int, "bucket": int}
-
-
 def load_facts(path) -> list[Fact]:
     """The fact table a JSON file holds: a list of objects with ``Fact``'s fields.
 
-    A file that is not such a list, an empty list, a row missing a field or
-    holding an unknown one, or a field of the wrong type is an ``EvalError``.
-    A ``home_leaf`` is absent, null, or a non-empty list of ints >= 1.
+    Each row is read by ``fileio.stored_config``, so a row missing a field
+    or holding an unknown one, a field not of its type hint, or a
+    ``home_leaf`` that ``Fact`` refuses is an ``EvalError`` naming the row;
+    so are a file that is not such a list and an empty list.
     """
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -249,22 +252,10 @@ def load_facts(path) -> list[Fact]:
         raise EvalError(f"{path}: a fact table is a JSON list, not {type(rows).__name__}")
     if not rows:
         raise EvalError(f"{path}: the fact table holds no facts")
-    out = []
-    for i, r in enumerate(rows):
-        try:
-            fact = Fact(**r)
-        except TypeError as e:  # not an object, missing or unknown field
-            raise EvalError(f"{path}: fact {i} is not a fact row ({e})") from None
-        for name, typ in _FACT_FIELD_TYPES.items():
-            v = getattr(fact, name)
-            if not isinstance(v, typ) or isinstance(v, bool):
-                raise EvalError(f"{path}: fact {i} has {name} {v!r}, not {typ.__name__}")
-        hl = fact.home_leaf
-        if hl is not None and not (isinstance(hl, list) and hl and all(type(c) is int and c >= 1 for c in hl)):
-            raise EvalError(f"{path}: fact {i} has home_leaf {hl!r}, not a non-empty list of ints >= 1")
-        fact.home_leaf = None if hl is None else tuple(hl)
-        out.append(fact)
-    return out
+    try:
+        return [fileio.stored_config(Fact, r, f"{path}: fact {i}") for i, r in enumerate(rows)]
+    except fileio.ArtifactError as e:
+        raise EvalError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +359,14 @@ def fact_recall(
     tree is read. Either memory mode makes one ``mb.fetch`` call per
     batch, one row per sequence. Inputs that do not fit the mode, and a
     bank that does not fit the model or, in fetched mode, the tree (see
-    ``mb.check_fits``), are an ``EvalError`` before anything is routed.
-    The report has one row per frequency bucket the facts carry.
+    ``mb.check_fits``), are an ``EvalError`` before anything is routed, and
+    so is an empty list of facts. The report has one row per frequency
+    bucket the facts carry.
     """
     if mode not in ("none", "generic", "fetched"):
         raise EvalError(f"unknown eval mode {mode!r}")
+    if not facts:
+        raise EvalError("fact recall needs at least one fact")
     prompts = [fact_prompt(f) for f in facts]
     if mode != "none" and bank is None:
         raise EvalError(f"eval mode {mode!r} needs a memory bank")

@@ -15,6 +15,11 @@ what the resume and determinism checks lean on. ``write_csv`` is the one
 writer of the package's CSV reports and ``read_ini`` the one reader of its
 INI files (run configs and tier specs). Artifacts, CSVs and JSONL reports are
 all written to a temporary file that then replaces the target.
+
+A record with a dataclass is read through that dataclass's type hints, by
+one of two readers: ``stored_config`` reads a JSON record (an artifact's
+stored config, a row of a fact table), and ``read_section`` an INI section
+(a run config's section, a tier). Neither keeps its own list of fields.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import json
 import math
 import os
 import struct
+import types
 import typing
 from pathlib import Path
 
@@ -69,6 +75,47 @@ def read_ini(path, error: type[Exception]) -> dict[str, dict[str, str]]:
         # configparser names the file itself, on up to three lines
         raise error(" ".join(str(e).split())) from None
     return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def parse_value(hint, raw: str):
+    """The INI value ``raw`` as a field of type ``hint``: a bool is one of
+    1/true/yes/on or 0/false/no/off, and a tuple lists its items apart by
+    commas or spaces. A value that does not parse is a ``ValueError``."""
+    raw = raw.strip()
+    if hint is bool:
+        low = raw.lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if hint in (int, float, str):
+        return hint(raw)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(parse_value(item, p) for p in raw.replace(",", " ").split())
+    raise ValueError(f"unsupported config type {hint}")
+
+
+def read_section(cls, items: dict[str, str], where: str, error: type[Exception], **fixed):
+    """The dataclass ``cls`` an INI section's raw ``items`` describe, each value
+    parsed by its field's type hint (see ``parse_value``); ``fixed`` gives the
+    fields the section may not set. A key that is not a field or is fixed, a
+    value that does not parse, or a missing field or value the dataclass
+    refuses raises ``error``, prefixed by ``where``."""
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(fixed)
+    for key, raw in items.items():
+        if key not in hints or key in fixed:
+            raise error(f"{where} has no key {key!r}")
+        try:
+            kwargs[key] = parse_value(hints[key], raw)
+        except ValueError as e:
+            raise error(f"{where} {key}: {e}") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise error(f"{where} {e}") from None
 
 
 def _csv_cell(v) -> str:
@@ -240,19 +287,23 @@ def check_layout(path, arrays: dict[str, np.ndarray], layout: dict[str, tuple[in
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a config field's type: an int field takes an
-    int (not a bool or a float), a float field an int or a float, and a
-    tuple field, which JSON stores as a list, a list of its item type."""
+    int (not a bool or a float), a float field an int or a float, a tuple
+    field, which JSON stores as a list, a list of its item type, and an
+    ``X | None`` field null or an ``X``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         return type(value) is list and all(_fits(v, typing.get_args(hint)[0]) for v in value)
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
 def stored_config(cls, fields: dict, path):
-    """The config dataclass ``cls`` an artifact recorded as the metadata dict ``fields``.
+    """The dataclass ``cls`` a JSON record holds as the dict ``fields``: an
+    artifact's stored config, or a row of a table read from ``path``.
 
-    A field ``cls`` does not know, a value not of its field's type (see
-    ``_fits``), or a value the config's checks refuse is an
-    ``ArtifactError`` naming the file.
+    A field ``cls`` does not know or lacks, a value not of its field's type
+    (see ``_fits``), or a value the dataclass's checks refuse is an
+    ``ArtifactError`` naming ``path``.
     """
     hints = typing.get_type_hints(cls)
     for name, value in fields.items() if isinstance(fields, dict) else ():

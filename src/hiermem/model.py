@@ -340,13 +340,19 @@ def save_model(model: TransformerModel, path, extra_meta: dict | None = None) ->
 
 
 def load_model(path) -> tuple[TransformerModel, dict]:
-    """The model a checkpoint holds, checked against its config's layout."""
+    """The model a checkpoint holds, checked against its config's layout.
+
+    Its dtype is float32, what the stack runs, or float64, what gradient
+    checks use; any other is an ``ArtifactError``.
+    """
     _, meta, arrays = fileio.read_artifact(path, expect_magic=MODEL_MAGIC)
     cfg = fileio.stored_config(AnchorConfig, meta["config"], path)
     try:
         dtype = np.dtype(meta["dtype"])
     except TypeError as e:
         raise fileio.ArtifactError(f"{path}: stored dtype {meta['dtype']!r} is not a dtype ({e})") from None
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise fileio.ArtifactError(f"{path}: stored dtype {dtype.str} is not float32 or float64")
     layout = _anchor_layout(cfg)
     fileio.check_layout(path, arrays, layout, dtype)
     params = {name: nc.Tensor(arrays[name], requires_grad=True) for name in layout}

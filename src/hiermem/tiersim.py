@@ -136,8 +136,10 @@ def sample_zipf_paths(n: int, k: int, depth: int, exponent: float, seed: int = 0
 def parse_tier_spec(path) -> TierPlacement:
     """Read a placement from a key-value spec file.
 
-    Sections [tier.<name>] define bandwidth/fixed_latency; [placement]
-    assigns level<N> = <tier name>. Any other section or key is an error.
+    Each section [tier.<name>] is a ``Tier`` of that name, read by
+    ``fileio.read_section``: it sets every other field (bandwidth and
+    fixed_latency) and no more. [placement] assigns level<N> = <tier
+    name>. Any other section or key is an error.
     """
     spec = fileio.read_ini(path, TierError)
     tiers: dict[str, Tier] = {}
@@ -147,17 +149,7 @@ def parse_tier_spec(path) -> TierPlacement:
         if not sec.startswith("tier."):
             raise TierError(f"tier spec {path}: unknown section [{sec}]; expected [tier.<name>] or [placement]")
         name = sec[len("tier."):]
-        _check_keys(path, sec, items, ("bandwidth", "fixed_latency"))
-        try:
-            tiers[name] = Tier(
-                name=name,
-                bandwidth=float(items["bandwidth"]),
-                fixed_latency=float(items["fixed_latency"]),
-            )
-        except KeyError as e:
-            raise TierError(f"tier spec {path}: section [{sec}]: no option {e}") from None
-        except ValueError as e:
-            raise TierError(f"tier spec {path}: section [{sec}]: {e}") from None
+        tiers[name] = fileio.read_section(Tier, items, f"tier spec {path}: section [{sec}]", TierError, name=name)
     if "placement" not in spec:
         raise TierError(f"tier spec {path}: missing [placement] section")
     pl = spec["placement"]

@@ -563,16 +563,21 @@ RESUMABLE_CHANGES = ("total_steps", "checkpoint_interval", "log_interval")
 
 
 def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerModel,
-                  bank: mb.MemoryBank | None) -> None:
-    """Refuse a state that was trained under another config, or whose optimizer
-    states do not fit the arrays of the same names: ``m`` and ``v`` shaped like
-    the array and of its dtype, ``steps`` one count per block of a bank level
-    and a single count otherwise."""
+                  bank: mb.MemoryBank | None, n: int) -> None:
+    """Refuse a state that was trained under another config, whose epoch order
+    draws a sequence outside this run's ``n``, or whose optimizer states do
+    not fit the arrays of the same names: ``m`` and ``v`` shaped like the
+    array and of its dtype, ``steps`` one count per block of a bank level and
+    a single count otherwise."""
     stored, run = asdict(state.cfg), asdict(cfg)
     differ = [f for f in stored if f not in RESUMABLE_CHANGES and stored[f] != run[f]]
     if differ:
         raise TrainError("resume state was trained with another config: "
                          + ", ".join(f"{f} {stored[f]!r}, this run {run[f]!r}" for f in differ))
+    outside = state.epoch_order[(state.epoch_order < 0) | (state.epoch_order >= n)]
+    if outside.size:
+        raise TrainError(f"resume state: its epoch order draws sequence {outside[0]}, "
+                         f"and this run has {n} sequences")
     trained = {name: (t.data, ()) for name, t in model.params.items()}
     if bank is not None:
         trained |= {name: (a, a.shape[:-1]) for name, a in mb.bank_arrays(bank.levels, bank.generic).items()}
@@ -667,12 +672,12 @@ def train_run(
                             else "no memory bank, and this run was given one"))
     if bank is not None:
         mb.check_fits(bank, model.cfg.bank_dims, None, TrainError)
+    n = len(sequences)
     if resume_state is not None:
-        _check_resume(resume_state, cfg, model, bank)
+        _check_resume(resume_state, cfg, model, bank, n)
         state = resume_state
     else:
         state = TrainState(cfg)
-    n = len(sequences)
     while state.step < cfg.total_steps:
         if state.epoch_pos + cfg.batch_size > len(state.epoch_order):
             state.epoch_order = state.rng.permutation(n)

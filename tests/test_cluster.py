@@ -46,6 +46,23 @@ def test_balance_fractions_within_limit():
         assert st["max_fraction"] <= 0.375 + 1e-9, (name, st["max_fraction"])
 
 
+@pytest.mark.parametrize("batch_per_step", [
+    2,  # fewer pooled rows than k: the largest cluster has one row, and no split moves any
+    4,  # four rows in three clusters: moving half of a 2 into a 1 cannot lower the maximum
+])
+def test_rebalance_that_cannot_meet_the_limit_gives_up_and_still_trains(batch_per_step):
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(12, 8)).astype(np.float32)
+    cfg = cl.ClusterConfig(k=3, depth=1, em_steps=1, batch_per_step=batch_per_step,
+                           balance_limit=1 / 3, seed=0)
+    tree = cl.train_tree(pts, cfg)
+    st = tree.meta["node_stats"]["1.0"]
+    assert st["balance_converged"] is False and st["pool_size"] == batch_per_step
+    assert np.isfinite(tree.levels[0]).all()
+    paths = cl.assign_batch(pts, tree)
+    assert paths.shape == (12, 1) and ((paths >= 1) & (paths <= 3)).all()
+
+
 def test_nested_consistency_and_flat_roundtrip():
     pts = blobs(n_per=40, seed=3)
     cfg = cl.ClusterConfig(k=3, depth=3, em_steps=6, batch_per_step=160,

@@ -98,6 +98,17 @@ def test_apportion_sums_and_tracks_weights():
     assert np.all(np.abs(c - exact) < 1.0)
 
 
+def test_apportion_floors_every_entity_at_one_mention():
+    # largest remainders give [6, 0, 0, 0, 0]; each empty entity takes one
+    # mention from the largest count in turn
+    c = ev._apportion(6, np.array([100.0, 1.0, 1.0, 1.0, 1.0]))
+    assert c.tolist() == [2, 1, 1, 1, 1]
+    # a steep Zipf law over as many mentions as entities gives each one
+    _, facts = ev.gen_corpus(ev.SyntheticCorpusSpec(topics=2, entities_per_topic=4, zipf_exponent=3.0,
+                                                    total_fact_mentions=8, filler_docs_per_topic=1))
+    assert [f.mentions for f in facts] == [1] * 8
+
+
 def test_assign_buckets_partitions_by_frequency(corpus):
     _, facts = corpus
     sizes = [sum(f.bucket == b for f in facts) for b in range(5)]
@@ -252,6 +263,20 @@ def test_fact_recall_refuses_a_bank_laid_out_for_another_anchor(setup, monkeypat
     for mode in ("generic", "fetched"):
         with pytest.raises(ev.EvalError, match="the bank is laid out for anchor"):
             ev.fact_recall(wide, bank, tree, ECFG, tok, facts, mode=mode)
+    assert decoded == []
+
+
+def test_fact_recall_refuses_an_empty_fact_list(setup, monkeypatch):
+    _, _, tree, model, bank, tok = setup
+    decoded = recording_decode(monkeypatch)
+
+    def no_routing(*args):
+        raise AssertionError("routed an empty fact list")
+
+    monkeypatch.setattr(ev, "route_texts", no_routing)
+    for mode in ("none", "generic", "fetched"):
+        with pytest.raises(ev.EvalError, match="at least one fact"):
+            ev.fact_recall(model, bank, tree, ECFG, tok, [], mode=mode)
     assert decoded == []
 
 

@@ -40,3 +40,26 @@ def test_train_faults_reports_recall_rounds():
     assert all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0
     # a recall round frees what the next one allocates: later rounds keep the pages
     assert max(out["minflt"][1:]) < 1000, out["minflt"]
+
+
+# sha256 of one benchmark round at seed 1: the train round's final
+# checkpoint files, and the recall round's traces and decoded tokens. A
+# change to the order of any operation the benchmark runs changes them, and
+# must re-pin them on purpose.
+BENCH_BYTES_SEED1 = {
+    "train": {
+        "model.ckpt": "e6c0a9e002745e0899eeea154ec13217f6821b79e67955380db5733f8d272d26",
+        "bank.bin": "8e12c4c64c8f7c5604133046a6be5a2a6c9691ba40c951d35c9e863ca770bc5d",
+        "trainstate.bin": "c662586922f532f59553317fca7b0034289b8f408c45df0015efdf5f6330c76d",
+        "metrics.csv": "c2c2b89acc98fff11b03aff4fa85f6b1ae57ba447a28be0244b4e277c8a413bf",
+    },
+    "recall": {
+        "traces": "5d1cf0666755c086c5958d94f24ae2503f83110ecb146f5a8aee974c9b97420d",
+        "tokens": "c219af9819f073c41208e0cfb073600dcf2f9ae73f04d5fb7eeeb44c27dee5ca",
+    },
+}
+
+
+def test_bench_bytes_are_pinned():
+    code, out = tool("bench_bytes.py", 1)
+    assert code == 0 and out == {"seed": 1, **BENCH_BYTES_SEED1}

@@ -705,6 +705,37 @@ def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
             tr.train_run(model, bank, seqs, cfg4, tmp_path / "d", resume_state=bad, log=lambda m: None)
 
 
+def test_resume_that_draws_a_sequence_this_run_lacks_is_refused(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=2)
+    assert len(seqs) > 3
+    tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=1), tmp_path / "a", log=lambda m: None)
+    ck = tmp_path / "a" / "ckpt_step1"
+    model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+    state = tr.load_state(ck / "trainstate.bin")
+    before = bank_digest(bank_b), model_digest(model_b)
+    with pytest.raises(tr.TrainError, match="epoch order draws sequence .*, and this run has 3 sequences"):
+        tr.train_run(model_b, bank_b, seqs[:3], cfg, tmp_path / "b", resume_state=state, log=lambda m: None)
+    assert state.step == 1 and (bank_digest(bank_b), model_digest(model_b)) == before
+    assert not (tmp_path / "b").exists()
+
+
+def test_fewer_sequences_than_a_batch_train_and_resume_bit_exactly(tmp_path):
+    model, bank, seqs, cfg = toy_setup(steps=4)
+    seqs = seqs[:3]  # a batch of 4 spans two epochs
+    state = tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=1), tmp_path / "full",
+                         log=lambda m: None)
+    assert state.step == 4 and state.aborted == 0
+    assert len(state.epoch_order) == 6 and sorted(state.epoch_order.tolist()) == [0, 0, 1, 1, 2, 2]
+    final_state = (tmp_path / "full" / "ckpt_final" / "trainstate.bin").read_bytes()
+    for step in (1, 2, 3):  # every step starts a new pair of epochs
+        ck = tmp_path / "full" / f"ckpt_step{step}"
+        model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+        tr.train_run(model_b, bank_b, seqs, cfg, tmp_path / f"rest{step}",
+                     resume_state=tr.load_state(ck / "trainstate.bin"), log=lambda m: None)
+        assert (model_digest(model_b), bank_digest(bank_b)) == (model_digest(model), bank_digest(bank))
+        assert (tmp_path / f"rest{step}" / "ckpt_final" / "trainstate.bin").read_bytes() == final_state
+
+
 @pytest.mark.parametrize("field, value", [
     ("regime", "cotrain"), ("batch_size", 3), ("seq_len", 64), ("warmup_steps", 1),
     ("lr_max", 2e-3), ("lr_min", 1e-6), ("seed", 6),

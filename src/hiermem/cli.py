@@ -11,8 +11,11 @@ Besides [run], each command reads only the sections that no input fixes:
 `cluster` [embedder], [cluster] (tree.bin records the embedder) and the
 number of [memory] rs values, which is the tree's depth;
 `train` [train], [anchor] without --init and [memory] without --bank;
-`eval` and `block` [eval]; `simulate` [anchor], [memory] (its rs sets the
-bank's depth) and k from [cluster].
+`eval` and `block` [eval]; `simulate` [anchor] and [memory] (its rs sets
+the bank's depth), so neither [run] seed nor [cluster] k enters its
+output. `simulate` replays, in file order, the `routed` paths of the
+`recall_<mode>.jsonl` that `eval --mode fetched` or `block` wrote, and
+writes latency.csv and leaf_visits.csv.
 `train` embeds with the tree's embedder and lays a new bank out for the
 model it trains. A tree that records no embedder, a --bank under [train]
 regime = scratch, or a bank that does not fit the tree or the model is
@@ -36,6 +39,7 @@ import argparse
 import io
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 # OpenBLAS reads its thread count once, when numpy loads
@@ -185,32 +189,27 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
-    if args.queries < 0:
-        raise hc.ConfigError(f"--queries must be >= 0, got {args.queries}")
-    if not args.zipf >= 0:  # also refuses nan
-        raise hc.ConfigError(f"--zipf must be >= 0, got {args.zipf}")
-    out = _outdir(rc)
     placement = ts.parse_tier_spec(args.tierspec)
-    acc = mb.bank_accounting(rc.memory, **rc.anchor.bank_dims, k=rc.cluster.k)
-    sizes = acc["level_sizes"]
+    # a level's block size does not depend on the tree's k
+    sizes = mb.bank_accounting(rc.memory, **rc.anchor.bank_dims, k=1)["level_sizes"]
     if len(sizes) != placement.depth:
         raise hc.ConfigError(
             f"[memory] rs has {len(sizes)} levels but the tier spec has {placement.depth}"
         )
+    routes = ev.load_routes(args.routes)
     rows = []
-    for mode in ("parallel", "serial"):
+    for mode in ts.MODES:
         r = ts.load_latency(sizes, placement, mode=mode)
-        rows.append({"kind": "load", "mode": mode, "total_s": r["total"],
-                     "per_level_s": r["per_level"]})
-    queries = ts.sample_zipf_paths(args.queries, rc.cluster.k, len(sizes), args.zipf, seed=rc.seed)
-    sess = ts.session_latency(sizes, placement, queries)
-    rows.append({"kind": "session", "mode": "parallel", "total_s": sess["total"],
-                 "per_level_s": sess["reloads_per_level"]})
-    cols = ("kind", "mode", "per_level_s", "total_s")
-    fileio.write_csv(out / "latency.csv", cols, ([r[c] for c in cols] for r in rows))
-    for r in rows:
-        print(f"{r['kind']:8s} {r['mode']:8s} total {r['total_s']:.6g} s")
-    print(f"latency table -> {out}/latency.csv")
+        rows.append(("load", mode, r["per_level"], r["total"]))
+    sess = ts.session_latency(sizes, placement, routes)
+    rows.append(("session", "parallel", sess["per_level"], sess["total"]))
+    out = _outdir(rc)
+    fileio.write_csv(out / "latency.csv", ("kind", "mode", "per_level_s", "total_s"), rows)
+    fileio.write_csv(out / "leaf_visits.csv", [f"level{l}" for l in range(1, placement.depth + 1)] + ["visits"],
+                     ([*leaf, n] for leaf, n in sorted(Counter(routes).items())))
+    for kind, mode, _, total in rows:
+        print(f"{kind:8s} {mode:8s} total {total:.6g} s")
+    print(f"latency table -> {out}/latency.csv, leaf visits -> {out}/leaf_visits.csv")
     return 0
 
 
@@ -299,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("none", "generic", "fetched"), default="fetched")
     sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("simulate", help="storage-tier latency table for the configured bank")
+    sp = sub.add_parser("simulate", help="storage-tier latency of the configured bank, loaded whole "
+                        "and over the session of routes a recall report wrote")
     common(sp)
     sp.add_argument("tierspec", help="tier spec file")
-    sp.add_argument("--queries", type=int, default=1000, help="session length")
-    sp.add_argument("--zipf", type=float, default=1.1, help="session skew exponent")
+    sp.add_argument("routes", help="recall_<mode>.jsonl that `eval --mode fetched` or `block` wrote")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("block", help="fact recall with subtrees masked out")

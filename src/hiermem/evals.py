@@ -456,3 +456,23 @@ def write_recall_report(rep: RecallReport, csv_path, jsonl_path) -> None:
         rows.append(["routing", None, None, rep.routing_accuracy])
     fileio.write_csv(csv_path, ("bucket", "count", "correct", "accuracy"), rows)
     fileio.write_lines(jsonl_path, (json.dumps(t, sort_keys=True) for t in rep.traces))
+
+
+def load_routes(path) -> list[tuple[int, ...]]:
+    """The ``routed`` paths of a ``recall_<mode>.jsonl`` report, in file order.
+
+    A file that is not UTF-8 or holds no lines, and a line that is not JSON
+    or has no ``routed`` list of ints >= 1, are an ``EvalError``; a
+    ``none`` or ``generic`` report routes nothing and stores ``null``.
+    """
+    try:
+        rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    except ValueError as e:  # bad UTF-8 or a line that is not JSON
+        raise EvalError(f"{path}: not a JSON-lines route report ({e})") from None
+    if not rows:
+        raise EvalError(f"{path}: the route report holds no routes")
+    routes = [r.get("routed") if isinstance(r, dict) else None for r in rows]
+    for n, route in enumerate(routes, start=1):
+        if not (isinstance(route, list) and route and all(type(i) is int and i >= 1 for i in route)):
+            raise EvalError(f"{path}: line {n} has no routed list of ints >= 1, got {route!r}")
+    return [tuple(r) for r in routes]

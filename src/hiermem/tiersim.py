@@ -8,7 +8,8 @@ slowest level) or back to back ("serial": total is the sum).
 
 Sessions exploit the hierarchy's compositionality: consecutive queries
 reload only the levels whose block actually changed, so a repeated query
-costs nothing and Zipf-like locality mostly swaps the cheap deep levels.
+costs nothing and queries that share a subtree swap only the levels below
+it. `hiermem simulate` replays the routes a recall report wrote.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cluster as cl
 from . import fileio
 
 MODES = ("parallel", "serial")
@@ -81,11 +81,16 @@ def session_latency(level_params: list[int], placement: TierPlacement, queries: 
 
     The first query loads every level; after that only levels whose block
     id changed reload, all at once, so a query costs its slowest reload.
-    Identical consecutive queries cost zero.
+    Identical consecutive queries cost zero. ``per_level`` is each level's
+    load time summed over its reloads.
     """
     depth = placement.depth
+    lat = [
+        level_latency(level_params[l], placement.tiers[l], placement.bytes_per_param)
+        for l in range(depth)
+    ]
     per_query: list[float] = []
-    reloads = [0] * depth
+    per_level = [0.0] * depth
     prev: tuple | None = None
     for q in queries:
         q = tuple(q)
@@ -95,42 +100,15 @@ def session_latency(level_params: list[int], placement: TierPlacement, queries: 
             l for l in range(depth)
             if prev is None or q[: l + 1] != prev[: l + 1]
         ]
-        costs = [
-            level_latency(level_params[l], placement.tiers[l], placement.bytes_per_param)
-            for l in changed
-        ]
         for l in changed:
-            if level_params[l] > 0:
-                reloads[l] += 1
-        per_query.append(max(costs, default=0.0))
+            per_level[l] += lat[l]
+        per_query.append(max((lat[l] for l in changed), default=0.0))
         prev = q
     return {
         "per_query": per_query,
         "total": float(sum(per_query)),
-        "reloads_per_level": reloads,
+        "per_level": per_level,
     }
-
-
-def sample_zipf_paths(n: int, k: int, depth: int, exponent: float, seed: int = 0) -> list[tuple]:
-    """Zipf-distributed leaf visits (shared popularity ranks over leaves).
-
-    ``n`` >= 0 visits to the leaves of a tree with ``k`` >= 1 children per
-    node and ``depth`` >= 1 levels; ``exponent`` is finite and >= 0 (0 visits
-    every leaf alike). Anything else is a ``TierError``.
-    """
-    if n < 0:
-        raise TierError(f"n must be >= 0, got {n}")
-    if k < 1 or depth < 1:
-        raise TierError(f"k and depth must be >= 1, got k={k}, depth={depth}")
-    if not (math.isfinite(exponent) and exponent >= 0):
-        raise TierError(f"exponent must be finite and >= 0, got {exponent}")
-    rng = np.random.default_rng(seed)
-    leaves = k ** depth
-    ranks = rng.permutation(leaves)
-    w = 1.0 / (ranks + 1.0) ** exponent
-    w /= w.sum()
-    flats = rng.choice(leaves, size=n, p=w)
-    return [tuple(int(i) for i in p) for p in cl.paths_of_flats(flats, k, depth)]
 
 
 def parse_tier_spec(path) -> TierPlacement:
@@ -154,7 +132,9 @@ def parse_tier_spec(path) -> TierPlacement:
         raise TierError(f"tier spec {path}: missing [placement] section")
     pl = spec["placement"]
     levels = sorted((key for key in pl if key.startswith("level")), key=lambda s: (len(s), s))
-    _check_keys(path, "placement", pl, levels)
+    unknown = sorted(set(pl) - set(levels))
+    if unknown:
+        raise TierError(f"tier spec {path}: section [placement] has unknown keys {unknown}")
     ordered = []
     for i, key in enumerate(levels, start=1):
         if key != f"level{i}":
@@ -164,10 +144,4 @@ def parse_tier_spec(path) -> TierPlacement:
             raise TierError(f"tier spec {path}: level{i} references unknown tier {tname!r}")
         ordered.append(tiers[tname])
     return TierPlacement(tiers=tuple(ordered))
-
-
-def _check_keys(path, name: str, items: dict, known) -> None:
-    unknown = sorted(set(items) - set(known))
-    if unknown:
-        raise TierError(f"tier spec {path}: section [{name}] has unknown keys {unknown}")
 

@@ -18,6 +18,7 @@ from hiermem import evals as ev
 from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
+from hiermem import tiersim as ts
 from hiermem import train as tr
 
 BASE_INI = """\
@@ -76,6 +77,8 @@ def ws(tmp_path_factory):
         "[tier.ssd]\nbandwidth = 2e9\nfixed_latency = 1e-3\n"
         "[placement]\nlevel1 = ram\nlevel2 = ssd\n"
     )
+    # a session in the form `eval --mode fetched` writes it
+    (root / "routes.jsonl").write_text("".join(f'{{"routed": {r}}}\n' for r in ([1, 1], [1, 1], [1, 2], [2, 1])))
     return root
 
 
@@ -172,7 +175,7 @@ def test_unusable_ini_file_is_a_typed_error(ws, tmp_path, capsys, case):
     path = tmp_path / "bad.ini"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     tiers, config = (path, ws / "run.ini") if kind == "tiers" else (ws / "tiers.ini", path)
-    assert cli.main(["simulate", str(tiers), "--queries", "5", "--config", str(config),
+    assert cli.main(["simulate", str(tiers), str(ws / "routes.jsonl"), "--config", str(config),
                      "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "error:") and message in err, err
@@ -770,7 +773,7 @@ def test_block_command(ws, trained, tmp_path, capsys):
 
 def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):
     out = tmp_path / "sim"
-    rc = cli.main(["simulate", str(ws / "tiers.ini"), "--queries", "50",
+    rc = cli.main(["simulate", str(ws / "tiers.ini"), str(ws / "routes.jsonl"),
                    "--config", trained["ini"], "--out", str(out)])
     assert rc == 0
     lines = (out / "latency.csv").read_text().splitlines()
@@ -781,26 +784,80 @@ def test_simulate_writes_latency_table(ws, trained, tmp_path, capsys):
     one = tmp_path / "one.ini"
     one.write_text("[tier.ram]\nbandwidth = 12e9\nfixed_latency = 0\n"
                    "[placement]\nlevel1 = ram\n")
-    assert cli.main(["simulate", str(one), "--config", trained["ini"],
+    assert cli.main(["simulate", str(one), str(ws / "routes.jsonl"), "--config", trained["ini"],
                      "--out", str(out)]) == 2
     assert "tier spec" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--queries", "-1"), ("--zipf", "nan"), ("--zipf", "-0.5")])
-def test_simulate_refuses_bad_queries_and_zipf(ws, tmp_path, capsys, monkeypatch, flag, value):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("queries were sampled before the flags were checked")
+def test_simulate_replays_a_route_file_byte_for_byte(ws, tmp_path):
+    # two 192-parameter float32 levels: 768 bytes from ram (100 us + 64 ns),
+    # then from ssd (1 ms + 384 ns). The session loads both levels, repeats
+    # leaf 1.1 for free, swaps leaf 1.2's level 2, then reloads both for 2.1.
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(ws / "tiers.ini"), str(ws / "routes.jsonl"),
+                     "--config", str(ws / "run.ini"), "--out", str(out)]) == 0
+    assert (out / "latency.csv").read_bytes() == (
+        b"kind,mode,per_level_s,total_s\n"
+        b"load,parallel,0.000100064|0.001000384,0.001000384\n"
+        b"load,serial,0.000100064|0.001000384,0.001100448\n"
+        b"session,parallel,0.000200128|0.003001152,0.003001152\n"
+    )
+    assert (out / "leaf_visits.csv").read_bytes() == b"level1,level2,visits\n1,1,2\n1,2,1\n2,1,1\n"
 
-    monkeypatch.setattr(cli.ts, "sample_zipf_paths", no_sampling)
-    assert cli.main(["simulate", str(ws / "tiers.ini"), flag, value, "--out", str(tmp_path / "sim")]) == 2
+
+def test_simulate_replays_the_routes_eval_wrote(ws, trained, tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["eval", str(trained["model"]), trained["facts"], "--bank", str(trained["bank"]),
+                     "--tree", trained["tree"], "--mode", "fetched",
+                     "--config", trained["ini"], "--out", str(out)]) == 0
+    report = out / "recall_fetched.jsonl"
+    assert cli.main(["simulate", str(ws / "tiers.ini"), str(report),
+                     "--config", trained["ini"], "--out", str(out)]) == 0
+    routes = [tuple(json.loads(line)["routed"]) for line in report.read_text().splitlines()]
+    acc = mb.bank_accounting(mb.MemoryConfig(mem_type="ffn", rs=(2, 2)), dim=16, heads=2, head_dim=8,
+                             ffn_dim=32, num_layers=2, k=2)
+    sess = ts.session_latency(acc["level_sizes"], ts.parse_tier_spec(ws / "tiers.ini"), routes)
+    row = (out / "latency.csv").read_text().splitlines()[-1]
+    assert row == ",".join(["session", "parallel", "|".join(f"{s:.10g}" for s in sess["per_level"]),
+                            f"{sess['total']:.10g}"])
+    visits = (out / "leaf_visits.csv").read_text().splitlines()
+    assert visits[0] == "level1,level2,visits"
+    assert sum(int(line.split(",")[-1]) for line in visits[1:]) == len(json.loads(Path(trained["facts"]).read_text()))
+
+
+# (how a route file is made, what the error names): a route file simulate cannot replay
+BAD_ROUTES = {
+    "recall_none.jsonl": (None, "no routed list of ints >= 1, got None"),
+    "an empty file": (b"", "the route report holds no routes"),
+    "a line that is not JSON": (b'{"routed": [1, 1]}\n{"routed": [1,\n', "not a JSON-lines route report"),
+    "bytes that are not UTF-8": (b'{"routed": [1, 1], "name": "B\xe9a"}\n', "can't decode byte 0xe9"),
+    "a route of the wrong depth": (b'{"routed": [1, 1]}\n{"routed": [1]}\n', "query (1,) does not have 2 levels"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROUTES)
+def test_simulate_refuses_a_bad_route_file(ws, trained, tmp_path, capsys, case):
+    data, message = BAD_ROUTES[case]
+    routes = tmp_path / "routes.jsonl"
+    if data is None:
+        assert cli.main(["eval", str(trained["model"]), trained["facts"], "--mode", "none",
+                         "--config", trained["ini"], "--out", str(tmp_path)]) == 0
+        routes = tmp_path / "recall_none.jsonl"
+    else:
+        routes.write_bytes(data)
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(ws / "tiers.ini"), str(routes), "--config", trained["ini"],
+                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and flag in err, err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert not (out / "latency.csv").exists()
 
 
 def test_simulate_runs_on_the_default_config(ws, tmp_path):
     # [memory] rs alone sets the bank's depth; [cluster] depth does not enter
     out = tmp_path / "sim"
-    assert cli.main(["simulate", str(ws / "tiers.ini"), "--queries", "50", "--out", str(out)]) == 0
+    assert cli.main(["simulate", str(ws / "tiers.ini"), str(ws / "routes.jsonl"), "--out", str(out)]) == 0
     assert len((out / "latency.csv").read_text().splitlines()) == 1 + 3
 
 
@@ -989,3 +1046,13 @@ def test_unread_sections_leave_outputs_byte_identical(ws, trained, tmp_path):
                      "--init", str(ws / "runA" / "ckpt_final" / "model.ckpt")]) == 0
     for name in ("model.ckpt", "bank.bin", "trainstate.bin", "metrics.csv"):
         assert sha(tmp_path / "t" / "ckpt_final" / name) == sha(ws / "runB" / "ckpt_final" / name), name
+
+    # simulate reads the tier spec, the routes, [anchor] and [memory]
+    other = tmp_path / "not_simulate.ini"
+    other.write_text(BASE_INI.replace("seed = 7", "seed = 8").replace("k = 2", "k = 3")
+                     .replace("dim = 64", "dim = 32\nngram_sizes = 2, 3").replace("total_steps = 5", "total_steps = 3"))
+    for name, ini in (("s", ws / "run.ini"), ("s_other", other)):
+        assert cli.main(["simulate", str(ws / "tiers.ini"), str(ws / "routes.jsonl"),
+                         "--config", str(ini), "--out", str(tmp_path / name)]) == 0
+    for name in ("latency.csv", "leaf_visits.csv"):
+        assert sha(tmp_path / "s_other" / name) == sha(tmp_path / "s" / name), name

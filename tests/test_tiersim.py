@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hiermem import refcheck as rc
@@ -57,46 +56,9 @@ def test_session_reloads_only_changed_prefix_levels():
     assert pq[2] == pytest.approx(deep)     # only the leaf block swapped
     assert pq[3] == pytest.approx(full)     # level-1 change invalidates below
     assert pq[4] == pytest.approx(deep)     # levels 2 and 3 reload at once: the slower counts
-    assert out["reloads_per_level"] == [2, 3, 4]
+    lat = [ts.level_latency(n, t, pl.bytes_per_param) for n, t in zip(sizes, pl.tiers)]
+    assert out["per_level"] == pytest.approx([2 * lat[0], 3 * lat[1], 4 * lat[2]])
     assert out["total"] == pytest.approx(sum(pq))
-
-
-def test_zipf_session_cheaper_than_full_reloads():
-    pl = ts.TierPlacement(tiers=(RAM, SSD))
-    sizes = [40_000, 200_000]
-    qs = ts.sample_zipf_paths(500, k=4, depth=2, exponent=1.1, seed=3)
-    out = ts.session_latency(sizes, pl, queries=qs)
-    full = ts.load_latency(sizes, pl)["total"]
-    mean_swap = np.mean(out["per_query"][1:])
-    assert mean_swap < full
-    assert min(out["per_query"][1:]) == 0.0  # popular leaf repeats
-
-
-def test_sample_zipf_paths_shape_and_determinism():
-    a = ts.sample_zipf_paths(200, k=3, depth=2, exponent=1.2, seed=9)
-    b = ts.sample_zipf_paths(200, k=3, depth=2, exponent=1.2, seed=9)
-    c = ts.sample_zipf_paths(200, k=3, depth=2, exponent=1.2, seed=10)
-    assert a == b
-    assert a != c
-    assert all(len(q) == 2 and all(1 <= x <= 3 for x in q) for q in a)
-    # skew: the most popular leaf dominates
-    from collections import Counter
-    top = Counter(a).most_common(1)[0][1]
-    assert top > 200 / 9
-
-
-@pytest.mark.parametrize("n, k, depth, exponent, named", [
-    (-1, 2, 2, 1.0, "n must be"), (5, 0, 2, 1.0, "k and depth"), (5, 2, 0, 1.0, "k and depth"),
-    (5, 2, 2, float("nan"), "exponent"), (5, 2, 2, float("inf"), "exponent"), (5, 2, 2, -0.5, "exponent"),
-])
-def test_sample_zipf_paths_refuses_bad_arguments(n, k, depth, exponent, named):
-    with pytest.raises(ts.TierError, match=named):
-        ts.sample_zipf_paths(n, k=k, depth=depth, exponent=exponent)
-
-
-def test_sample_zipf_paths_edges():
-    assert ts.sample_zipf_paths(0, k=2, depth=2, exponent=1.0) == []
-    assert set(ts.sample_zipf_paths(50, k=1, depth=3, exponent=0.0)) == {(1, 1, 1)}
 
 
 def test_parse_tier_spec_roundtrip(tmp_path):

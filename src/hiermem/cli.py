@@ -261,7 +261,7 @@ def cmd_inspect(args) -> int:
         levels = {int(name[5:]): st for name, st in loaded.opt.items()
                   if name.startswith("level") and name[5:].isdigit()}
         for level, st in sorted(levels.items()):
-            n = st.steps[st.steps > 0]
+            n = st.steps[:-1][st.steps[:-1] > 0]  # block rows; the last row is the generic block
             span = f", updates min {n.min()} max {n.max()}" if n.size else ""
             print(f"  level {level}: {n.size} blocks trained{span}")
     return 0

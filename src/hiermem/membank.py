@@ -9,9 +9,11 @@ layers in order, each with the type's slots. ``init_bank``,
 takes a batch of 0-based leaf ids and gathers, per level, one row per
 sequence: the block of the leaf's ancestor at that level. A single
 "generic" block of size sum(s_l) rides along for out-of-distribution use
-and is trained on a sampled fraction of sequences; ``fetch`` serves it to
-the rows marked generic and, under a ``BlockMask`` whose policy is
-"generic", to rows whose path enters a masked subtree.
+and is trained on a sampled fraction of sequences. Its level-l part is
+one more row of level l, row k^l, so a level is one array and ``fetch``
+one gather: the rows marked generic and, under a ``BlockMask`` whose
+policy is "generic", rows whose path enters a masked subtree fetch
+block id k^l.
 
 The three LoRA types are one rule: at each site (projection) that
 ``LORA_SITES`` names for the type, a layer holds a low-rank pair, an
@@ -31,8 +33,9 @@ A level of width r = 0 has no slots: its blocks and its generic block
 are empty, a fetch gathers (B, 0) rows for it, and nothing attaches or
 trains there.
 
-The bank holds k^l blocks at level l; total bank size is sum_l s_l * k^l
-and a fetch touches sum_l s_l parameters regardless of which path is hit.
+The bank holds k^l blocks at level l, plus the generic row; total bank
+size is sum_l s_l * k^l without the generic block, and a fetch touches
+sum_l s_l parameters regardless of which path is hit.
 
 A bank only means something next to the tree and the anchor it was laid
 out for: its leaf ids are the tree's, packed with its k and depth, and its
@@ -164,13 +167,17 @@ class MemoryBank:
     cfg: MemoryConfig
     k: int
     dims: dict                     # dim, heads, head_dim, ffn_dim, num_layers
-    levels: list[np.ndarray]       # levels[l-1]: (k^l, s_l) float32
-    generic: list[np.ndarray]      # generic[l-1]: (s_l,) float32
+    levels: list[np.ndarray]       # levels[l-1]: (k^l + 1, s_l) float32, the generic block last
     meta: dict = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
         return self.cfg.depth
+
+    @property
+    def generic(self) -> list[np.ndarray]:
+        """The generic block per level: views of each level's last row."""
+        return [lvl[-1] for lvl in self.levels]
 
 
 class BlockMask:
@@ -212,7 +219,7 @@ class FetchedMemory:
     """Per-level rows gathered for a batch of leaves (copies, not views)."""
 
     levels: list[np.ndarray]            # levels[l-1]: (B, s_l) float32
-    blocks: list[np.ndarray]            # blocks[l-1]: (B,) int64 block id, -1 where generic/zero
+    blocks: list[np.ndarray]            # blocks[l-1]: (B,) int64 row of levels[l-1], k^l where generic, -1 where zero
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -238,27 +245,24 @@ def init_bank(cfg: MemoryConfig, *, dim: int, heads: int, head_dim: int, ffn_dim
         raise BankError(f"bank with multipliers {cfg.rs} would hold no parameters")
     rng = np.random.default_rng([seed, 0xB4_4E])
     levels = []
-    generic = []
     for l, slots in enumerate(block_layout(cfg, dim, heads, head_dim, ffn_dim, num_layers), start=1):
-        s_l = sum(s.size for s in slots)
         n_blocks = k ** l
-        arr = np.zeros((n_blocks, s_l), dtype=np.float32)  # "zero" slots stay so
-        gen = np.zeros(s_l, dtype=np.float32)
+        arr = np.zeros((n_blocks + 1, sum(s.size for s in slots)), dtype=np.float32)  # "zero" slots stay so
         off = 0
         for s in slots:
-            block_cols = slice(off, off + s.size)
+            # each slot draws its blocks first, then the generic row
+            blocks, gen = arr[:n_blocks, off : off + s.size], arr[n_blocks, off : off + s.size]
             if s.init == "tn":
-                arr[:, block_cols] = _trunc_normal(rng, (n_blocks, s.size)).astype(np.float32)
-                gen[block_cols] = _trunc_normal(rng, (s.size,)).astype(np.float32)
+                blocks[:] = _trunc_normal(rng, blocks.shape)
+                gen[:] = _trunc_normal(rng, gen.shape)
             elif s.init == "kaiming":
                 bound = 1.0 / math.sqrt(s.shape[0])
-                arr[:, block_cols] = rng.uniform(-bound, bound, (n_blocks, s.size)).astype(np.float32)
-                gen[block_cols] = rng.uniform(-bound, bound, s.size).astype(np.float32)
+                blocks[:] = rng.uniform(-bound, bound, blocks.shape)
+                gen[:] = rng.uniform(-bound, bound, gen.shape)
             off += s.size
         levels.append(arr)
-        generic.append(gen)
     dims = {"dim": dim, "heads": heads, "head_dim": head_dim, "ffn_dim": ffn_dim, "num_layers": num_layers}
-    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=levels, generic=generic, meta={"seed": seed})
+    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=levels, meta={"seed": seed})
 
 
 def check_fits(bank: MemoryBank, dims: dict, tree: cl.ClusterTree | None, error: type[Exception]) -> None:
@@ -298,26 +302,15 @@ def fetch(bank: MemoryBank, leaf_flats, generic_rows=None, mask: BlockMask | Non
     levels, blocks = [], []
     for l in range(1, bank.depth + 1):
         ids = leaf_flats // bank.k ** (bank.depth - l)
+        masked = mask.blocked(ids, l, bank.k) & ~generic if mask else np.zeros_like(generic)
+        ids = np.where(generic | masked, bank.k ** l, ids)  # the level's generic row
+        if mask and mask.policy == "zero":
+            ids[masked] = -1
         rows = bank.levels[l - 1][ids]
-        masked = np.zeros_like(generic)
-        if mask:
-            masked = mask.blocked(ids, l, bank.k) & ~generic
-            rows[masked] = 0.0 if mask.policy == "zero" else bank.generic[l - 1]
-        rows[generic] = bank.generic[l - 1]
+        rows[ids < 0] = 0.0
         levels.append(rows)
-        blocks.append(np.where(generic | masked, -1, ids))
+        blocks.append(ids)
     return FetchedMemory(levels=levels, blocks=blocks)
-
-
-def bank_arrays(levels, generic) -> dict:
-    """The bank's arrays by their names in ``bank.bin``, in file order:
-    ``level<l>`` for ``levels[l-1]``, then ``generic.l<l>`` for ``generic[l-1]``.
-
-    Callers pass a bank's ``levels`` and ``generic``; ``load_bank`` passes
-    their shapes instead, to get the layout a file must have.
-    """
-    return ({f"level{l}": a for l, a in enumerate(levels, 1)}
-            | {f"generic.l{l}": g for l, g in enumerate(generic, 1)})
 
 
 def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
@@ -329,7 +322,7 @@ def save_bank(bank: MemoryBank, path, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    fileio.write_artifact(path, BANK_MAGIC, meta, bank_arrays(bank.levels, bank.generic))
+    fileio.write_artifact(path, BANK_MAGIC, meta, {f"level{l}": a for l, a in enumerate(bank.levels, 1)})
 
 
 def load_bank(path) -> MemoryBank:
@@ -342,8 +335,7 @@ def load_bank(path) -> MemoryBank:
         sizes = bank_accounting(cfg, k=k, **dims)["level_sizes"]
     except (TypeError, ValueError) as e:
         raise fileio.ArtifactError(f"{path}: stored k {k!r} and dims {dims!r} give no bank layout ({e})") from None
-    layout = bank_arrays([(k**l, s) for l, s in enumerate(sizes, 1)], [(s,) for s in sizes])
+    layout = {f"level{l}": (k**l + 1, s) for l, s in enumerate(sizes, 1)}
     fileio.check_layout(path, arrays, layout, np.float32)
-    named = [arrays[name] for name in layout]
-    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=named[: cfg.depth], generic=named[cfg.depth :],
+    return MemoryBank(cfg=cfg, k=k, dims=dims, levels=[arrays[name] for name in layout],
                       meta=meta.get("bank_meta", {}))

@@ -10,17 +10,21 @@ closes it; nothing is predicted across an EOT and padding carries no loss.
 Each training step fetches the memory path for every sequence's leaf; a
 sequence flips to the shared generic block with probability 1/(k+1).
 AdamW updates touch the anchor (unless frozen) and exactly the fetched
-blocks. Every trained array has one optimizer state, made on its first
-update and keyed by the array's name in ``model.ckpt`` or ``bank.bin``: an
-anchor parameter, a bank level ``level<l>`` or a level's generic block
-``generic.l<l>``. A state holds AdamW's ``m`` and ``v``, shaped like the
-array, and an int64 ``steps`` for bias correction: one count per block,
-shape (k^l,), for a bank level, and a single count, shape (), for any other
-array. A level is updated block by block, on row views of the level and of
-its state, each with its block's own count, so blocks that were never
-fetched are never read or written. ``m`` and ``v`` start on fresh
-anonymous pages, which take memory only once a row on them is written: the
-state of a level costs what its trained blocks need, not twice the level.
+rows of each level, the generic block being the level's last row. Every
+trained array has one optimizer state, made on its first update and keyed
+by the array's name in ``model.ckpt`` or ``bank.bin``: an anchor parameter
+or a bank level ``level<l>``. A state holds AdamW's ``m`` and ``v``, shaped
+like the array, and an int64 ``steps`` for bias correction: one count per
+row, shape (k^l + 1,), for a bank level, and a single count, shape (), for
+an anchor parameter. A level is updated row by row, on row views of the
+level and of its state, each with its row's own count, so blocks that were
+never fetched are never read or written. Every step that is not aborted
+updates every trained array: each level of non-zero width, and the anchor
+where the regime trains it. So once a step has applied there is a state
+for each of them, and a resume refuses a state that lacks one. ``m`` and
+``v`` start on fresh anonymous pages, which take memory only once a row on
+them is written: the state of a level costs what its trained blocks need,
+not twice the level.
 
 Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous row
 shards, or as one when the batch has one row. Every op of the step works
@@ -74,7 +78,7 @@ STATE_MAGIC = "HMSTATE"
 
 # AdamW and clipping constants, the same for every run; anchor gains get no weight decay
 BETA1, BETA2, ADAM_EPS, GRAD_CLIP = 0.9, 0.95, 1e-8, 1.0
-ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; memory and generic blocks
+ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; bank rows
 
 # row shards per train step and per decode prefill; fixed, so bytes never depend on the CPU count
 STEP_SHARDS = 2
@@ -257,7 +261,7 @@ def cosine_lr(step: int, cfg: TrainConfig) -> float:
 class _AdamState:
     m: np.ndarray             # shaped like the trained array
     v: np.ndarray
-    steps: np.ndarray         # int64 updates applied: (k^l,) for a bank level, () otherwise
+    steps: np.ndarray         # int64 updates applied: (k^l + 1,) for a bank level, () otherwise
 
 
 def _fresh_zeros(like: np.ndarray) -> np.ndarray:
@@ -284,7 +288,7 @@ class TrainState:
         # one entry per trained array, keyed by its name in model.ckpt or
         # bank.bin and made on the array's first update: m and v shaped like
         # the array, on fresh pages that take memory only once written, and
-        # steps, one count per block of a bank level (see the module doc)
+        # steps, one count per row of a bank level (see the module doc)
         self.opt: dict[str, _AdamState] = {}
 
 
@@ -418,7 +422,7 @@ def train_step(
     }
     if math.isfinite(loss_val):
         _on_shards(_Shard.backward, shards)
-        metrics["grad_norm"] = _apply_gradients(model, bank, fm, generic_rows, shards, state, lr)
+        metrics["grad_norm"] = _apply_gradients(model, bank, fm, shards, state, lr)
     else:
         state.aborted += 1
     state.step += 1
@@ -428,13 +432,13 @@ def train_step(
 
 
 def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm: mb.FetchedMemory | None,
-                     generic_rows: np.ndarray, shards: list[_Shard], state: TrainState, lr: float) -> float:
+                     shards: list[_Shard], state: TrainState, lr: float) -> float:
     """Clip the shards' gradients and apply AdamW to every array they reach:
-    the anchor's parameters when it trains, and the fetched blocks and
-    generic blocks of each bank level. Returns the pre-clip global norm."""
+    the anchor's parameters when it trains, and the fetched rows of each
+    bank level, its generic row among them. Returns the pre-clip global norm."""
     # (state name, array, the indices its gradients update, the gradients,
     # weight decay), in the order the clip sums. A bank level's gradients are
-    # one row per fetched block; any other array takes one gradient at ``whole``.
+    # one row per fetched row id; any other array takes one gradient at ``whole``.
     whole = [()]
     updates: list[tuple[str, np.ndarray, list, list, float]] = []
     for name, p in model.params.items():
@@ -443,25 +447,16 @@ def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm
             wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
             updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in shard order
 
-    # scatter per-sequence memory row gradients into per-block sums
-    if bank is not None:
-        named = list(mb.bank_arrays(bank.levels, bank.generic).items())  # the levels, then the generic blocks
-        for l in range(bank.depth):
-            grads = [s.levels[l].grad for s in shards]
-            if grads[0] is None:
-                continue
-            g = np.concatenate(grads)  # row order
-            (name, lvl), (gname, gen) = named[l], named[bank.depth + l]
-            fetched = fm.blocks[l] >= 0
-            if fetched.any():
-                ids, inv = np.unique(fm.blocks[l][fetched], return_inverse=True)
-                gsum = np.zeros((ids.shape[0], g.shape[1]), dtype=np.float32)
-                # row by row in batch order: the sums np.add.at gives, without its per-element loop
-                for j, row in zip(inv, g[fetched].astype(np.float32, copy=False)):
-                    gsum[j] += row
-                updates.append((name, lvl, ids, gsum, MEMORY_WD))
-            if generic_rows.any():
-                updates.append((gname, gen, whole, [g[generic_rows].sum(axis=0).astype(np.float32)], MEMORY_WD))
+    # scatter per-sequence memory row gradients into per-row sums
+    for l, lvl in enumerate(bank.levels if bank is not None else [], 1):
+        grads = [s.levels[l - 1].grad for s in shards]
+        if grads[0] is not None:  # None on a width-0 level
+            ids, inv = np.unique(fm.blocks[l - 1], return_inverse=True)
+            gsum = np.zeros((ids.shape[0], lvl.shape[1]), dtype=np.float32)
+            # row by row in batch order: the sums np.add.at gives, without its per-element loop
+            for j, row in zip(inv, np.concatenate(grads).astype(np.float32, copy=False)):
+                gsum[j] += row
+            updates.append((f"level{l}", lvl, ids, gsum, MEMORY_WD))
 
     grad_norm = nc.clip_global_norm([g for u in updates for g in u[3]], GRAD_CLIP)
 
@@ -470,7 +465,7 @@ def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm
         if st is None:
             steps = np.zeros(p.shape[:1] if at is not whole else (), dtype=np.int64)
             st = state.opt[name] = _AdamState(_fresh_zeros(p), _fresh_zeros(p), steps)
-        # in place on views: a level's block rows, or a whole array at ()
+        # in place on views: a level's rows, or a whole array at ()
         for i, g in zip(at, grads):
             st.steps[i] += 1
             _adamw(p[i], g, st.m[i], st.v[i], int(st.steps[i]), lr, wd)
@@ -504,15 +499,17 @@ def save_state(state: TrainState, path) -> None:
 def load_state(path) -> TrainState:
     """The state a ``trainstate.bin`` holds. A file whose arrays are not
     ``sched.order``, ``metrics.rows`` and complete ``opt.<name>.m``, ``.v``
-    and int64 ``.steps`` triples, such as one with per-block state, is an
-    ``ArtifactError``. Whether the states fit a model and bank is checked
-    when a run resumes. So are metadata of the wrong types: ``step``,
-    ``aborted`` and ``epoch_pos`` must be ints >= 0, ``tokens_seen`` a
-    finite float and ``rng_state`` a generator state, ``sched.order`` 1-D
-    int64 and ``metrics.rows`` float64."""
+    and int64 ``.steps`` triples, such as one with per-block state or with
+    a generic block's state apart from its level, is an ``ArtifactError``.
+    Whether the states fit a model and bank is checked when a run resumes.
+    So are metadata of the wrong types: ``step``, ``aborted`` and
+    ``epoch_pos`` must be ints >= 0, ``tokens_seen`` a finite float and
+    ``rng_state`` a generator state, ``sched.order`` 1-D int64 and
+    ``metrics.rows`` float64."""
     _, meta, arrays = fileio.read_artifact(path, expect_magic=STATE_MAGIC)
-    if "opt_steps" in meta:
-        raise fileio.ArtifactError(f"{path}: per-block optimizer state from an older version, which is not read")
+    # per-block states (opt_steps) and separate generic-block states (opt.generic.*)
+    if "opt_steps" in meta or any(key.startswith("opt.generic.") for key in arrays):
+        raise fileio.ArtifactError(f"{path}: optimizer state laid out by an older version, which is not read")
     parts: dict[str, dict[str, np.ndarray]] = {}
     for key, arr in arrays.items():
         if key in ("sched.order", "metrics.rows"):
@@ -565,10 +562,11 @@ RESUMABLE_CHANGES = ("total_steps", "checkpoint_interval", "log_interval")
 def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerModel,
                   bank: mb.MemoryBank | None, n: int) -> None:
     """Refuse a state that was trained under another config, whose epoch order
-    draws a sequence outside this run's ``n``, or whose optimizer states do
-    not fit the arrays of the same names: ``m`` and ``v`` shaped like the
-    array and of its dtype, ``steps`` one count per block of a bank level and
-    a single count otherwise."""
+    draws a sequence outside this run's ``n``, or whose optimizer states are
+    not exactly one per array its applied steps trained, each fitting the
+    array of its name: ``m`` and ``v`` shaped like the array and of its
+    dtype, ``steps`` one count per row of a bank level and a single count
+    otherwise. A lost state would otherwise restart from zero silently."""
     stored, run = asdict(state.cfg), asdict(cfg)
     differ = [f for f in stored if f not in RESUMABLE_CHANGES and stored[f] != run[f]]
     if differ:
@@ -578,9 +576,10 @@ def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerMod
     if outside.size:
         raise TrainError(f"resume state: its epoch order draws sequence {outside[0]}, "
                          f"and this run has {n} sequences")
-    trained = {name: (t.data, ()) for name, t in model.params.items()}
+    # every applied step updates exactly these arrays (see the module doc)
+    trained = {name: (t.data, ()) for name, t in model.params.items()} if cfg.regime != "memory" else {}
     if bank is not None:
-        trained |= {name: (a, a.shape[:-1]) for name, a in mb.bank_arrays(bank.levels, bank.generic).items()}
+        trained |= {f"level{l}": (a, a.shape[:1]) for l, a in enumerate(bank.levels, 1) if a.shape[1]}
     for name, st in state.opt.items():
         if name not in trained:
             raise TrainError(f"resume state: optimizer state {name!r} names no trained array")
@@ -589,6 +588,11 @@ def _check_resume(state: TrainState, cfg: TrainConfig, model: mdl.TransformerMod
         if got != (p.shape, p.dtype, p.shape, p.dtype, steps):
             raise TrainError(f"resume state: opt.{name} holds m/v {got[0]} {got[1]}/{got[2]} {got[3]} and steps "
                              f"{got[4]}; {name} needs {p.shape} {p.dtype} and steps {steps}")
+    applied = state.step - state.aborted
+    want = sorted(trained) if applied else []
+    if sorted(state.opt) != want:
+        raise TrainError(f"resume state: {applied} applied steps train {want}, "
+                         f"but it holds optimizer states for {sorted(state.opt)}")
 
 
 def save_checkpoint(run_dir, tag: str, model, bank, state, extra_meta=None) -> Path:

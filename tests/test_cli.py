@@ -235,8 +235,20 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
         return change
 
     short_bank = damaged(trained["bank"], "short_bank.bin", arrays_set("level2", lambda a: a["level2"][:1]))
-    wide_generic = damaged(trained["bank"], "wide_generic.bin",
-                           arrays_set("generic.l1", lambda a: np.tile(a["generic.l1"], 2)))
+
+    # the layout of an older version: each level's generic block, or its
+    # optimizer state, in arrays of its own
+    def generic_apart(prefix, generic_prefix, levels, parts=("",)):
+        def change(meta, arrays):
+            for l in levels:
+                for part in parts:
+                    lvl = arrays[f"{prefix}{l}{part}"]
+                    arrays[f"{prefix}{l}{part}"], arrays[f"{generic_prefix}{l}{part}"] = lvl[:-1], lvl[-1]
+        return change
+
+    old_bank = damaged(trained["bank"], "old_bank.bin", generic_apart("level", "generic.l", (1, 2)))
+    old_generic_state = damaged(trained["state"], "old_generic_state.bin",
+                                generic_apart("opt.level", "opt.generic.l", (1, 2), (".m", ".v", ".steps")))
     extra_bank = damaged(trained["bank"], "extra_bank.bin", arrays_set("level3", lambda a: a["level2"]))
     short_tree = damaged(trained["tree"], "short_tree.bin", arrays_set("level2", lambda a: a["level2"][:0]))
     extra_tree = damaged(trained["tree"], "extra_tree.bin", arrays_set("warp", lambda a: a["level1"]))
@@ -292,8 +304,10 @@ def test_damaged_artifact_exits_1(trained, tmp_path, capsys):
         (["inspect", flat_rs], "MemoryConfig"),
         (["eval", str(trained["model"]), trained["facts"], "--bank", short_bank,
           "--tree", trained["tree"], *common], "level2"),
-        (["eval", str(trained["model"]), trained["facts"], "--bank", wide_generic,
+        (["eval", str(trained["model"]), trained["facts"], "--bank", old_bank,
           "--tree", trained["tree"], *common], "generic.l1"),
+        (["inspect", old_bank], "generic.l1"),
+        (["inspect", old_generic_state], "older version"),
         (["eval", str(trained["model"]), trained["facts"], "--bank", extra_bank,
           "--tree", trained["tree"], *common], "level3"),
         (["inspect", bad_dims], "dims"),
@@ -433,7 +447,7 @@ def test_k1_tree_trains_evaluates_and_blocks(ws, tmp_path, monkeypatch):
     # the evals read the trained bank with its blocks and generic blocks redrawn apart
     loaded = mb.load_bank(out / "b" / "ckpt_final" / "bank.bin")
     rng = np.random.default_rng(5)
-    for arr in loaded.levels + loaded.generic:
+    for arr in loaded.levels:
         arr[:] = rng.normal(0, 0.3, size=arr.shape)
     bank = out / "redrawn.bin"
     mb.save_bank(loaded, bank)
@@ -609,7 +623,7 @@ def test_eval_and_train_embed_with_the_tree_embedder(ws, trained, tmp_path, caps
                      "--out", str(tmp_path / "t"),
                      "--init", str(ws / "runA" / "ckpt_final" / "model.ckpt")]) == 0
     a, b = mb.load_bank(trained["bank"]), mb.load_bank(tmp_path / "t" / "ckpt_final" / "bank.bin")
-    assert all(np.array_equal(x, y) for x, y in zip(a.levels + a.generic, b.levels + b.generic))
+    assert all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
 
     # a tree that records no embedder is refused: one written before trees
     # recorded it, and one saved by a caller that never set it
@@ -641,7 +655,7 @@ def test_train_init_lays_out_the_bank_for_the_model_it_trains(ws, trained, tmp_p
     assert bank.dims == mdl.load_model(init)[0].cfg.bank_dims
     # [anchor] is not read under --init: the run matches the one under the model's own sizes
     want = mb.load_bank(trained["bank"])
-    assert all(np.array_equal(x, y) for x, y in zip(want.levels + want.generic, bank.levels + bank.generic))
+    assert all(np.array_equal(x, y) for x, y in zip(want.levels, bank.levels))
 
 
 def test_bank_dims_must_match_the_model(ws, trained, tmp_path, capsys, monkeypatch):
@@ -682,10 +696,12 @@ def test_block_fills_masked_blocks_by_eval_masked_policy(trained, tmp_path, monk
                          "--config", str(ini), "--out", str(tmp_path / policy)]) == 0
         masked = 0
         for fm in fetched:
-            for level, (rows, blocks) in enumerate(zip(fm.levels, fm.blocks)):
-                fill = 0.0 if policy == "zero" else bank.generic[level]
-                assert np.array_equal(rows[blocks < 0], np.broadcast_to(fill, rows[blocks < 0].shape))
-                masked += int((blocks < 0).sum())
+            for level, (rows, blocks) in enumerate(zip(fm.levels, fm.blocks), 1):
+                # a masked row's id: -1 under zeros, else the level's generic row k^l
+                hit = blocks == (-1 if policy == "zero" else bank.k**level)
+                fill = 0.0 if policy == "zero" else bank.generic[level - 1]
+                assert np.array_equal(rows[hit], np.broadcast_to(fill, rows[hit].shape))
+                masked += int(hit.sum())
         assert masked > 0
     assert bank.generic[0].any()  # the two policies fill differently
 
@@ -881,7 +897,7 @@ def test_inspect_shows_provenance_and_accounting(ws, trained, capsys):
     assert "HMSTATE" in out and "step 5, aborted 0" in out
     arrays = fileio.read_artifact(trained["state"])[2]
     for level in (1, 2):
-        n = arrays[f"opt.level{level}.steps"]
+        n = arrays[f"opt.level{level}.steps"][:-1]  # block rows, not the generic row
         n = n[n > 0]
         assert f"level {level}: {n.size} blocks trained, updates min {n.min()} max {n.max()}" in out
     assert "level 3" not in out
@@ -897,7 +913,7 @@ def test_inspect_lists_every_trained_level(ws, trained, tmp_path, capsys):
     state = tmp_path / "ckpt_final" / "trainstate.bin"
     assert cli.main(["inspect", str(state)]) == 0
     out = capsys.readouterr().out
-    n = tr.load_state(state).opt["level2"].steps
+    n = tr.load_state(state).opt["level2"].steps[:-1]
     assert f"level 2: {(n > 0).sum()} blocks trained" in out
     assert "level 1:" not in out
 
@@ -917,7 +933,7 @@ def test_inspect_holds_each_array_once(trained, tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "array opt.level2.m: float32 (4, 262144)" in capsys.readouterr().out
+    assert "array opt.level2.m: float32 (5, 262144)" in capsys.readouterr().out
     assert peak < 1.5 * array_bytes, (peak, array_bytes)
 
 

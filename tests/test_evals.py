@@ -219,9 +219,8 @@ def test_generic_mode_is_fetched_mode_with_every_row_generic(setup, monkeypatch,
                                             for name, p in init.params.items()})
     bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=(2, 2)), **model.cfg.bank_dims, k=2, seed=4)
     rng = np.random.default_rng(17)
-    for level, generic in zip(bank.levels, bank.generic):
-        generic[:] = rng.normal(0, 0.3, size=generic.shape)
-        level[:] = generic
+    for level in bank.levels:  # one row for the blocks and the generic row alike
+        level[:] = rng.normal(0, 0.3, size=level.shape[1])
     decoded = recording_decode(monkeypatch)
     reps = {mode: ev.fact_recall(model, bank, tree, ECFG, tok, facts, mode=mode, max_new=4)
             for mode in ("generic", "fetched", "none")}
@@ -321,7 +320,7 @@ def decode_memories(model, mem_type, rs, B, rng):
     bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=rs), dim=cfg.dim,
                         heads=cfg.num_heads, head_dim=cfg.head_dim, ffn_dim=cfg.ffn_dim,
                         num_layers=cfg.num_layers, k=2, seed=1)
-    for arr in bank.levels + bank.generic:
+    for arr in bank.levels:
         arr[:] = rng.normal(0, 0.3, size=arr.shape)
     fm = mb.fetch(bank, rng.integers(0, 4, size=B), generic_rows=np.arange(B) % 3 == 0)
     rows = [nc.Tensor(r.astype(model.dtype)) for r in fm.levels]

@@ -60,8 +60,10 @@ def test_placement_subsets():
 def test_bank_shapes_and_block_lookup():
     bank = small_bank()
     sizes = mb.bank_accounting(bank.cfg, k=3, **DIMS)["level_sizes"]
-    assert bank.levels[0].shape == (3, sizes[0])
-    assert bank.levels[1].shape == (9, sizes[1])
+    # k^l blocks, then the level's generic block as its last row
+    assert bank.levels[0].shape == (3 + 1, sizes[0])
+    assert bank.levels[1].shape == (9 + 1, sizes[1])
+    assert all(np.shares_memory(g, lv[-1]) and np.array_equal(g, lv[-1]) for g, lv in zip(bank.generic, bank.levels))
     leaf = (2 - 1) * 3 + (3 - 1)  # path (2, 3)
     fm = mb.fetch(bank, [leaf])
     assert [b.tolist() for b in fm.blocks] == [[1], [leaf]]
@@ -78,7 +80,7 @@ def test_fetch_path_and_masking_policies():
 
     mask = mb.BlockMask([(2,)], "generic")  # level-1 subtree: prefix closure blocks level 2 too
     fm = mb.fetch(bank, leaves, mask=mask)
-    assert [b.tolist() for b in fm.blocks] == [[-1, 0], [-1, 2]]
+    assert [b.tolist() for b in fm.blocks] == [[3, 0], [9, 2]]  # k^l: the level's generic row
     assert np.array_equal(fm.levels[0][0], bank.generic[0])
     assert np.array_equal(fm.levels[1][1], bank.levels[1][2])
 
@@ -96,7 +98,7 @@ def test_blockmask_deeper_subtree_only_hits_descendants():
     assert not mask.blocked([0], 1, 3).any()  # level-1 block untouched
     bank = small_bank()
     fm = mb.fetch(bank, [1], mask=mask)
-    assert [b.tolist() for b in fm.blocks] == [[0], [-1]]
+    assert [b.tolist() for b in fm.blocks] == [[0], [9]]
 
 
 def test_mask_roots_outside_branching_factor_rejected():
@@ -119,10 +121,10 @@ def test_generic_fetch():
     fm = mb.fetch(bank, [0, 8], generic_rows=[True, False])
     for l in range(2):
         assert np.array_equal(fm.levels[l][0], bank.generic[l])
-    assert [b.tolist() for b in fm.blocks] == [[-1, 2], [-1, 8]]
+    assert [b.tolist() for b in fm.blocks] == [[3, 2], [9, 8]]
     # a generic row stays generic under a mask, whatever the policy
     fm = mb.fetch(bank, [0], [True], mb.BlockMask([(1,)], "zero"))
-    assert fm.levels[1].any() and fm.blocks[1].tolist() == [-1]
+    assert fm.levels[1].any() and fm.blocks[1].tolist() == [9]
 
 
 def test_fetch_depth_mismatch_errors():
@@ -171,6 +173,10 @@ def test_batched_fetch_equals_per_row_reference(data, policy, r1):
     for got, want in zip(fm.levels, per_row_fetch(bank, leaves, generic, mask)):
         assert got.dtype == np.float32 and got.shape == want.shape
         assert np.array_equal(got, want)
+    # each row is the level's row its id names, and zeros where the id is -1
+    for lv, rows, ids in zip(bank.levels, fm.levels, fm.blocks):
+        assert ((ids >= -1) & (ids < lv.shape[0])).all()
+        assert np.array_equal(rows, np.where((ids >= 0)[:, None], lv[ids], 0))
 
 
 def test_save_load_roundtrip_bytes(tmp_path):
@@ -210,8 +216,8 @@ def test_config_validation():
 
 def test_zero_width_levels():
     bank = small_bank(rs=(0, 4))
-    assert bank.levels[0].shape == (3, 0)
-    assert bank.levels[1].shape == (9, 3 * 4 * 4 * 32)
+    assert bank.levels[0].shape == (3 + 1, 0)
+    assert bank.levels[1].shape == (9 + 1, 3 * 4 * 4 * 32)
     f = mb.fetch(bank, [3])  # path (2, 1)
     assert f.levels[0].shape == (1, 0) and f.levels[1].shape[1] > 0
     acc = mb.bank_accounting(mb.MemoryConfig(rs=(0, 4)), k=3, **DIMS)

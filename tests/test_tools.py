@@ -49,13 +49,13 @@ def test_train_faults_reports_recall_rounds():
 BENCH_BYTES_SEED1 = {
     "train": {
         "model.ckpt": "e6c0a9e002745e0899eeea154ec13217f6821b79e67955380db5733f8d272d26",
-        "bank.bin": "8e12c4c64c8f7c5604133046a6be5a2a6c9691ba40c951d35c9e863ca770bc5d",
-        "trainstate.bin": "c662586922f532f59553317fca7b0034289b8f408c45df0015efdf5f6330c76d",
+        "bank.bin": "a1f05aca60e39eb5eff8f1d05b686b0cf9ec9142855ff036654d82e26704a8a7",
+        "trainstate.bin": "2555a21bc22c2a3fdaff0a4930883ff549d0066ce88321c79b06f76ec73efbb5",
         "metrics.csv": "c2c2b89acc98fff11b03aff4fa85f6b1ae57ba447a28be0244b4e277c8a413bf",
     },
     "recall": {
-        "traces": "5d1cf0666755c086c5958d94f24ae2503f83110ecb146f5a8aee974c9b97420d",
-        "tokens": "c219af9819f073c41208e0cfb073600dcf2f9ae73f04d5fb7eeeb44c27dee5ca",
+        "traces": "ea5a7ec79e860a335629156240d1b1ba03da3ebe396ebedcfa99d0a0c99e53ae",
+        "tokens": "f35b60e72442bc07524ee57af9914ae7a687903ada13cb144169aaf57a0d5f50",
     },
 }
 

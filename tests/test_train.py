@@ -41,11 +41,12 @@ def toy_setup(regime="memory", k=2, depth=2, steps=6, seed=0, rs=(2, 2), mem_typ
 
 
 def bank_digest(bank):
+    """sha256 of every level's block rows, then of every level's generic row."""
     h = hashlib.sha256()
     for lv in bank.levels:
-        h.update(lv.tobytes())
-    for g in bank.generic:
-        h.update(g.tobytes())
+        h.update(lv[:-1].tobytes())
+    for lv in bank.levels:
+        h.update(lv[-1].tobytes())
     return h.hexdigest()
 
 
@@ -230,25 +231,23 @@ def test_memory_step_touches_only_fetched_and_generic_blocks():
     state = tr.TrainState(cfg)
     before_model = model_digest(model)
     before = [lv.copy() for lv in bank.levels]
-    before_gen = [g.copy() for g in bank.generic]
     batch = tr.build_batch(seqs[:4])
     tr.train_step(model, bank, batch, state, cfg)
 
     assert model_digest(model) == before_model  # anchor frozen
-    gen_changed = any(not np.array_equal(g, b) for g, b in zip(bank.generic, before_gen))
     touched = set()
     for l in range(bank.depth):
-        for flat in range(bank.levels[l].shape[0]):
-            if not np.array_equal(bank.levels[l][flat], before[l][flat]):
-                touched.add((l + 1, flat))
-    # every touched block must be an ancestor of some batch leaf
+        for row in range(bank.levels[l].shape[0]):
+            if not np.array_equal(bank.levels[l][row], before[l][row]):
+                touched.add((l + 1, row))
+    # every touched row must be an ancestor of some batch leaf, or the level's generic row k^l
     k = bank.k
-    allowed = set()
+    allowed = {(l, k**l) for l in range(1, bank.depth + 1)}
     for lf in batch["leaf_flats"]:
         for l in range(1, bank.depth + 1):
             allowed.add((l, int(lf) // k ** (bank.depth - l)))
     assert touched <= allowed
-    assert touched or gen_changed
+    assert touched
 
 
 def test_memory_step_keeps_state_only_for_fetched_and_generic_blocks(monkeypatch):
@@ -259,26 +258,21 @@ def test_memory_step_keeps_state_only_for_fetched_and_generic_blocks(monkeypatch
 
     def recorded(*args, **kwargs):
         out = fetch(*args, **kwargs)
-        fetched_ids.extend(out.blocks)  # -1 on a generic row
+        fetched_ids.extend(out.blocks)  # k^l on a generic row
         return out
 
     monkeypatch.setattr(mb, "fetch", recorded)
     tr.train_step(model, bank, batch, state, cfg)
-    generic = fetched_ids[0] < 0
     # no anchor parameter has a state: the anchor is frozen
-    assert set(state.opt) == {"level1", "level2"} | ({"generic.l1", "generic.l2"} if generic.any() else set())
+    assert set(state.opt) == {"level1", "level2"}
     for l, ids in enumerate(fetched_ids, 1):
         st = state.opt[f"level{l}"]
-        fetched = np.zeros(bank.k**l, dtype=bool)
-        fetched[ids[ids >= 0]] = True
+        fetched = np.zeros(bank.k**l + 1, dtype=bool)  # the blocks, then the generic row
+        fetched[ids] = True
         assert st.m.shape == st.v.shape == bank.levels[l - 1].shape and st.m.dtype == np.float32
         assert st.steps.dtype == np.int64 and np.array_equal(st.steps, fetched.astype(np.int64))
         assert st.m[fetched].any() and st.v[fetched].any()
         assert not st.m[~fetched].any() and not st.v[~fetched].any()
-        if generic.any():
-            st = state.opt[f"generic.l{l}"]
-            assert st.steps.shape == () and st.steps == 1
-            assert st.m.shape == st.v.shape == bank.generic[l - 1].shape
     assert not fetched.all()  # 4 rows reach at most 4 of the 9 level-2 blocks
 
 
@@ -342,7 +336,7 @@ def _one_step(monkeypatch, shards, regime, seqs=None):
     monkeypatch.setattr(tr, "STEP_SHARDS", shards)
     model, bank, toy_seqs, cfg = toy_setup(regime, steps=1)
     metrics = tr.train_step(model, bank, tr.build_batch(seqs or toy_seqs[:4]), tr.TrainState(cfg), cfg)
-    arrays = [p.data for _, p in model.params.items()] + (bank.levels + bank.generic if bank else [])
+    arrays = [p.data for _, p in model.params.items()] + (bank.levels if bank else [])
     return metrics, arrays
 
 
@@ -360,7 +354,7 @@ def test_sharded_step_matches_one_tape(monkeypatch, regime):
     _assert_close(_one_step(monkeypatch, 2, regime), ref)
     # the step moved the arrays it trains
     model, bank = toy_setup(regime)[:2]
-    fresh = [p.data for _, p in model.params.items()] + (bank.levels + bank.generic if bank else [])
+    fresh = [p.data for _, p in model.params.items()] + (bank.levels if bank else [])
     assert any(not np.array_equal(a, b) for a, b in zip(ref[1], fresh))
 
 
@@ -393,13 +387,13 @@ def test_shard_of_padding_only(monkeypatch):
 def test_nonfinite_loss_in_one_shard_aborts_the_step(monkeypatch, block):
     model, bank, seqs, cfg = toy_setup(steps=1)
     bank.levels[0][block] = np.inf
-    before = [a.copy() for a in bank.levels + bank.generic]
+    before = [a.copy() for a in bank.levels]
     before_model = model_digest(model)
     fetch, blocks = mb.fetch, []
 
     def recorded(*args, **kwargs):
         out = fetch(*args, **kwargs)
-        blocks.append(out.blocks[0])  # level-1 block per row, -1 on a generic row
+        blocks.append(out.blocks[0])  # level-1 block per row, k on a generic row
         return out
 
     monkeypatch.setattr(mb, "fetch", recorded)
@@ -411,7 +405,7 @@ def test_nonfinite_loss_in_one_shard_aborts_the_step(monkeypatch, block):
     assert not np.isfinite(metrics["loss"]) and np.isnan(metrics["grad_norm"])
     assert state.aborted == 1 and state.step == 1 and not state.opt
     assert model_digest(model) == before_model
-    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(bank.levels + bank.generic, before))
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(bank.levels, before))
 
 
 def test_train_runs_share_one_helper_pool(tmp_path):
@@ -445,8 +439,8 @@ def test_generic_prob_default_rate(monkeypatch):
         pass
 
     def fetch_and_stop(*args, **kwargs):
-        # no mask in training: a row without a block id got the generic block
-        generic.append(fetch(*args, **kwargs).blocks[0] < 0)
+        # no mask in training: a row that fetched level 1's last row, id k, got the generic block
+        generic.append(fetch(*args, **kwargs).blocks[0] == bank.k)
         raise Fetched
 
     monkeypatch.setattr(mb, "fetch", fetch_and_stop)
@@ -530,102 +524,102 @@ def test_shard_bytes_do_not_depend_on_the_threads(tmp_path, monkeypatch):
 TYPE_PINS = {
     ("ffn", (2, 3), 2): (
         "cba64f6ffb2b818b8c8caf2a67f0bf5495b1b155a806202a42be075c76ecafe0",
-        "a10e56732e8d3da58e3d89dfa106b8d124813860fe093f71215f0169dd14f807",
+        "eb06c8408819a62a357fdee6c2fd9e5aad66fdd7d9ac15f252a19fb93c2c9347",
         "4f63134fab74e064e0b3c93781acc4a5561c5af8299aa0e09ac827ac07ab3283",
     ),
     ("ffn", (2, 3), 1): (
         "d4acaa4aa3ec4a83dcaac2ab76d22089b9af133975cd9ec6ed415f04a5d72092",
-        "66b7650d203b1ff70160c5b66d3d45bba0f03204d25acdf4980a95cefcb13cdb",
+        "29873501365e87a57c647e8559df9273c36226b639fcc9965c4f27d4d433f3b9",
         "c09dda3ade2db77102d4ad6acea20a77ce626004331ef9788609e9255a167ef0",
     ),
     ("ffn", (0, 3), 2): (
         "2aadc837e3b42947107e25b5000c0441b60fcd8acf97ab869c6dd13dcad6a7e3",
-        "89cf255d30bc4106492e702d7d667dadd2cfb2caf4498735de1a5248ded16495",
+        "d6e0afbbb9a1a62c791a07a20b33ab5f7dc8c408b775cc7f8c2d1113e86916ab",
         "cf2243fcb8424236dc4de720b531c6b0e2295774167b47692e50537982e52695",
     ),
     ("ffn", (0, 3), 1): (
         "37a3f3ba8e72dabf4928640af67e0b35e421ba8e1e6f344dcef002479258e1e1",
-        "3210cd02960ab3a273a37740dcc56594e128890018cc68cb3bf14599ca1573dc",
+        "e9558fe28ce5cf313c06d72995479c7657f94a1405d6989b7c11e8f692b96347",
         "8337caab93a12a8d48bab454df0c82bc6dce1d5cee21df5a5e08a941f2e4478a",
     ),
     ("lora_qk", (2, 3), 2): (
         "3c131caa1962b5fd01e135bd72eb360bc2883f7c5d6569ce23c4e0099e89c0e8",
-        "9ba968cba4edc3ecb28b8e2821b34eef4b241a065e4bb9d5246ca38b47a99a47",
+        "010503a93070e0c88be2a7ae1aebed63b5a532c38d0ba25c84cd93367b0d6520",
         "58a71f2408e464f704ef7418d8fc0ca31897a1ee77b4a128ec8a662cd6ee9cd3",
     ),
     ("lora_qk", (2, 3), 1): (
         "7aa99b6a825f7b1b06de34618325abbd9502f663618e426807eb166ada55b098",
-        "0e983407059250288bd58a0583603b3bce8424c3abe5365ddb5238e3c41cbbfa",
+        "cdf19f5254e3bb5db800af1fd98f2f66e7833fef371742e2dff3a64dad337995",
         "3be1703fbc72d38d94b476d332993077730530c53227d52876e964ece92bb929",
     ),
     ("lora_qk", (0, 3), 2): (
         "6b5bf9d69253b00681fd38413ef00448fc7f40b49a1a2398537cb9dd7a3a0a33",
-        "cdab6a987498b00aeba84ce6ac06d2699880a844bad95c1c54d00126e4c12fc7",
+        "01d1432b8a102a92d08bc8f8ca42d8d5e75d7323986f83fd1f0e5c334a7e912c",
         "7cfbefcccc986cfe872d3f9ece85a5367dd996f436e336a00f062c527cd7ebf0",
     ),
     ("lora_qk", (0, 3), 1): (
         "e10403d0240e8c51cbc51fe87043637c89b5e5f6c782bcd3b6aecc9c821fef62",
-        "5de2e1cf14f605aeb99f16f353e6219d6a027d705cc2aea0ee61d129b1260401",
+        "15ac0bd3a2c8cb0b68122c27ac3146c3904a519c5c2f8e841609ca6f9d35cd21",
         "05853cd990876151eceafe0a52e7b9d5183f2b19c4d5e06506d638fdc9fb8514",
     ),
     ("lora_ov", (2, 3), 2): (
         "2bb5a7118d9f20b2ce26ea3280dd437d80abd88573744952f5e7e453b101ea6f",
-        "4db1f88fc57caa2f48013774e2d1309ce3f32572b4f8074528fc663d27792160",
+        "19e96aec5e07e7c8167c81b9afabb324258287bde44efc100313909dfd85fc08",
         "66863cd421ad394c52b1c2db52f0b5897510e9ced1d6578ce62e4980f315025a",
     ),
     ("lora_ov", (2, 3), 1): (
         "c41f4461d54367c8fbe0bbc8898a3484438feb9c4a2b19c1e2328192f0118daf",
-        "248ac27ef955868a7cc91aa588ef7e91c42edb396a50926264d7c4d0480dd1d5",
+        "5de2c76f1750fc6b9e7796a2eb42230ae54dcb68f36b059485605454f643f020",
         "6a0c4e25f2fd9926d41de91b580129e7cc2e140d134b42a4857aa8055f7c1255",
     ),
     ("lora_ov", (0, 3), 2): (
         "eb03dd39c7b3e9866bb05cdecd6dad47e70a3c7c9fc2dd6b6c9d004cfdd34380",
-        "ea78f4d5895cb8b2dfd2b3bb543312cc816e96dacb1303809c6f585038a9edd9",
+        "12881ffc3352aa6dace0868c36d695aca04e0432d4c7df8423f12c9d135fdfa4",
         "49e5fcdfc088e39d707d81a7877a734d35835f290aedb992867e08926cb04c94",
     ),
     ("lora_ov", (0, 3), 1): (
         "db6338c693494cc141ed0b3d5d8deaa7b03ca59ce447311ace6561de8338b137",
-        "5b911ca33c9552df878f39bb660ee8f2f8af8e3bb5c20ed288cd6f642cd23c4c",
+        "39b5259b5232c07a409265bb24a971b9b59dae22b7ea8d35b289acedb21f120a",
         "790d6626fab3fda3f73b4051843f88ee23ed336c30ca41586285cf81100f7932",
     ),
     ("lora_ffn", (2, 3), 2): (
         "90e5249c43f94aae754952230198342856fe3ccd214a7847685b7b45adb09401",
-        "d3b0008c04090247233317e21d4e9c15c159ffb503993842f39f9630e219715e",
+        "4d7e560dcdd7a254290e7bee942e96a57db2861973d45ddcc4a554ab5fc59be5",
         "9a123fb21ed5a43eee26ab36c8bb4dc7e582fdc8e1fdf78c440c4d7c440b8464",
     ),
     ("lora_ffn", (2, 3), 1): (
         "c9a783418f03519bc028ff58dac1abb71d5b068d6c757e7a0fdc31fb69415aa2",
-        "a3040b04cdf137fa099bff9c011f6350378221b1a072e00851cd6a6dc930b3c2",
+        "8a071cd2bd8a0b3ff2951eccc019fe7f5eaec323edd8bf5099dda5605a426d4f",
         "2fe658c624f3366758d15f0c1227e13e5086f4ee203cae399111259d39fabb16",
     ),
     ("lora_ffn", (0, 3), 2): (
         "82d2f8d0c840031ef3a32e503631df0f69e1b7eb1755d19ec3e9607cbcb241db",
-        "373aaedb71805d5416077dd56cf4504ee0d4b865353c0ed084cba06be65357d4",
+        "8ce52a7fe44e04be1e01421accc7bb8e4403fa83bafff5f9ec37d6fd9f72d879",
         "b126dc210b44ec04ad11a059e1fdc5cefc53fe3fda3ca373b080fa5aff684617",
     ),
     ("lora_ffn", (0, 3), 1): (
         "bcbb03b107a66cdcab26c29886ce65049b51a000865a5c9013bafa044cb1dd5f",
-        "25ac083c32b72503d7969dd5f93ccae821c22e06c22d0278a12eef8e296f3a21",
+        "3d904af1aa2433a352e10a14c1473682327eb6b80caa6a87cc62a08f44bd2ed3",
         "eba9f9f4251c91af7c9ea68c4a6755e9ccb8cd10ce2ce0ffad77c1ec1db40dce",
     ),
     ("kv", (2, 3), 2): (
         "12c547e2dd9f5dd3ba8fdd6b8e01bf386160fe409397c242de06ab925201d7f4",
-        "a6c0fa34bef71cc1b35dc82c99b8cf05214769c2c2c803f920f878d64d970cef",
+        "b1ff3643c583dfe7e681584a473b30ae4c70ada7c9a146a88cb5d355f8c100ef",
         "76b41b8df63ff2319a7637fec76b38f75d399f8dd0701863cb336dfce8badd5c",
     ),
     ("kv", (2, 3), 1): (
         "5a17a796d0e8428ebc80b9eaae9485dee7b9ec96ce17812410c287f2ba0e24e9",
-        "e4348e58ab35482067ed830e7f3452d4740c97fa091f8d0fb53c5d9cca253e75",
+        "78cad55de418924879a133ce14ebbbbaf345916aa7afa5e85a7f83f795ee71eb",
         "5af9eb371774f89f32fccbac7b88de2076643474ae12d31cc890973ef4a4a629",
     ),
     ("kv", (0, 3), 2): (
         "70e1a8ff292a348580cbdec47a3543812b38fae3643ecff1c87c6c367a7c0f31",
-        "93ee0b1905a6cb239c99e9e2518b062e948f89997b540d61341babaf35ad998f",
+        "b547b124da43ee8c05290fefcbf6d776b0f8eeb5c48aa7ab30e77840d1d73eb2",
         "a4f8fce2c2b65603e9407438ad6701cabe8cbe52283ccf1e143325fcb2f2d192",
     ),
     ("kv", (0, 3), 1): (
         "fe157e8172b5ccdc5a584f5f4c3fa2eab80aa8aa1e94dce4d4fe5e19620efe01",
-        "c1355bc6347e4dddadc19f7f3023ea9fbdf7fb9bbe9e8b718aa1a0f5934881b9",
+        "95e8d3a298143600877ae73f6e18ab4869e9b37b4f7e729c06cd8f69e290d5fa",
         "8fce052d794348c47580284c07609116886fb957c426cad07efc1b35f5f48e7e",
     ),
 }
@@ -648,24 +642,53 @@ def test_memory_type_bytes_are_pinned(tmp_path, monkeypatch, mem_type, rs):
 def test_width_0_level_trains_no_state(tmp_path, mem_type):
     model, bank, seqs, cfg = toy_setup(steps=4, rs=(0, 3), mem_type=mem_type)
     state = tr.train_run(model, bank, seqs, cfg, tmp_path / "a", log=lambda m: None)
-    assert {"level2", "generic.l2"} <= set(state.opt)
-    assert not {"level1", "generic.l1"} & set(state.opt)
+    assert set(state.opt) == {"level2"}
 
 
 def test_state_with_width_0_levels_resumes_bit_exactly(tmp_path):
     model, bank, seqs, cfg = toy_setup(steps=4, rs=(0, 3), mem_type="lora_ffn")
     tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=2), tmp_path, log=lambda m: None)
     ck = tmp_path / "ckpt_step2"
+
+    def resume(state, run_dir):
+        model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+        tr.train_run(model_b, bank_b, seqs, cfg, run_dir, resume_state=state, log=lambda m: None)
+        return model_digest(model_b), bank_digest(bank_b)
+
+    assert resume(tr.load_state(ck / "trainstate.bin"), tmp_path / "rest") == (model_digest(model), bank_digest(bank))
+    # a width-0 level trains nothing, so a state for it, even an empty one, is refused
     state = tr.load_state(ck / "trainstate.bin")
-    # older versions kept zero-width state for a width-0 level; such a file still resumes
-    empty = np.zeros(0, np.float32)
-    state.opt["level1"] = tr._AdamState(empty.reshape(2, 0), empty.reshape(2, 0), np.full(2, 2, np.int64))
-    state.opt["generic.l1"] = tr._AdamState(empty, empty, np.full((), 2, np.int64))
-    tr.save_state(state, tmp_path / "old.bin")
-    model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
-    tr.train_run(model_b, bank_b, seqs, cfg, tmp_path / "rest", resume_state=tr.load_state(tmp_path / "old.bin"),
-                 log=lambda m: None)
-    assert (model_digest(model_b), bank_digest(bank_b)) == (model_digest(model), bank_digest(bank))
+    empty = np.zeros((3, 0), np.float32)
+    state.opt["level1"] = tr._AdamState(empty, empty, np.full(3, 2, np.int64))
+    with pytest.raises(tr.TrainError, match="optimizer state 'level1' names no trained array"):
+        resume(state, tmp_path / "refused")
+
+
+def test_resume_state_that_lost_a_trained_array_is_refused(tmp_path):
+    # every applied step updates every trained array, so a state that lacks
+    # one was cut, not never made; resuming it would restart that array's moments
+    for regime, lost in (("memory", "level2"), ("cotrain", "layers.0.wq")):
+        model, bank, seqs, cfg = toy_setup(regime, steps=4)
+        run = tmp_path / regime
+        tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=2), run, log=lambda m: None)
+        ck = run / "ckpt_step2"
+        magic, meta, arrays = fileio.read_artifact(ck / "trainstate.bin")
+        assert {f"opt.{lost}.{part}" for part in ("m", "v", "steps")} <= set(arrays)
+        cut = {name: a for name, a in arrays.items() if not name.startswith(f"opt.{lost}.")}
+        fileio.write_artifact(run / "cut.bin", magic, meta, cut)
+        # a state whose steps were all aborted holds no optimizer state
+        fileio.write_artifact(run / "none_applied.bin", magic, dict(meta) | {"aborted": meta["step"]}, arrays)
+        for path, named in ((run / "cut.bin", f"2 applied steps train .*'{lost}'.*, but it holds optimizer "
+                             r"states for \[(?!.*'" + lost + "')"),
+                            (run / "none_applied.bin", r"0 applied steps train \[\], but it holds optimizer "
+                             r"states for \['")):
+            model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+            before = model_digest(model_b), bank_digest(bank_b)
+            with pytest.raises(tr.TrainError, match=named):
+                tr.train_run(model_b, bank_b, seqs, cfg, run / "rest", resume_state=tr.load_state(path),
+                             log=lambda m: None)
+            assert (model_digest(model_b), bank_digest(bank_b)) == before
+            assert not (run / "rest").exists()
 
 
 def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
@@ -681,9 +704,9 @@ def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
         tr.train_run(model_b, bank_b, seqs, cfg4, tmp_path / "b",
                      resume_state=tr.load_state(saved), log=lambda m: None)
     assert (bank_digest(bank_b), model_digest(model_b)) == before
-    # a tree of k=3 has 3 level-1 blocks, one count each; the state has 2
+    # a tree of k=3 has 3 level-1 blocks and the generic row, one count each; the state has 3
     model_c, bank_c, _, _ = toy_setup(steps=4, k=3)
-    with pytest.raises(tr.TrainError, match=r"level1 needs \(3, \d+\) float32 and steps \(3,\)"):
+    with pytest.raises(tr.TrainError, match=r"level1 needs \(4, \d+\) float32 and steps \(4,\)"):
         tr.train_run(model_c, bank_c, seqs, cfg4, tmp_path / "c", resume_state=tr.load_state(saved),
                      log=lambda m: None)
     # names that fit no array: an unknown parameter, a level past the
@@ -695,10 +718,10 @@ def test_resume_state_that_does_not_fit_the_bank_is_refused(tmp_path):
             tr.train_run(model, bank, seqs, cfg4, tmp_path / "d", resume_state=bad, log=lambda m: None)
     # the right names with the wrong shapes or dtype
     for name, part, value in [("level1", "steps", np.zeros((), np.int64)),
-                              ("level1", "steps", np.zeros(3, np.int64)),
-                              ("generic.l1", "steps", np.zeros(1, np.int64)),
-                              ("level2", "m", np.zeros((4, 1), np.float32)),
-                              ("generic.l2", "v", np.zeros(bank.generic[1].shape, np.float64))]:
+                              ("level1", "steps", np.zeros(4, np.int64)),
+                              ("level1", "steps", np.zeros(2, np.int64)),  # no count for the generic row
+                              ("level2", "m", np.zeros((5, 1), np.float32)),
+                              ("level2", "v", np.zeros(bank.levels[1].shape, np.float64))]:
         bad = tr.load_state(saved)
         setattr(bad.opt[name], part, value)
         with pytest.raises(tr.TrainError, match=f"opt.{name} holds"):
@@ -755,8 +778,8 @@ def test_resume_under_another_config_is_refused(tmp_path, field, value):
 
 
 @pytest.mark.parametrize("regime, trained", [
-    ("memory", {"level1", "level2", "generic.l1", "generic.l2"}),
-    ("cotrain", {"level1", "level2", "generic.l1", "generic.l2"} | set(mdl._anchor_layout(ACFG))),
+    ("memory", {"level1", "level2"}),
+    ("cotrain", {"level1", "level2"} | set(mdl._anchor_layout(ACFG))),
     ("scratch", set(mdl._anchor_layout(ACFG))),
 ])
 @pytest.mark.parametrize("k", [2, 4])
@@ -770,7 +793,7 @@ def test_state_file_holds_three_arrays_per_trained_array(tmp_path, regime, train
     assert set(arrays) == {"sched.order", "metrics.rows"} | {f"opt.{name}.{part}" for name in trained
                                                              for part in ("m", "v", "steps")}
     if bank is not None:
-        assert arrays["opt.level2.steps"].shape == (k**2,) and 0 < arrays["opt.level2.steps"].max() <= 3
+        assert arrays["opt.level2.steps"].shape == (k**2 + 1,) and 0 < arrays["opt.level2.steps"].max() <= 3
     assert all(arrays[f"opt.{name}.steps"].dtype == np.int64 for name in trained)
 
 
@@ -784,6 +807,9 @@ def test_malformed_or_old_state_files_are_refused(tmp_path):
         # the layout before one state per array: per-block m and v, counts in the metadata
         "per-block": ({"opt.l1.0.m": m[0], "opt.l1.0.v": m[0]}, {"opt_steps": {"l1.0": 2}}, "older version"),
         "opt_steps": ({}, {"opt_steps": {}}, "older version"),
+        # the layout before the generic block was its level's last row
+        "generic apart": ({"opt.generic.l1.m": m[-1], "opt.generic.l1.v": m[-1], "opt.generic.l1.steps": steps[0]},
+                          {}, "older version"),
         "per-block names": ({"opt.l1.3.m": m[0], "opt.l1.3.v": m[0]}, {}, "'l1.3' has ['m', 'v'], not"),
         "no v": ({"opt.level3.m": m, "opt.level3.steps": steps}, {}, "'level3' has ['m', 'steps'], not"),
         "float steps": ({"opt.level3.m": m, "opt.level3.v": m, "opt.level3.steps": steps * 1.0}, {},

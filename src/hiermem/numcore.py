@@ -36,9 +36,9 @@ two loops that repeat same-shaped work, a training run's steps and
 freed heap pages (see ``train._keep_freed_pages``), so each step or batch
 reuses the memory the last one freed instead of faulting in fresh pages.
 It also caps the C allocator at one arena before the helper thread starts:
-that thread, which runs a step's or a prefill's other row shard, allocates
-from the main heap and frees into it, so neither thread keeps a high-water
-heap of its own.
+that thread, which runs a step's other half, one row shard after another,
+or a prefill's other row shard, allocates from the main heap and frees
+into it, so neither thread keeps a high-water heap of its own.
 
 Default precision is float32. The whole stack also runs in float64, which
 is how gradients are verified against central finite differences.

@@ -26,33 +26,41 @@ for each of them, and a resume refuses a state that lacks one. ``m`` and
 them is written: the state of a level costs what its trained blocks need,
 not twice the level.
 
-Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous row
-shards, or as one when the batch has one row. Every op of the step works
-per row (shared-weight GEMMs, per-sequence memory products, attention per
-row and head), so the shards are independent until their gradients meet.
-Each shard runs the forward and the cross-entropy on its own tape. Every
-shard passes ``nc.cross_entropy`` the whole batch's weight sum as its
-denominator, which that function requires of every caller. The calling
-thread runs the last shard and a helper pool of ``STEP_SHARDS - 1``
+Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous halves
+(``_row_ranges``), or as one when the batch has one row, and each half as
+consecutive shards of at most ``SHARD_POSITIONS`` = 512 input positions:
+``max(1, 512 // S)`` whole rows. Every op of the step works per row
+(shared-weight GEMMs, per-sequence memory products, attention per row and
+head), so the shards are independent until their gradients meet. The
+calling thread runs the last half and a helper pool of ``STEP_SHARDS - 1``
 threads, made once, the others (``evals.greedy_decode_batch`` runs its
-prefill on the same pool). Only a finite loss starts the backward, on the
-same threads; a step with any other loss is aborted, and moves nothing but
-the schedule and the counts. Level-row gradients are concatenated in row
-order. Where the anchor trains, each shard has its own gradient leaves
-over the anchor's arrays, and their gradients are summed in shard order.
-Scatter, clip and AdamW then run once, as for one shard. The step's loss
-is summed over the pointwise NLL of every row in row order, as one tape
-sums it.
+prefill on the same pool). A thread runs its shards in row order, each on
+its own tape: the forward and the cross-entropy, then at once, if that
+shard's own loss is finite, its backward. So a shard's activations are
+freed before the thread's next forward starts, and a step's live
+activations do not grow with the batch. Every shard passes
+``nc.cross_entropy`` the whole batch's weight sum as its denominator,
+which that function requires of every caller. A step applies only when
+the whole batch's loss is finite; otherwise it is aborted, the gradients
+already taken are dropped, and it moves nothing but the schedule and the
+counts. Level-row gradients are concatenated in row order. Where the
+anchor trains, each shard has its own gradient leaves over the anchor's
+arrays; each half adds its shards' gradients into one running sum, in
+shard order, as they finish, and the halves' sums are added in half
+order. So a step holds at most ``STEP_SHARDS`` anchor-sized sums at any
+batch size. Scatter, clip and AdamW then run once, as for one shard. The
+step's loss is summed over the pointwise NLL of every row in row order,
+as one tape sums it.
 
-What a run's bytes depend on. ``STEP_SHARDS`` is a constant and not the CPU
-count, and a shard computes the same whichever thread runs it, so the bytes
-are the same on any number of CPUs. They do depend on the shard count:
-a shared GEMM over fewer rows can round a row differently where BLAS picks
-its small-matrix kernels (the tests' toy shapes, 62 rows per shard), and
-weight gradients of a training anchor are summed per shard. At the
-benchmark's shapes, 1016 rows or more in every shared GEMM and a frozen
-anchor, OpenBLAS rounds each row alike whatever the row count, and the
-trained bytes equal those of an unsharded step.
+What a run's bytes depend on. ``STEP_SHARDS`` and ``SHARD_POSITIONS`` are
+constants and not the CPU count, and a shard computes the same whichever
+thread runs it, so the bytes are the same on any number of CPUs. They do
+depend on the shards: a shared GEMM over fewer rows can round a row
+differently where BLAS picks its small-matrix kernels (the tests' toy
+shapes, 62 rows per shard), and weight gradients of a training anchor are
+summed per shard. At the benchmark's shapes, 508 rows or more in every
+shared GEMM and a frozen anchor, OpenBLAS rounds each row alike whatever
+the row count, and the trained bytes equal those of an unsharded step.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ ANCHOR_WD, MEMORY_WD = 0.1, 1e-3  # anchor matrices; bank rows
 
 # row shards per train step and per decode prefill; fixed, so bytes never depend on the CPU count
 STEP_SHARDS = 2
+# input positions a train step's shard holds at most, in whole rows and at least one
+SHARD_POSITIONS = 512
 
 # grad_norm is the pre-clip global norm; NaN (an empty CSV cell) on an aborted step
 METRIC_COLUMNS = ("step", "lr", "loss", "loss_fetched", "loss_generic", "tokens_seen", "grad_norm")
@@ -306,9 +316,10 @@ def _adamw(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, steps: in
 
 
 class _Shard:
-    """One contiguous row range of a step's batch, on its own tape, with its
-    own leaves over the fetched level rows and, when the anchor trains, over
-    the anchor's arrays (a frozen anchor pays for no weight gradients)."""
+    """One contiguous row range of a step's batch, at most ``SHARD_POSITIONS``
+    input positions, on its own tape, with its own leaves over the fetched
+    level rows and, when the anchor trains, over the anchor's arrays (a
+    frozen anchor pays for no weight gradients)."""
 
     def __init__(self, model: mdl.TransformerModel, rows: slice, level_rows: list[np.ndarray],
                  train_anchor: bool):
@@ -335,15 +346,44 @@ class _Shard:
         nc.backward(self.tape, self.loss)
 
 
+class _Half:
+    """One of a step's ``_row_ranges``, which one thread runs as consecutive
+    shards of ``per`` rows, the last one shorter, in row order (see the
+    module doc). ``anchor_grads`` holds, per anchor array, the sum of the
+    shards' gradients in shard order; it stays empty on a frozen anchor."""
+
+    def __init__(self, model: mdl.TransformerModel, rows: tuple[int, int], per: int,
+                 level_rows: list[np.ndarray], train_anchor: bool):
+        a, b = rows
+        self.shards = [_Shard(model, slice(i, min(i + per, b)), level_rows, train_anchor) for i in range(a, b, per)]
+        self.anchor_grads: dict[str, np.ndarray] = {}
+
+    def run(self, bank: mb.MemoryBank | None, batch: dict, denom) -> None:
+        """Each shard's forward, then its backward if its own loss is finite,
+        before the next shard's forward; a shard keeps no tape after its turn
+        and hands its anchor gradients over to the running sums."""
+        for s in self.shards:
+            s.forward(bank, batch, denom)
+            if math.isfinite(float(s.loss.data)):
+                s.backward()
+            s.tape = None  # frees the activations of a shard that ran no backward
+            for name, p in s.model.params.items():
+                if p.grad is not None:
+                    acc = self.anchor_grads.get(name)
+                    self.anchor_grads[name] = p.grad if acc is None else acc + p.grad
+                    p.grad = None
+
+
 _POOL: ThreadPoolExecutor | None = None
 
 
 def _helper_pool() -> ThreadPoolExecutor:
-    """The ``STEP_SHARDS - 1`` threads that run every shard but the last,
-    made once on first use, after ``_keep_freed_pages`` has set the C
-    allocator and before any of its threads starts. It has at least one
-    worker, so ``STEP_SHARDS = 1`` still makes it; a pool starts a thread
-    only on ``submit``, which a lone shard never calls."""
+    """The ``STEP_SHARDS - 1`` threads that run every part of a step or
+    prefill but the last (see ``_on_shards``), made once on first use,
+    after ``_keep_freed_pages`` has set the C allocator and before any of
+    its threads starts. It has at least one worker, so ``STEP_SHARDS = 1``
+    still makes it; a pool starts a thread only on ``submit``, which a lone
+    part never calls."""
     global _POOL
     if _POOL is None:
         _keep_freed_pages()
@@ -352,22 +392,24 @@ def _helper_pool() -> ThreadPoolExecutor:
 
 
 def _row_ranges(B: int) -> list[tuple[int, int]]:
-    """The contiguous row ranges ``[a, b)`` a batch of B rows runs as:
+    """The contiguous row ranges ``[a, b)`` a batch of B rows is split into,
+    one per thread: a train step's halves, a prefill's row shards.
     ``STEP_SHARDS`` of them, or B when the batch has fewer rows."""
     n = min(STEP_SHARDS, B)
     bounds = [B * i // n for i in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _on_shards(fn, shards: list) -> None:
-    """``fn(shard)`` for every shard: the helper pool takes all but the last
-    and the calling thread the last, so a lone shard runs inline. The pool
-    is made even for a lone shard, so the allocator is set before any shard
-    runs. Every call has ended when this returns or raises."""
+def _on_shards(fn, parts: list) -> None:
+    """``fn(part)`` for every part, a train step's ``_Half`` or a prefill's
+    row range: the helper pool takes all but the last and the calling thread
+    the last, so a lone part runs inline. The pool is made even for a lone
+    part, so the allocator is set before any part runs. Every call has
+    ended when this returns or raises."""
     pool = _helper_pool()
-    futures = [pool.submit(fn, s) for s in shards[:-1]]
+    futures = [pool.submit(fn, p) for p in parts[:-1]]
     try:
-        fn(shards[-1])
+        fn(parts[-1])
     finally:
         wait(futures)
     for f in futures:
@@ -382,9 +424,9 @@ def train_step(
     cfg: TrainConfig,
 ) -> dict:
     """One optimizer step over row shards of the batch (see the module doc).
-    A step whose loss is not finite is aborted: it runs no backward and moves
-    no parameter or optimizer state, but the schedule advances. Returns the
-    step's metrics row as a dict."""
+    A step whose whole-batch loss is not finite is aborted: it applies
+    nothing and moves no parameter or optimizer state, but the schedule
+    advances. Returns the step's metrics row as a dict."""
     B = batch["inputs"].shape[0]
     lr = cosine_lr(state.step + 1, cfg)
     train_anchor = cfg.regime != "memory"
@@ -395,11 +437,13 @@ def train_step(
         generic_rows = state.rng.random(B) < 1.0 / (bank.k + 1)
         fm = mb.fetch(bank, batch["leaf_flats"], generic_rows)
 
-    shards = [_Shard(model, slice(a, b), [] if fm is None else fm.levels, train_anchor) for a, b in _row_ranges(B)]
+    per = max(1, SHARD_POSITIONS // batch["inputs"].shape[1])
+    halves = [_Half(model, r, per, [] if fm is None else fm.levels, train_anchor) for r in _row_ranges(B)]
+    shards = [s for h in halves for s in h.shards]  # in row order
     # every shard divides by the whole batch's weight sum, as one tape would
     w = np.asarray(batch["weights"], dtype=model.dtype).reshape(-1)
     denom = w.sum()
-    _on_shards(lambda s: s.forward(bank, batch, denom), shards)
+    _on_shards(lambda h: h.run(bank, batch, denom), halves)
 
     # the shards' losses are their shares of the batch mean; when they are
     # finite, the mean is summed over the pointwise NLL in row order, as an
@@ -421,8 +465,7 @@ def train_step(
         "grad_norm": float("nan"),
     }
     if math.isfinite(loss_val):
-        _on_shards(_Shard.backward, shards)
-        metrics["grad_norm"] = _apply_gradients(model, bank, fm, shards, state, lr)
+        metrics["grad_norm"] = _apply_gradients(model, bank, fm, halves, state, lr)
     else:
         state.aborted += 1
     state.step += 1
@@ -432,8 +475,8 @@ def train_step(
 
 
 def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm: mb.FetchedMemory | None,
-                     shards: list[_Shard], state: TrainState, lr: float) -> float:
-    """Clip the shards' gradients and apply AdamW to every array they reach:
+                     halves: list[_Half], state: TrainState, lr: float) -> float:
+    """Clip the halves' gradients and apply AdamW to every array they reach:
     the anchor's parameters when it trains, and the fetched rows of each
     bank level, its generic row among them. Returns the pre-clip global norm."""
     # (state name, array, the indices its gradients update, the gradients,
@@ -442,12 +485,13 @@ def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm
     whole = [()]
     updates: list[tuple[str, np.ndarray, list, list, float]] = []
     for name, p in model.params.items():
-        grads = [s.model.params[name].grad for s in shards]
-        if grads[0] is not None:  # None on a frozen anchor
+        if name in halves[0].anchor_grads:  # absent on a frozen anchor
             wd = ANCHOR_WD if p.data.ndim >= 2 else 0.0  # no decay on gains
-            updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in shard order
+            grads = [h.anchor_grads[name] for h in halves]
+            updates.append((name, p.data, whole, [functools.reduce(np.add, grads)], wd))  # in half order
 
     # scatter per-sequence memory row gradients into per-row sums
+    shards = [s for h in halves for s in h.shards]
     for l, lvl in enumerate(bank.levels if bank is not None else [], 1):
         grads = [s.levels[l - 1].grad for s in shards]
         if grads[0] is not None:  # None on a width-0 level
@@ -627,8 +671,8 @@ def _keep_freed_pages() -> bool:
     threshold switches off glibc's dynamic mmap threshold, so both are set:
     one alone would leave the other at 128 KiB.
 
-    One arena. The helper thread that runs a train step's or a decode
-    prefill's other row shards (see ``_on_shards``) would get an arena of
+    One arena. The helper thread that runs a train step's other half or a
+    decode prefill's other row shard (see ``_on_shards``) would get an arena of
     its own from glibc, which keeps the high-water of that thread's shards
     apart from the main heap. Capping glibc at one arena makes the helper
     allocate from, and free into, the main heap, so either thread reuses

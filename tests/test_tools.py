@@ -25,12 +25,18 @@ def test_tree_scale_reports_a_digest_or_the_error():
 
 def test_train_faults_reports_each_round():
     code, out = tool("train_faults.py", 2)
-    assert code == 0 and (out["workload"], out["rounds"], out["seed"]) == ("train", 2, 1)
+    assert code == 0 and (out["workload"], out["train_batch"], out["rounds"], out["seed"]) == ("train", 16, 2, 1)
     assert len(out["minflt"]) == len(out["round_s"]) == 2 and out["failed"] == [0, 0]
     assert all(n >= 0 for n in out["minflt"]) and all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0
     # a round frees what the next one allocates, the helper thread's arrays
     # too: later rounds fault only the new optimizer state's pages
     assert max(out["minflt"][1:]) < 5000, out["minflt"]
+
+
+def test_train_faults_runs_another_train_batch():
+    code, out = tool("train_faults.py", 1, "--batch", 2)
+    assert code == 0 and (out["workload"], out["train_batch"], out["rounds"]) == ("train", 2, 1)
+    assert out["failed"] == [0] and out["round_s"][0] > 0 and out["ru_maxrss_mib"] > 0
 
 
 def test_train_faults_reports_recall_rounds():

@@ -1,9 +1,11 @@
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,13 +26,13 @@ ACFG4 = replace(ACFG, num_layers=4)
 
 
 def toy_setup(regime="memory", k=2, depth=2, steps=6, seed=0, rs=(2, 2), mem_type="ffn",
-              placement="uniform", acfg=ACFG):
+              placement="uniform", acfg=ACFG, dtype=np.float32):
     rng = np.random.default_rng(seed)
     tok = tr.ByteTokenizer()
     docs = ["".join(rng.choice(list("abcdef "), size=rng.integers(8, 30))) for _ in range(40)]
     leaves = [(int(rng.integers(1, k + 1)), int(rng.integers(1, k + 1))) for _ in docs]
     seqs = tr.pack_corpus([tok.encode(d) for d in docs], leaves, 32, tok, k, seed=1)
-    model = mdl.init_model(acfg, seed=3)
+    model = mdl.init_model(acfg, seed=3, dtype=dtype)
     bank = None
     if regime != "scratch":
         bank = mb.init_bank(mb.MemoryConfig(mem_type=mem_type, rs=rs, placement=placement),
@@ -331,11 +333,14 @@ def test_nonfinite_loss_aborts_step():
 
 # --- row shards ---
 
-def _one_step(monkeypatch, shards, regime, seqs=None):
-    """Metrics and trained arrays after one step of a toy batch as ``shards`` row shards."""
+def _one_step(monkeypatch, shards, regime, seqs=None, positions=tr.SHARD_POSITIONS, dtype=np.float32):
+    """Metrics and trained arrays after one step of a toy batch as ``shards``
+    halves of row shards of at most ``positions`` input positions."""
     monkeypatch.setattr(tr, "STEP_SHARDS", shards)
-    model, bank, toy_seqs, cfg = toy_setup(regime, steps=1)
-    metrics = tr.train_step(model, bank, tr.build_batch(seqs or toy_seqs[:4]), tr.TrainState(cfg), cfg)
+    monkeypatch.setattr(tr, "SHARD_POSITIONS", positions)
+    model, bank, toy_seqs, cfg = toy_setup(regime, steps=1, dtype=dtype)
+    batch = tr.build_batch(seqs or toy_seqs[:4], dtype=dtype)
+    metrics = tr.train_step(model, bank, batch, tr.TrainState(cfg), cfg)
     arrays = [p.data for _, p in model.params.items()] + (bank.levels if bank else [])
     return metrics, arrays
 
@@ -369,7 +374,7 @@ def test_one_row_batch_is_one_shard(monkeypatch):
     monkeypatch.setattr(tr, "_on_shards", counted)
     m, arrays = _one_step(monkeypatch, 2, "cotrain", seqs)
     m_ref, ref_arrays = _one_step(monkeypatch, 1, "cotrain", seqs)
-    assert sizes == [1, 1, 1, 1]  # forward and backward, in each run
+    assert sizes == [1, 1]  # one call per step, forward and backward in it, in each run
     np.testing.assert_array_equal([m[c] for c in tr.METRIC_COLUMNS], [m_ref[c] for c in tr.METRIC_COLUMNS])
     assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays, strict=True))
 
@@ -406,6 +411,102 @@ def test_nonfinite_loss_in_one_shard_aborts_the_step(monkeypatch, block):
     assert state.aborted == 1 and state.step == 1 and not state.opt
     assert model_digest(model) == before_model
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(bank.levels, before))
+
+
+# 62 positions hold 2 toy rows of 31, so an 8-row batch runs 2 shards per half
+TWO_ROWS = 62
+
+
+def test_each_shard_runs_its_backward_before_the_next_forward(monkeypatch):
+    events, lock = [], threading.Lock()
+    forward, backward = tr._Shard.forward, tr._Shard.backward
+
+    def record_forward(shard, *args):
+        with lock:
+            events.append(("forward", threading.get_ident(), shard.rows.start))
+        forward(shard, *args)
+
+    def record_backward(shard):
+        backward(shard)
+        with lock:
+            events.append(("backward", threading.get_ident(), shard.rows.start))
+
+    monkeypatch.setattr(tr._Shard, "forward", record_forward)
+    monkeypatch.setattr(tr._Shard, "backward", record_backward)
+    _one_step(monkeypatch, 2, "cotrain", toy_setup()[2][:8], positions=TWO_ROWS)
+    threads = {t: [(kind, row) for kind, u, row in events if u == t] for _, t, _ in events}
+    assert sorted(threads.values()) == [
+        [("forward", a), ("backward", a), ("forward", a + 2), ("backward", a + 2)] for a in (0, 4)
+    ]
+    # a shard holds a tape from its forward until its backward has ended
+    live = np.cumsum([1 if kind == "forward" else -1 for kind, _, _ in events])
+    assert live.max() <= tr.STEP_SHARDS and live[-1] == 0
+
+
+@pytest.mark.parametrize("regime", ["memory", "cotrain", "scratch"])
+def test_shards_of_a_half_match_one_tape(monkeypatch, regime):
+    # in float64, so that only the sharding is compared: float32 rounds an
+    # anchor gradient summed per shard in another order, and AdamW's first
+    # step, about lr * sign(g), turns that into a whole lr where a gradient
+    # is near 0. In float32 an 8-row cotrain step's weights differ from one
+    # tape's by 1.1e-6 of their norm in 2-row shards, 9.4e-7 in halves.
+    seqs = toy_setup()[2][:8]
+    ref = _one_step(monkeypatch, 1, regime, seqs, positions=10**6, dtype=np.float64)
+    _assert_close(_one_step(monkeypatch, 2, regime, seqs, positions=TWO_ROWS, dtype=np.float64), ref)
+
+
+def test_nonfinite_block_in_one_of_four_shards_aborts_the_step(monkeypatch):
+    model, bank, seqs, cfg = toy_setup(steps=1)
+    state = tr.TrainState(cfg)
+    # level-1 block 0 goes to the fetched rows of one 2-row shard only:
+    # the step's generic draw, made ahead on a copy of its generator
+    generic = copy.deepcopy(state.rng).random(8) < 1.0 / (bank.k + 1)
+    own = mb.fetch(bank, np.array([s.leaf_flat for s in seqs])).blocks[0]
+    by_block = {b: [s for s, o in zip(seqs, own) if o == b] for b in (0, 1)}
+    shard = np.flatnonzero(~generic)[0] // 2
+    batch = tr.build_batch([by_block[0 if r // 2 == shard and not generic[r] else 1].pop() for r in range(8)])
+
+    def step(shards, positions):
+        """Warnings, metrics and state of the step, and whether nothing moved."""
+        model, bank, _, _ = toy_setup(steps=1)
+        bank.levels[0][0] = np.inf
+        before, before_model = [a.copy() for a in bank.levels], model_digest(model)
+        monkeypatch.setattr(tr, "STEP_SHARDS", shards)
+        monkeypatch.setattr(tr, "SHARD_POSITIONS", positions)
+        state = tr.TrainState(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            metrics = tr.train_step(model, bank, batch, state, cfg)
+        moved = model_digest(model) != before_model or not all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(bank.levels, before))
+        return {(w.category, str(w.message)) for w in caught}, metrics, state, moved
+
+    fetch, blocks = mb.fetch, []
+    monkeypatch.setattr(mb, "fetch", lambda *args: blocks.append(fetch(*args).blocks[0]) or fetch(*args))
+    seen, metrics, state, moved = step(2, TWO_ROWS)
+    assert (blocks[0] == 0).reshape(4, 2).any(axis=1).tolist().count(True) == 1
+    assert not np.isfinite(metrics["loss"]) and np.isnan(metrics["grad_norm"])
+    assert state.aborted == 1 and state.step == 1 and not state.opt and not moved
+    # only the poisoned shard's forward warns, as the one tape's does
+    assert any("invalid value" in m for _, m in seen) and {c for c, _ in seen} == {RuntimeWarning}
+    assert seen == step(1, 10**6)[0]
+
+
+@pytest.mark.parametrize("regime", ["memory", "cotrain"])
+def test_a_half_hands_over_one_anchor_gradient(monkeypatch, regime):
+    model, seen, apply = toy_setup()[0], [], tr._apply_gradients
+
+    def recorded(*args):
+        halves = args[3]
+        seen.append([(len(h.shards), {n: g.shape for n, g in h.anchor_grads.items()}) for h in halves])
+        # the shards gave their anchor gradients over to their half's sums
+        assert all(p.grad is None for h in halves for s in h.shards for p in s.model.params.values())
+        return apply(*args)
+
+    monkeypatch.setattr(tr, "_apply_gradients", recorded)
+    _one_step(monkeypatch, 2, regime, toy_setup()[2][:8], positions=TWO_ROWS)
+    shapes = {n: p.data.shape for n, p in model.params.items()} if regime == "cotrain" else {}
+    assert seen == [[(2, shapes), (2, shapes)]]
 
 
 def test_train_runs_share_one_helper_pool(tmp_path):

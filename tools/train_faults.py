@@ -1,18 +1,21 @@
 """Count the page faults of repeated benchmark rounds in one process.
 
-    python3 tools/train_faults.py R [--workload train|recall]
+    python3 tools/train_faults.py R [--workload train|recall] [--batch B]
 
 Sets up the benchmark's ``train`` or ``recall`` workload (default ``train``)
 from ``hmbench/workloads.py`` (default ``Sizes()``, seed 1, a temporary work
 directory) and runs R of its rounds one after another in this process.
-Prints one JSON line: the workload, then for each round its minor page
-faults (the ``ru_minflt`` delta over the round), its wall time inside
-hiermem and its failed operations, then the process's peak resident set
-(``ru_maxrss``). Rounds after the first show whether the arrays a round
-frees (a training run's step arrays, a recall's decode batches) are reused
-or faulted in again. A round with a failed operation gives exit status 1.
-It imports ``hiermem`` from the ``src/`` beside it and gives OpenBLAS one
-thread, as the benchmark does.
+``--batch`` sets the ``train`` workload's batch (default the benchmark's,
+``Sizes().train_batch``), so the peak resident set of a train step can be
+read at other batch sizes. Prints one JSON line: the workload and the
+train batch, then for each round its minor page faults (the ``ru_minflt``
+delta over the round), its wall time inside hiermem and its failed
+operations, then the process's peak resident set (``ru_maxrss``). Rounds
+after the first show whether the arrays a round frees (a training run's
+step arrays, a recall's decode batches) are reused or faulted in again.
+A round with a failed operation gives exit status 1. It imports
+``hiermem`` from the ``src/`` beside it and gives OpenBLAS one thread, as
+the benchmark does.
 """
 
 from __future__ import annotations
@@ -42,11 +45,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rounds", type=int, help="rounds to run")
     ap.add_argument("--workload", choices=("train", "recall"), default="train", help="benchmark workload")
+    ap.add_argument("--batch", type=int, default=Sizes().train_batch, help="train batch size")
     args = ap.parse_args()
-    out = {"workload": args.workload, "rounds": args.rounds, "seed": SEED, "minflt": [], "round_s": [],
-           "failed": []}
+    if args.batch < 1:
+        ap.error(f"--batch must be at least 1, got {args.batch}")
+    out = {"workload": args.workload, "train_batch": args.batch, "rounds": args.rounds, "seed": SEED, "minflt": [],
+           "round_s": [], "failed": []}
     with tempfile.TemporaryDirectory() as workdir:
-        workload = WORKLOADS[args.workload](Sizes(), SEED, Path(workdir))
+        workload = WORKLOADS[args.workload](Sizes(train_batch=args.batch), SEED, Path(workdir))
         for _ in range(args.rounds):
             before = minflt()
             r = workload.round()

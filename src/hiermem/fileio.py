@@ -9,6 +9,9 @@ Layout (all integers little-endian):
     per array: name_len u16 + utf8 name, dtype_len u8 + dtype str,
                ndim u8 + ndim * u64 dims, raw C-order bytes
 
+An array may be given to ``write_artifact`` as a ``Rows`` selection of a
+larger array; the file then holds the selected rows alone, as one array.
+
 Identical inputs produce identical bytes (no timestamps, no compression),
 so sha256 digests of artifacts are stable across runs — that property is
 what the resume and determinism checks lean on. ``write_csv`` is the one
@@ -34,6 +37,7 @@ import os
 import struct
 import types
 import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -171,8 +175,38 @@ def _raw_bytes(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1).view(np.uint8))
 
 
-def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write an artifact whole or not at all."""
+# the most bytes of a ``Rows`` selection gathered at once (at least one row)
+_GATHER_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class Rows:
+    """The rows ``index`` of ``array``, in that order, written as one array
+    of ``len(index)`` rows. ``write_artifact`` gathers them a bounded chunk
+    at a time, so it reads no other row of ``array`` and never copies the
+    selection whole."""
+
+    array: np.ndarray
+    index: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.array.dtype
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.index), *self.array.shape[1:])
+
+    def chunks(self):
+        row_bytes = self.array.itemsize * math.prod(self.array.shape[1:])
+        per = max(1, _GATHER_BYTES // max(1, row_bytes))
+        for i in range(0, len(self.index), per):
+            yield self.array[self.index[i:i + per]]
+
+
+def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray | Rows]) -> None:
+    """Write an artifact whole or not at all. An array given as ``Rows`` is
+    stored as the selected rows alone."""
     if len(magic) > 8:
         raise ValueError(f"magic {magic!r} longer than 8 bytes")
     mb = canonical_json(meta)
@@ -189,10 +223,11 @@ def write_artifact(path, magic: str, meta: dict, arrays: dict[str, np.ndarray]) 
             f.write(nb)
             f.write(struct.pack("<B", len(dt)))
             f.write(dt)
-            f.write(struct.pack("<B", arr.ndim))
+            f.write(struct.pack("<B", len(arr.shape)))
             for d in arr.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(_raw_bytes(np.ascontiguousarray(arr)))
+            for part in arr.chunks() if isinstance(arr, Rows) else (arr,):
+                f.write(_raw_bytes(np.ascontiguousarray(part)))
 
 
 class _Fields(dict):

@@ -23,7 +23,8 @@ that reads it are done:
 - a product with a frozen weight keeps the weight only, not its input;
 - ``add``, ``reshape``, ``transpose`` and ``split`` keep shapes or axes,
   and ``rope`` its cosine and sine tables;
-- ``cross_entropy`` keeps the max-shifted logits, not the logits.
+- ``cross_entropy`` keeps the max-shifted logits, not the logits;
+- ``swiglu`` keeps its two inputs, and its backward recomputes the sigmoid.
 ``backward`` consumes the tape: it pops each node and takes its output
 slots' gradients before running it, so an intermediate gradient is freed
 as soon as no remaining node needs it. Only leaves get a ``.grad``.
@@ -245,28 +246,35 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, [x], bwd)
 
 
-def swiglu(a: Tensor, b: Tensor) -> Tensor:
-    """silu(a) * b, the gated unit of a SwiGLU feed-forward.
-
-    silu(a) = a * sigmoid(a) is not kept: the backward recomputes it from
-    the sigmoid, which it keeps.
-    """
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"swiglu: shapes {ad.shape} and {bd.shape} differ")
-    s = np.negative(ad)
-    # exp(-a) overflows to inf for a below about -88 (float32) or -709
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in a new array."""
+    s = np.negative(x)
+    # exp(-x) overflows to inf for x below about -88 (float32) or -709
     # (float64), and 1 / (1 + inf) is the right sigmoid there: 0
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    out = np.multiply(ad, s)
+    return s
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, the gated unit of a SwiGLU feed-forward.
+
+    Only the two inputs are kept: the backward recomputes sigmoid(a), by
+    the same ops in the same order, so its gradients are those of a kept
+    sigmoid bit for bit, and silu(a) = a * sigmoid(a) from it.
+    """
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"swiglu: shapes {ad.shape} and {bd.shape} differ")
+    out = np.multiply(ad, _sigmoid(ad))
     out *= bd
     na, nb = _tracked(a), _tracked(b)
 
     def bwd(g):
         ga = gb = None
+        s = _sigmoid(ad)
         if nb:
             gb = np.multiply(ad, s)
             gb *= g

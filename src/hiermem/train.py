@@ -22,9 +22,13 @@ never fetched are never read or written. Every step that is not aborted
 updates every trained array: each level of non-zero width, and the anchor
 where the regime trains it. So once a step has applied there is a state
 for each of them, and a resume refuses a state that lacks one. ``m`` and
-``v`` start on fresh anonymous pages, which take memory only once a row on
-them is written: the state of a level costs what its trained blocks need,
-not twice the level.
+``v`` start on fresh shared anonymous pages (``_fresh_zeros``), on which a
+page takes memory once it is read or written, so no code reads an
+untrained row of them: AdamW touches the fetched rows, and
+``trainstate.bin`` stores a level's ``m`` and ``v`` as its trained rows
+alone, those whose count is above 0, in row order. So the state of a level
+costs what its trained blocks need, in memory and on disk, not twice the
+level.
 
 Row shards. A step runs its batch as ``STEP_SHARDS`` = 2 contiguous halves
 (``_row_ranges``), or as one when the batch has one row, and each half as
@@ -274,13 +278,17 @@ class _AdamState:
     steps: np.ndarray         # int64 updates applied: (k^l + 1,) for a bank level, () otherwise
 
 
-def _fresh_zeros(like: np.ndarray) -> np.ndarray:
-    """Zeros shaped like ``like`` on fresh anonymous pages, none of them
-    resident until written. ``np.zeros`` is no substitute: numpy asks for
+def _fresh_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros of ``shape`` on a fresh shared anonymous map, none of its pages
+    resident until touched. A page turns resident when it is first read, not
+    only when written, so code must read no row it has not written; a
+    private map would stay empty under reads but fault twice per page on
+    AdamW's read-then-write. ``np.zeros`` is no substitute: numpy asks for
     huge pages for arrays of 4 MiB or more, and a level's state then turns
     resident in 2-MiB steps after a few of its rows are touched."""
-    buf = mmap.mmap(-1, max(like.nbytes, 1))  # an empty map is an error
-    return np.frombuffer(buf, dtype=like.dtype, count=like.size).reshape(like.shape)
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))  # an empty map is an error
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 
 class TrainState:
@@ -297,7 +305,7 @@ class TrainState:
         self.metrics = []  # rows of METRIC_COLUMNS
         # one entry per trained array, keyed by its name in model.ckpt or
         # bank.bin and made on the array's first update: m and v shaped like
-        # the array, on fresh pages that take memory only once written, and
+        # the array, on fresh pages that take memory only once touched, and
         # steps, one count per row of a bank level (see the module doc)
         self.opt: dict[str, _AdamState] = {}
 
@@ -508,7 +516,8 @@ def _apply_gradients(model: mdl.TransformerModel, bank: mb.MemoryBank | None, fm
         st = state.opt.get(name)
         if st is None:
             steps = np.zeros(p.shape[:1] if at is not whole else (), dtype=np.int64)
-            st = state.opt[name] = _AdamState(_fresh_zeros(p), _fresh_zeros(p), steps)
+            m, v = _fresh_zeros(p.shape, p.dtype), _fresh_zeros(p.shape, p.dtype)
+            st = state.opt[name] = _AdamState(m, v, steps)
         # in place on views: a level's rows, or a whole array at ()
         for i, g in zip(at, grads):
             st.steps[i] += 1
@@ -524,6 +533,9 @@ OPT_PARTS = ("m", "v", "steps")  # the arrays opt.<name>.<part> of one state
 
 
 def save_state(state: TrainState, path) -> None:
+    """Write ``state`` to ``path``. A bank level's ``m`` and ``v`` are
+    written as their trained rows alone, those whose count is above 0, in
+    row order; the untrained rows are never read (see ``_fresh_zeros``)."""
     meta = {
         "config": asdict(state.cfg),
         "step": state.step,
@@ -532,19 +544,27 @@ def save_state(state: TrainState, path) -> None:
         "epoch_pos": state.epoch_pos,
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
     }
-    arrays: dict[str, np.ndarray] = {"sched.order": state.epoch_order.astype(np.int64)}
+    arrays: dict[str, np.ndarray | fileio.Rows] = {"sched.order": state.epoch_order.astype(np.int64)}
     arrays["metrics.rows"] = np.asarray(state.metrics, dtype=np.float64).reshape(-1, len(METRIC_COLUMNS))
     for name in sorted(state.opt):
         st = state.opt[name]
-        arrays |= {f"opt.{name}.{part}": getattr(st, part) for part in OPT_PARTS}
+        rows = np.flatnonzero(st.steps) if st.steps.ndim else None  # a bank level's trained rows
+        for part in ("m", "v"):
+            arr = getattr(st, part)
+            arrays[f"opt.{name}.{part}"] = arr if rows is None else fileio.Rows(arr, rows)
+        arrays[f"opt.{name}.steps"] = st.steps
     fileio.write_artifact(path, STATE_MAGIC, meta, arrays)
 
 
 def load_state(path) -> TrainState:
-    """The state a ``trainstate.bin`` holds. A file whose arrays are not
-    ``sched.order``, ``metrics.rows`` and complete ``opt.<name>.m``, ``.v``
-    and int64 ``.steps`` triples, such as one with per-block state or with
-    a generic block's state apart from its level, is an ``ArtifactError``.
+    """The state a ``trainstate.bin`` holds, each bank level's trained rows
+    of ``m`` and ``v`` scattered into fresh zeros (see ``_fresh_zeros``).
+    A file whose arrays are not ``sched.order``, ``metrics.rows`` and
+    complete ``opt.<name>.m``, ``.v`` and int64 ``.steps`` triples, such as
+    one with per-block state or with a generic block's state apart from its
+    level, is an ``ArtifactError``; so is a level whose ``m`` or ``v`` does
+    not hold one row per count above 0, such as a dense one written before
+    levels stored their trained rows alone.
     Whether the states fit a model and bank is checked when a run resumes.
     So are metadata of the wrong types: ``step``, ``aborted`` and
     ``epoch_pos`` must be ints >= 0, ``tokens_seen`` a finite float and
@@ -567,6 +587,20 @@ def load_state(path) -> TrainState:
             raise fileio.ArtifactError(f"{path}: optimizer state {name!r} has {sorted(have)}, not {list(OPT_PARTS)}")
         if have["steps"].dtype != np.int64:
             raise fileio.ArtifactError(f"{path}: opt.{name}.steps is {have['steps'].dtype}, expected int64")
+        if have["steps"].ndim > 1:
+            raise fileio.ArtifactError(f"{path}: opt.{name}.steps is shaped {have['steps'].shape}, "
+                                       "not one count or one per row")
+        if have["steps"].ndim:  # a bank level: m and v hold its trained rows
+            trained = np.flatnonzero(have["steps"])
+            for part in ("m", "v"):
+                got = have[part].shape[:1]
+                if got != trained.shape:
+                    raise fileio.ArtifactError(
+                        f"{path}: opt.{name}.{part} holds {got[0] if got else 'no'} rows, and opt.{name}.steps "
+                        f"counts {trained.size} trained rows (a dense state of an older version is not read)")
+                full = _fresh_zeros(have["steps"].shape + have[part].shape[1:], have[part].dtype)
+                full[trained] = have[part]
+                have[part] = full
     if arrays["metrics.rows"].shape[1:] != (len(METRIC_COLUMNS),):
         raise TrainError(f"{path}: metrics rows are not the {len(METRIC_COLUMNS)} columns {METRIC_COLUMNS}")
     order, rows = arrays["sched.order"], arrays["metrics.rows"]

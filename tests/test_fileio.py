@@ -81,6 +81,18 @@ def test_round_trip_keeps_dtype_shape_and_bytes(tmp_path):
     assert arrays["big_endian"].tobytes() in p.read_bytes()
 
 
+def test_rows_are_written_as_the_selected_rows_a_chunk_at_a_time(tmp_path, monkeypatch):
+    arr = np.arange(7 * 3, dtype=np.float32).reshape(7, 3)
+    index = np.array([0, 2, 3, 6])
+    monkeypatch.setattr(fileio, "_GATHER_BYTES", 2 * arr[0].nbytes)
+    assert [c.tolist() for c in fileio.Rows(arr, index).chunks()] == [arr[[0, 2]].tolist(), arr[[3, 6]].tolist()]
+    for name, rows in (("some", index), ("none", index[:0])):
+        fileio.write_artifact(tmp_path / f"{name}.bin", "HMTEST", {}, {"a": fileio.Rows(arr, rows), "b": arr})
+        fileio.write_artifact(tmp_path / f"{name}_taken.bin", "HMTEST", {}, {"a": arr[rows], "b": arr})
+        assert (tmp_path / f"{name}.bin").read_bytes() == (tmp_path / f"{name}_taken.bin").read_bytes()
+    assert fileio.read_artifact(tmp_path / "none.bin")[2]["a"].shape == (0, 3)
+
+
 def test_write_csv_cells(tmp_path):
     out = tmp_path / "t.csv"
     fileio.write_csv(out, ["mode", "per_level", "total"], [

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -147,6 +148,23 @@ def test_swiglu_of_a_very_negative_gate_is_zero_without_a_warning(dtype, low):
 def test_swiglu_shape_mismatch_is_loud():
     with pytest.raises(nc.ShapeError, match=r"swiglu: shapes \(2, 3\) and \(3,\)"):
         nc.swiglu(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(3)))
+
+
+def test_recorded_swiglu_keeps_no_third_array():
+    # its node keeps the two inputs, which are live anyway, and the backward
+    # recomputes the sigmoid: recording adds the output and no array beside it
+    a = nc.Tensor(rng.normal(size=(64, 1024)).astype(np.float32), requires_grad=True)
+    b = nc.Tensor(rng.normal(size=(64, 1024)).astype(np.float32), requires_grad=True)
+    with nc.Tape() as tape:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = nc.swiglu(a, b)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert len(tape.nodes) == 1
+    assert out.data.nbytes <= grown < 1.5 * out.data.nbytes, (grown, out.data.nbytes)
 
 
 def test_attention_grads_with_mask():

@@ -23,6 +23,11 @@ def test_tree_scale_reports_a_digest_or_the_error():
     assert "< k=16" in out["error"] and out["train_tree_s"] >= 0
 
 
+# the size of a benchmark train round's trainstate.bin at seed 1 with m and v
+# of every bank level row stored, trained or not
+DENSE_STATE_BYTES_SEED1 = 14_598_800
+
+
 def test_train_faults_reports_each_round():
     code, out = tool("train_faults.py", 2)
     assert code == 0 and (out["workload"], out["train_batch"], out["rounds"], out["seed"]) == ("train", 16, 2, 1)
@@ -31,6 +36,8 @@ def test_train_faults_reports_each_round():
     # a round frees what the next one allocates, the helper thread's arrays
     # too: later rounds fault only the new optimizer state's pages
     assert max(out["minflt"][1:]) < 5000, out["minflt"]
+    # a level's optimizer state is stored as its trained rows alone
+    assert 0 < out["state_bytes"] < DENSE_STATE_BYTES_SEED1, out["state_bytes"]
 
 
 def test_train_faults_runs_another_train_batch():
@@ -42,6 +49,7 @@ def test_train_faults_runs_another_train_batch():
 def test_train_faults_reports_recall_rounds():
     code, out = tool("train_faults.py", 3, "--workload", "recall")
     assert code == 0 and (out["workload"], out["rounds"], out["seed"]) == ("recall", 3, 1)
+    assert out["state_bytes"] is None
     assert len(out["minflt"]) == len(out["round_s"]) == 3 and out["failed"] == [0, 0, 0]
     assert all(t > 0 for t in out["round_s"]) and out["ru_maxrss_mib"] > 0
     # a recall round frees what the next one allocates: later rounds keep the pages
@@ -56,7 +64,7 @@ BENCH_BYTES_SEED1 = {
     "train": {
         "model.ckpt": "e6c0a9e002745e0899eeea154ec13217f6821b79e67955380db5733f8d272d26",
         "bank.bin": "a1f05aca60e39eb5eff8f1d05b686b0cf9ec9142855ff036654d82e26704a8a7",
-        "trainstate.bin": "2555a21bc22c2a3fdaff0a4930883ff549d0066ce88321c79b06f76ec73efbb5",
+        "trainstate.bin": "770e9fc91cf6b9f5f19b0524d5f19c4f11ca5d51c10969ca5076cb738f90ce9e",
         "metrics.csv": "c2c2b89acc98fff11b03aff4fa85f6b1ae57ba447a28be0244b4e277c8a413bf",
     },
     "recall": {

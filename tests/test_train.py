@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermem import cli
 from hiermem import fileio
 from hiermem import membank as mb
 from hiermem import model as mdl
@@ -898,7 +900,81 @@ def test_state_file_holds_three_arrays_per_trained_array(tmp_path, regime, train
     assert all(arrays[f"opt.{name}.steps"].dtype == np.int64 for name in trained)
 
 
-def test_malformed_or_old_state_files_are_refused(tmp_path):
+@pytest.mark.parametrize("regime", ["memory", "cotrain"])
+def test_state_file_stores_the_trained_rows_of_each_level(tmp_path, capsys, regime):
+    # k=4: 16 level-2 blocks, of which 3 steps of 4 rows fetch at most 12
+    model, bank, seqs, cfg = toy_setup(regime, k=4, steps=3)
+    state = tr.train_run(model, bank, seqs, replace(cfg, checkpoint_interval=1), tmp_path / "run",
+                         log=lambda m: None)
+    path = tmp_path / "run" / "ckpt_final" / "trainstate.bin"
+    magic, meta, arrays = fileio.read_artifact(path)
+    levels = {name: st for name, st in state.opt.items() if name.startswith("level")}
+    assert sorted(levels) == ["level1", "level2"] and (levels["level2"].steps == 0).sum() >= 4
+    for name, st in state.opt.items():
+        for part in ("m", "v"):
+            # a level's trained rows in row order, shaped (count_nonzero(steps), s_l); an anchor array whole
+            want = getattr(st, part)[st.steps > 0] if name in levels else getattr(st, part)
+            assert np.array_equal(arrays[f"opt.{name}.{part}"], want), (name, part)
+        assert np.array_equal(arrays[f"opt.{name}.steps"], st.steps)
+    # smaller than the dense layout by exactly the untrained rows' bytes
+    dense = {f"opt.{name}.{part}": getattr(st, part) for name, st in levels.items() for part in ("m", "v")}
+    fileio.write_artifact(tmp_path / "dense.bin", magic, meta, dict(arrays) | dense)
+    untrained = sum(2 * st.m[st.steps == 0].nbytes for st in levels.values())
+    assert (tmp_path / "dense.bin").stat().st_size - path.stat().st_size == untrained > 0
+    # loading scatters the rows back into zeros: the state in RAM is the saved one
+    loaded = tr.load_state(path)
+    assert sorted(loaded.opt) == sorted(state.opt)
+    for name, st in state.opt.items():
+        for part in tr.OPT_PARTS:
+            got, want = getattr(loaded.opt[name], part), getattr(st, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, part)
+    # resumes from every checkpoint end on the uninterrupted run's bytes
+    final = path.read_bytes()
+    for step in (1, 2):
+        ck = tmp_path / "run" / f"ckpt_step{step}"
+        model_b, bank_b = mdl.load_model(ck / "model.ckpt")[0], mb.load_bank(ck / "bank.bin")
+        tr.train_run(model_b, bank_b, seqs, cfg, tmp_path / f"rest{step}",
+                     resume_state=tr.load_state(ck / "trainstate.bin"), log=lambda m: None)
+        assert (model_digest(model_b), bank_digest(bank_b)) == (model_digest(model), bank_digest(bank))
+        assert (tmp_path / f"rest{step}" / "ckpt_final" / "trainstate.bin").read_bytes() == final
+    # inspect lists the stored arrays and counts every block trained, as from the dense layout
+    assert cli.main(["inspect", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "step 3, aborted 0" in out
+    for level, name in enumerate(sorted(levels), 1):
+        n = levels[name].steps[:-1][levels[name].steps[:-1] > 0]
+        assert f"level {level}: {n.size} blocks trained, updates min {n.min()} max {n.max()}" in out
+        assert f"array opt.{name}.m: float32 {arrays[f'opt.{name}.m'].shape}" in out
+
+
+def _resident_kib(arr: np.ndarray) -> int:
+    """The ``Rss:`` of the mapping that starts at ``arr``'s first byte, in KiB."""
+    lines = Path("/proc/self/smaps").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith(f"{arr.ctypes.data:x}-"))
+    return next(int(line.split()[1]) for line in lines[head + 1:] if line.startswith("Rss:"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="reads /proc/self/smaps (Linux)")
+def test_saving_and_loading_a_state_touch_only_its_trained_rows(tmp_path):
+    # a page of the state's shared map turns resident when read, so a save
+    # that read an untrained row would show here; one page per float32 row
+    rows, trained = 9, [1, 4, 8]
+    state = tr.TrainState(tr.TrainConfig())
+    m, v = (tr._fresh_zeros((rows, mmap.PAGESIZE // 4), np.float32) for _ in range(2))
+    steps = np.zeros(rows, np.int64)
+    steps[trained] = 2
+    m[trained], v[trained] = 0.5, 0.25  # written as AdamW writes the fetched rows
+    state.opt["level1"] = tr._AdamState(m, v, steps)
+    resident = len(trained) * mmap.PAGESIZE // 1024
+    assert [_resident_kib(a) for a in (m, v)] == [resident] * 2
+    tr.save_state(state, tmp_path / "state.bin")
+    assert [_resident_kib(a) for a in (m, v)] == [resident] * 2
+    loaded = tr.load_state(tmp_path / "state.bin").opt["level1"]
+    assert [_resident_kib(a) for a in (loaded.m, loaded.v)] == [resident] * 2
+    assert np.array_equal(loaded.m, m) and np.array_equal(loaded.v, v) and np.array_equal(loaded.steps, steps)
+
+
+def test_malformed_or_old_state_files_are_refused(tmp_path, capsys):
     model, bank, seqs, cfg = toy_setup(steps=2)
     tr.train_run(model, bank, seqs, cfg, tmp_path, log=lambda m: None)
     magic, meta, arrays = fileio.read_artifact(tmp_path / "ckpt_final" / "trainstate.bin")
@@ -921,13 +997,43 @@ def test_malformed_or_old_state_files_are_refused(tmp_path):
         "no name": ({"opt.m": m}, {}, "unknown array 'opt.m'"),
         "unknown array": ({"extra": m}, {}, "unknown array 'extra'"),
     }
+    # a level's m and v hold one row per count above 0, and no other
+    m2, trained2 = arrays["opt.level2.m"], int(np.count_nonzero(arrays["opt.level2.steps"]))
+    cases |= {
+        "a row too many": ({"opt.level2.m": np.concatenate([m2, m2[:1]])}, {},
+                           f"opt.level2.m holds {trained2 + 1} rows, and opt.level2.steps counts {trained2}"),
+        "a row too few": ({"opt.level2.v": m2[1:]}, {},
+                          f"opt.level2.v holds {trained2 - 1} rows, and opt.level2.steps counts {trained2}"),
+        "2-D steps": ({"opt.level3.m": m, "opt.level3.v": m, "opt.level3.steps": np.ones((2, 2), np.int64)}, {},
+                      "opt.level3.steps is shaped (2, 2)"),
+    }
+    paths = {}
     for case, (more_arrays, more_meta, match) in cases.items():
-        path = tmp_path / f"{case}.bin"
-        fileio.write_artifact(path, magic, dict(meta) | more_meta, dict(arrays) | more_arrays)
+        paths[case] = tmp_path / f"{case}.bin", match
+        fileio.write_artifact(paths[case][0], magic, dict(meta) | more_meta, dict(arrays) | more_arrays)
+    # the dense layout of an older version: every row of a level's m and v,
+    # here at k=4, where 2 steps of 4 rows leave some level-2 blocks untrained
+    model, bank, seqs, cfg = toy_setup(k=4, steps=2)
+    st = tr.train_run(model, bank, seqs, cfg, tmp_path / "k4", log=lambda m: None).opt["level2"]
+    assert (st.steps == 0).any()
+    magic, meta, arrays = fileio.read_artifact(tmp_path / "k4" / "ckpt_final" / "trainstate.bin")
+    paths["dense"] = tmp_path / "dense.bin", (f"opt.level2.m holds {st.steps.size} rows, and opt.level2.steps "
+                                              f"counts {np.count_nonzero(st.steps)} trained rows (a dense state")
+    fileio.write_artifact(paths["dense"][0], magic, meta, dict(arrays) | {"opt.level2.m": st.m, "opt.level2.v": st.v})
+    for case, (path, match) in paths.items():
         with pytest.raises(fileio.ArtifactError) as err:
             tr.load_state(path)
         message = str(err.value)
         assert message.startswith(str(path)) and match in message and "\n" not in message, case
+    # a resume and `hiermem inspect` read the file through load_state
+    with pytest.raises(fileio.ArtifactError, match="a dense state of an older version is not read"):
+        tr.train_run(model, bank, seqs, replace(cfg, total_steps=3), tmp_path / "resumed",
+                     resume_state=tr.load_state(paths["dense"][0]), log=lambda m: None)
+    for case in ("dense", "a row too many", "a row too few"):
+        path, match = paths[case]
+        assert cli.main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and match in err, err
 
 
 def test_metrics_csv_and_checkpoint_files(tmp_path):

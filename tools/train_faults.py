@@ -10,9 +10,11 @@ directory) and runs R of its rounds one after another in this process.
 read at other batch sizes. Prints one JSON line: the workload and the
 train batch, then for each round its minor page faults (the ``ru_minflt``
 delta over the round), its wall time inside hiermem and its failed
-operations, then the process's peak resident set (``ru_maxrss``). Rounds
-after the first show whether the arrays a round frees (a training run's
-step arrays, a recall's decode batches) are reused or faulted in again.
+operations, then ``state_bytes``, the size of the last ``train`` round's
+``ckpt_final/trainstate.bin`` (null for ``recall``), and the process's
+peak resident set (``ru_maxrss``). Rounds after the first show whether
+the arrays a round frees (a training run's step arrays, a recall's decode
+batches) are reused or faulted in again.
 A round with a failed operation gives exit status 1. It imports
 ``hiermem`` from the ``src/`` beside it and gives OpenBLAS one thread, as
 the benchmark does.
@@ -59,6 +61,8 @@ def main() -> int:
             out["minflt"].append(minflt() - before)
             out["round_s"].append(round(r.wall, 3))
             out["failed"].append(r.failed)
+        state = Path(workdir) / "train" / "ckpt_final" / "trainstate.bin"
+        out["state_bytes"] = state.stat().st_size if args.workload == "train" else None
     out["ru_maxrss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(out))
     return 1 if any(out["failed"]) else 0
